@@ -30,7 +30,7 @@ print(f"{len(cells)} cells parsed")
 for c in cells:
     print(f"  {c.problem_id:18s} config={c.label} seed={c.seed}")
 
-traces = run_suite(cells, jobs=2)
+traces = run_suite(cells)
 print()
 for t in traces:
     print(f"{t.problem:12s} {t.config:10s} s{t.seed}  {t.status:9s} "

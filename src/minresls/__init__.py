@@ -21,7 +21,7 @@ from .core import (
     ensure_operator,
 )
 from .minres import MAXITER, NPC, SOL, MinresOutcome, krylov_lsq_oracle, minres_npc
-from .hessians import LbfgsStore, exact_hvp_operator, regularized
+from .hessians import LbfgsStore, model_operator
 from .linesearch import (
     LinesearchConfig,
     LinesearchResult,
@@ -89,16 +89,15 @@ __all__ = [
     "build_problem",
     "emit_trace",
     "ensure_operator",
-    "exact_hvp_operator",
     "krylov_lsq_oracle",
     "list_problems",
     "minres_npc",
+    "model_operator",
     "npc_linesearch",
     "parse_manifest",
     "parse_trace",
     "parse_trace_text",
     "performance_profile",
-    "regularized",
     "run_suite",
     "schedule_eval",
     "solve",

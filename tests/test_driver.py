@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from minresls.core import NoHessianOracle, Objective
+from minresls.bench import builtin_config
+from minresls.core import NoHessianOracle, Objective, SymmetricOperator
 from minresls.driver import (
     BUDGET,
     CONVERGED,
@@ -15,18 +16,26 @@ from minresls.driver import (
     ScheduleParams,
     SolverConfig,
     curvature_test_basic,
+    curvature_test_npc_cap,
     curvature_test_refined,
     schedule_eval,
     solve,
 )
 from minresls.hessians import LbfgsStore
 from minresls.linesearch import LinesearchConfig
-from minresls.minres import NPC, SOL
+from minresls.minres import NPC
 from minresls.problems import build_problem
 
 
 def spec(name, **params):
     return build_problem(name, self_test=False, **params)
+
+
+def linesearch_eval_cap(ls):
+    """L of solve's budget bound: the most evaluations one linesearch makes."""
+    backward = math.floor(math.log(ls.min_step / ls.initial_step) / math.log(ls.shrink))
+    forward = math.ceil(math.log(ls.max_step / ls.initial_step) / math.log(1.0 / ls.shrink))
+    return 1 + max(backward, forward)
 
 
 class TestSchedule:
@@ -97,27 +106,23 @@ class TestCurvatureTests:
         # passes against ||p||^2 = 0.25 alone but not against gnorm^2 = 1
         ptBp = thresh * 0.5
         assert curvature_test_basic(ptBp, 0.25, 1.0, a_k, sp)
-        assert not curvature_test_refined(ptBp, 0.25, 1.0, 0.0, 1.0, SOL, a_k, sp)
+        assert not curvature_test_refined(ptBp, 0.25, 1.0, a_k, sp)
 
     def test_refined_npc_cap(self):
         sp = ScheduleParams()
-        assert not curvature_test_refined(0.0, 0.0, 1.0, 2e8, 1.0, NPC, 0.5, sp)
-        assert not curvature_test_refined(0.0, 0.0, 1.0, -2e8, 1.0, NPC, 0.5, sp)
-        assert curvature_test_refined(0.0, 0.0, 1.0, 0.0, 1.0, NPC, 0.5, sp)
+        assert not curvature_test_npc_cap(2e8, 1.0, sp)
+        assert not curvature_test_npc_cap(-2e8, 1.0, sp)
+        assert curvature_test_npc_cap(0.0, 1.0, sp)
 
 
 class TestSolverConfig:
     def test_auto_test_resolution(self):
         assert SolverConfig().resolved_curvature_test == "basic"
         assert SolverConfig(hessian="lbfgs").resolved_curvature_test == "refined"
-        assert SolverConfig(hessian="lbfgs",
-                            curvature_test="basic").resolved_curvature_test == "basic"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(hessian="sr1")
-        with pytest.raises(ValueError):
-            SolverConfig(curvature_test="bold")
         with pytest.raises(ValueError):
             SolverConfig(max_inner=0)
         with pytest.raises(ValueError):
@@ -185,6 +190,23 @@ class TestTerminationStatuses:
         # overshoot is bounded by one iteration's work
         assert trace.oracles <= 2.5 + trace.records[0].oracles
 
+    def test_budget_overshoot_bound(self):
+        # the bound stated in solve's docstring, over a sweep of budgets
+        assert linesearch_eval_cap(LinesearchConfig()) == 60
+        ls = LinesearchConfig(min_step=2.0 ** -10, max_step=8.0)
+        max_evals = linesearch_eval_cap(ls)
+        assert max_evals == 11
+        problem = spec("rosenbrock", n=20)
+        x0 = problem.start(np.random.default_rng(4))
+        for max_oracles in range(5, 400, 9):
+            obj = problem.make_objective()
+            cfg = SolverConfig(linesearch=ls, max_inner=6, max_oracles=max_oracles)
+            trace = solve(obj, x0, cfg)
+            assert trace.status == BUDGET, max_oracles
+            bound = (max_oracles + cfg.max_inner * obj.hvp_cost
+                     + max_evals * obj.f_cost + obj.grad_cost)
+            assert max_oracles <= trace.oracles < bound, (max_oracles, trace.oracles)
+
     def test_stagnated_on_false_descent_claim(self):
         # gradient oracle promises descent that the (constant) function
         # never delivers; with f = 0 the rounding pad is zero as well
@@ -241,7 +263,7 @@ class TestDirectionDispatch:
         # clear it while the gradient is large, so every step demotes to GD
         sp = ScheduleParams(curvature_floor=1e8)
         obj = spec("quadratic", spectrum=(1e-8, 1.0)).make_objective()
-        cfg = SolverConfig(schedule=sp, curvature_test="basic", max_oracles=30)
+        cfg = SolverConfig(schedule=sp, max_oracles=30)
         trace = solve(obj, np.full(2, 100.0), cfg)
         assert trace.status == BUDGET
         assert trace.records
@@ -267,6 +289,29 @@ class TestDirectionDispatch:
         assert trace.status == CONVERGED
         # B has identity-plus-rank-2m structure: Krylov spaces stop growing
         assert max(r.inner_iters for r in trace.records) <= 2 * memory + 2
+
+    @pytest.mark.parametrize("name, params, config", [
+        ("quartic_saddle", {"n": 10}, "newton_mr"),
+        ("rosenbrock", {"n": 20}, "lbfgs_mr"),
+    ])
+    def test_one_operator_call_per_inner_iteration(self, monkeypatch, name, params,
+                                                   config):
+        # B_k + zeta_k I is a single operator layer, not a shift around a model
+        calls = []
+        original = SymmetricOperator.__call__
+
+        def counted(op, v):
+            calls.append(1)
+            return original(op, v)
+
+        monkeypatch.setattr(SymmetricOperator, "__call__", counted)
+        problem = spec(name, **params)
+        x0 = problem.start(np.random.default_rng(7))
+        trace = solve(problem.make_objective(), x0, builtin_config(config))
+        assert trace.status == CONVERGED
+        # a degenerate L-BFGS fallback would record 0 inner iterations
+        assert all(r.inner_iters > 0 for r in trace.records)
+        assert len(calls) == sum(r.inner_iters for r in trace.records)
 
     def test_invariants_hold_across_modes(self):
         for name, kwargs, hessian in [

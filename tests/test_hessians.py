@@ -1,9 +1,9 @@
-"""Hessian models: exact operator, shift wrapper, compact L-BFGS store."""
+"""Hessian models: the regularized model operator, compact L-BFGS store."""
 import numpy as np
 import pytest
 
 from minresls.core import DegenerateMiddleMatrix, Objective, OracleCounter
-from minresls.hessians import LbfgsStore, exact_hvp_operator, regularized
+from minresls.hessians import LbfgsStore, model_operator
 from minresls.minres import NPC, minres_npc
 from minresls.reference import dense_bfgs_matrix
 
@@ -16,7 +16,7 @@ class TestExactOperator:
     def test_identity_hessian(self):
         obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
                         lambda x, v: v.copy())
-        op = exact_hvp_operator(obj, np.zeros(3))
+        op = model_operator(0.0, obj=obj, x=np.zeros(3))
         v = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(op(v), v)
         assert op.dim == 3
@@ -25,7 +25,7 @@ class TestExactOperator:
         c = OracleCounter()
         obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
                         lambda x, v: 2.0 * v, counter=c)
-        op = exact_hvp_operator(obj, np.zeros(2))
+        op = model_operator(0.0, obj=obj, x=np.zeros(2))
         op(np.ones(2)); op(np.ones(2))
         assert c.count == 4.0          # two products at cost 2 each
 
@@ -33,22 +33,28 @@ class TestExactOperator:
         from minresls.problems import build_problem
         obj = build_problem("toy_sine", self_test=False, n=4).make_objective()
         x = np.linspace(0.1, 0.9, 8)
-        H = exact_hvp_operator(obj, x).to_dense()
+        H = model_operator(0.0, obj=obj, x=x).to_dense()
         assert np.max(np.abs(H - H.T)) <= 1e-12
+
+    def test_evaluation_point_is_frozen(self):
+        obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
+                        lambda x, v: x * v)
+        x = np.array([1.0, 2.0])
+        op = model_operator(0.0, obj=obj, x=x)
+        x[:] = 5.0
+        assert np.array_equal(op(np.ones(2)), [1.0, 2.0])
 
 
 class TestRegularized:
     def test_cancels_negative_eigenvalue(self):
-        base = exact_operator_from_dense(np.diag([1.0, -1.0]))
-        shifted = regularized(base, 1.0)
+        shifted = shifted_dense(np.diag([1.0, -1.0]), 1.0)
         assert np.array_equal(shifted(np.array([0.0, 1.0])), [0.0, 0.0])
 
     def test_rayleigh_quotients_shift(self):
         rng = pair_rng(2)
         M = rng.standard_normal((5, 5))
         A = 0.5 * (M + M.T)
-        base = exact_operator_from_dense(A)
-        shifted = regularized(base, 0.7)
+        shifted = shifted_dense(A, 0.7)
         for _ in range(10):
             v = rng.standard_normal(5)
             lhs = v @ shifted(v)
@@ -56,14 +62,17 @@ class TestRegularized:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_negative_shift_rejected(self):
-        base = exact_operator_from_dense(np.eye(2))
         with pytest.raises(ValueError):
-            regularized(base, -0.1)
+            shifted_dense(np.eye(2), -0.1)
+        with pytest.raises(ValueError):
+            model_operator(-0.1, store=LbfgsStore(2))
 
 
-def exact_operator_from_dense(A):
-    from minresls.core import ensure_operator
-    return ensure_operator(A)
+def shifted_dense(A, shift):
+    """``A + shift*I`` through the exact-Hessian branch, with Hessian ``A``."""
+    n = A.shape[0]
+    obj = Objective(n, lambda x: 0.0, lambda x: np.zeros(n), lambda x, v: A @ v)
+    return model_operator(shift, obj=obj, x=np.zeros(n))
 
 
 class TestLbfgsStore:
@@ -145,7 +154,7 @@ class TestLbfgsStore:
         e1 = np.array([1.0, 0.0])
         assert st.update(e1, -e1)
         assert st.gamma == -1.0
-        out = minres_npc(st.operator(), np.array([1.0, 1.0]), 1e-8, 20)
+        out = minres_npc(model_operator(0.0, store=st), np.array([1.0, 1.0]), 1e-8, 20)
         assert out.flag == NPC
 
     def test_operator_is_symmetric(self):
@@ -154,7 +163,7 @@ class TestLbfgsStore:
         for _ in range(4):
             s = rng.standard_normal(5)
             st.update(s, s + 0.1 * rng.standard_normal(5))
-        B = st.operator().to_dense()
+        B = model_operator(0.0, store=st).to_dense()
         assert np.max(np.abs(B - B.T)) <= 1e-10
 
     def test_dimension_mismatch(self):
