@@ -100,8 +100,8 @@ def _typed_fields(cls):
 
 
 _TOP_FIELDS = _typed_fields(SolverConfig)
-_SCHED_FIELDS = _typed_fields(ScheduleParams)
-_LS_FIELDS = _typed_fields(LinesearchConfig)
+_NESTED_FIELDS = {"schedule": _typed_fields(ScheduleParams),
+                  "linesearch": _typed_fields(LinesearchConfig)}
 _BOOLS = {"true": True, "false": False}
 
 
@@ -127,21 +127,15 @@ def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
     dataclasses; bare keys hit the top level. Replacement reruns the dataclass
     validation, so out-of-range values fail here, before any run starts.
     """
-    if key.startswith("schedule."):
-        name = key[len("schedule."):]
-        if name not in _SCHED_FIELDS:
+    block, dot, name = key.partition(".")
+    if dot and block in _NESTED_FIELDS:
+        fields = _NESTED_FIELDS[block]
+        if name not in fields:
             raise ValueError(f"unknown config key {key!r}")
         sub = dataclasses.replace(
-            cfg.schedule, **{name: _coerce_setting(value, _SCHED_FIELDS[name], key)})
-        return dataclasses.replace(cfg, schedule=sub)
-    if key.startswith("linesearch."):
-        name = key[len("linesearch."):]
-        if name not in _LS_FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        sub = dataclasses.replace(
-            cfg.linesearch, **{name: _coerce_setting(value, _LS_FIELDS[name], key)})
-        return dataclasses.replace(cfg, linesearch=sub)
-    if key in ("schedule", "linesearch") or key not in _TOP_FIELDS:
+            getattr(cfg, block), **{name: _coerce_setting(value, fields[name], key)})
+        return dataclasses.replace(cfg, **{block: sub})
+    if key in _NESTED_FIELDS or key not in _TOP_FIELDS:
         raise ValueError(f"unknown config key {key!r}")
     return dataclasses.replace(
         cfg, **{key: _coerce_setting(value, _TOP_FIELDS[key], key)})
@@ -452,12 +446,7 @@ def load_trace_dir(dirpath) -> list[ParsedTrace]:
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(TRACE_SUFFIX))
     if not names:
         raise ValueError(f"no *{TRACE_SUFFIX} files in {dirpath}")
-    out = []
-    for name in names:
-        path = os.path.join(dirpath, name)
-        with open(path) as fh:
-            out.append(parse_trace_text(fh.read(), origin=path))
-    return out
+    return [parse_trace(os.path.join(dirpath, name)) for name in names]
 
 
 # ---------------------------------------------------------------------------

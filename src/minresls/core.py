@@ -175,13 +175,20 @@ class Objective:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.counter.add(self.grad_cost)
-        return np.asarray(self._grad(x), dtype=float)
+        return self._checked("gradient", self._grad(x))
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hvp is None:
             raise NoHessianOracle("no Hessian oracle attached to this objective")
         self.counter.add(self.hvp_cost)
-        return np.asarray(self._hvp(x, v), dtype=float)
+        return self._checked("Hessian-vector", self._hvp(x, v))
+
+    def _checked(self, oracle: str, out) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape != (self.dim,):
+            raise ValueError(f"{oracle} oracle returned shape {out.shape}, "
+                             f"expected ({self.dim},)")
+        return out
 
 
 def fd_grad_check(obj: Objective, x: np.ndarray, h: float = 1e-5) -> float:

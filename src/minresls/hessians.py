@@ -10,11 +10,19 @@ where L is the strictly lower triangle and D the diagonal of S'Y. Updates are
 cautious but deliberately loose: a pair is kept whenever |y's| clears a tiny
 multiple of ||s||^2, so the matrix may be indefinite. That is a feature, the
 inner solver can then surface non-positive curvature directions.
+
+Each kept pair is stored as (s/||s||, y/||s||). A common scaling of one pair
+leaves B, gamma and the cautious test unchanged (U -> U C and M -> C M C cancel
+in U M^{-1} U'), but it takes step length out of M. M is inverted once per
+accepted update, and it counts as degenerate when its 1-norm condition number
+reaches 1e14, so the test responds to the geometry of the pairs and not to
+how far apart their steps are.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DegenerateMiddleMatrix,
@@ -26,6 +34,8 @@ __all__ = ["LbfgsStore", "model_operator"]
 
 # |y's| >= CAUTIOUS_FLOOR * ||s||^2 keeps the pair
 CAUTIOUS_FLOOR = 1e-18
+# ||M||_1 ||M^{-1}||_1 at or above this marks the middle matrix degenerate
+MAX_MIDDLE_CONDITION = 1e14
 
 
 class LbfgsStore:
@@ -33,8 +43,10 @@ class LbfgsStore:
 
     The scale ``gamma`` is y'y / y's of the most recently accepted pair (1.0
     while empty) and can be negative when that pair has negative curvature.
-    The middle block is factored once per accepted update and reused across
-    applies.
+    Pairs are kept normalized to unit step. The middle block is inverted once
+    per accepted update and the inverse reused across applies; the store is
+    degenerate, and ``apply`` raises, when the inverse does not exist or the
+    1-norm condition number of M reaches ``MAX_MIDDLE_CONDITION``.
     """
 
     def __init__(self, dim: int, memory: int = 10):
@@ -46,7 +58,7 @@ class LbfgsStore:
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
         self._U = None          # [gamma*S  Y], refreshed on update
-        self._lu = None
+        self._Minv = None
         self._degenerate = False
 
     @property
@@ -66,8 +78,9 @@ class LbfgsStore:
         ys = float(y @ s)
         if s_sq == 0.0 or not np.isfinite(ys) or abs(ys) < CAUTIOUS_FLOOR * s_sq:
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
+        s_norm = math.sqrt(s_sq)
+        self._s.append(s / s_norm)
+        self._y.append(y / s_norm)
         if len(self._s) > self.memory:
             self._s.pop(0)
             self._y.pop(0)
@@ -89,12 +102,14 @@ class LbfgsStore:
         M[m:, :m] = L.T
         M[m:, m:] = -D
         self._U = np.hstack([self.gamma * S, Y])
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        self._degenerate = (not np.all(np.isfinite(lu))
-                            or diag.min() == 0.0
-                            or diag.min() < 1e-14 * diag.max())
-        self._lu = (lu, piv)
+        try:
+            self._Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            self._Minv = None
+            self._degenerate = True
+            return
+        cond = float(np.linalg.norm(M, 1)) * float(np.linalg.norm(self._Minv, 1))
+        self._degenerate = not (cond < MAX_MIDDLE_CONDITION)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Product B v in O(dim * memory) flops; no oracle calls."""
@@ -103,9 +118,7 @@ class LbfgsStore:
             return v.copy()             # empty store acts as the identity
         if self._degenerate:
             raise DegenerateMiddleMatrix("degenerate L-BFGS middle matrix")
-        w = self._U.T @ v
-        sol = scipy.linalg.lu_solve(self._lu, w, check_finite=False)
-        return self.gamma * v - self._U @ sol
+        return self.gamma * v - self._U @ (self._Minv @ (self._U.T @ v))
 
 
 def model_operator(shift: float, *, store: LbfgsStore | None = None,

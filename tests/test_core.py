@@ -15,6 +15,7 @@ from minresls.core import (
     fd_hvp_check,
     symmetry_defect,
 )
+from minresls.driver import solve
 
 
 def quadratic_objective(counter=None):
@@ -88,6 +89,29 @@ class TestObjective:
         assert not obj.has_hvp
         with pytest.raises(NoHessianOracle, match="no Hessian oracle"):
             obj.hvp(np.zeros(1), np.zeros(1))
+
+    def test_gradient_shape_checked(self):
+        obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(4))
+        with pytest.raises(ValueError, match=r"gradient oracle returned shape \(4,\), "
+                                             r"expected \(3,\)"):
+            obj.grad(np.zeros(3))
+
+    def test_hvp_shape_checked(self):
+        obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3),
+                        lambda x, v: np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"Hessian-vector oracle returned shape "
+                                             r"\(3, 1\), expected \(3,\)"):
+            obj.hvp(np.zeros(3), np.ones(3))
+
+    def test_bad_oracle_shape_surfaces_from_solve(self):
+        bad_grad = Objective(3, lambda x: float(x @ x), lambda x: np.ones(4),
+                             lambda x, v: v.copy())
+        with pytest.raises(ValueError, match="gradient oracle returned shape"):
+            solve(bad_grad, np.ones(3))
+        bad_hvp = Objective(3, lambda x: float(x @ x), lambda x: 2.0 * x,
+                            lambda x, v: np.ones(4))
+        with pytest.raises(ValueError, match="Hessian-vector oracle returned shape"):
+            solve(bad_hvp, np.ones(3))
 
     def test_shared_counter(self):
         c = OracleCounter()

@@ -1,4 +1,9 @@
 """Hessian models: the regularized model operator, compact L-BFGS store."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +154,23 @@ class TestLbfgsStore:
         with pytest.raises(DegenerateMiddleMatrix):
             st.apply(np.ones(3))
 
+    def test_step_scale_alone_is_not_degenerate(self):
+        # steps eight orders of magnitude apart, as near convergence: the
+        # unnormalized middle matrix has pivot ratios near 1e-16 here
+        rng = pair_rng(41)
+        st = LbfgsStore(6, memory=10)
+        pairs = []
+        for scale in (1.0, 1e-4, 1e-8):
+            s = rng.standard_normal(6)
+            y = s + 0.3 * rng.standard_normal(6)
+            assert st.update(scale * s, scale * y)
+            pairs.append((scale * s, scale * y))
+        B = dense_bfgs_matrix(st.gamma, pairs)
+        for _ in range(5):
+            v = rng.standard_normal(6)
+            ref = B @ v
+            assert np.max(np.abs(st.apply(v) - ref)) <= 1e-8 * (1 + np.linalg.norm(ref))
+
     def test_negative_curvature_pair_kept_verbatim(self):
         st = LbfgsStore(2)
         e1 = np.array([1.0, 0.0])
@@ -165,6 +187,18 @@ class TestLbfgsStore:
             st.update(s, s + 0.1 * rng.standard_normal(5))
         B = model_operator(0.0, store=st).to_dense()
         assert np.max(np.abs(B - B.T)) <= 1e-10
+
+    def test_package_import_loads_only_numpy(self):
+        # numpy is the one runtime dependency; any other non-stdlib package
+        # that ``import minresls`` pulls in shows up here
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; before = set(sys.modules); import minresls; "
+                "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+                "print(' '.join(sorted(new - sys.stdlib_module_names)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["minresls", "numpy"]
 
     def test_dimension_mismatch(self):
         st = LbfgsStore(3)
