@@ -20,7 +20,7 @@ from .core import (
     ZeroRightHandSide,
     ensure_operator,
 )
-from .minres import MAXITER, NPC, SOL, MinresOutcome, krylov_lsq_oracle, minres_npc
+from .minres import MAXITER, NPC, SOL, MinresOutcome, minres_npc
 from .hessians import LbfgsStore, model_operator
 from .linesearch import (
     LinesearchConfig,
@@ -41,6 +41,7 @@ from .driver import (
     schedule_eval,
     solve,
 )
+from .reference import krylov_lsq_oracle
 from .problems import REGISTRY, ProblemSpec, build_problem, list_problems
 from .bench import (
     ProfileTable,

@@ -15,9 +15,10 @@ import numpy as np
 from .core import Objective
 from .hessians import LbfgsStore
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
-from .minres import MAXITER, NPC, SOL, krylov_lsq_oracle, minres_npc
+from .minres import MAXITER, NPC, SOL, minres_npc
 from .problems import build_problem, list_problems
-from .reference import backtrack_reference, dense_bfgs_matrix, forward_grid_reference
+from .reference import (backtrack_reference, dense_bfgs_matrix, forward_grid_reference,
+                        krylov_lsq_oracle)
 
 __all__ = [
     "random_symmetric_system",

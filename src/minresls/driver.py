@@ -24,6 +24,7 @@ from .core import (
     Objective,
     StepsizeStagnation,
     as_vector,
+    symmetry_defect,
 )
 from .hessians import LbfgsStore, model_operator
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
@@ -54,6 +55,11 @@ BUDGET = "BUDGET"
 DIVERGED = "DIVERGED"
 
 _SCHEDULE_MODES = ("newton_mr", "lbfgs_mr", "coupled")
+
+# Largest normalized symmetry defect (``core.symmetry_defect``) of the model
+# operator that ``check_invariants`` accepts; a symmetric operator's defect is
+# rounding error, orders of magnitude below this.
+SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,16 @@ class _InvariantViolation(AssertionError):
     pass
 
 
+def _assert_symmetric(Bbar, obj):
+    """Reject a model operator whose products are not symmetric, e.g. a wrong
+    Hessian-vector oracle, before MINRES runs on it."""
+    with obj.counter.paused():
+        defect = symmetry_defect(Bbar)
+    if not (defect <= SYMMETRY_TOL):
+        raise _InvariantViolation(f"model operator is not symmetric: symmetry "
+                                  f"defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
+
+
 def _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
                                  Bbar, obj):
     """Direction-quality assertions, enabled by ``check_invariants``.
@@ -300,6 +316,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
         Bbar = model_operator(zeta, store=store, obj=obj, x=x)
+        if cfg.check_invariants and k == 1:
+            _assert_symmetric(Bbar, obj)
         b = -g
 
         d_curv = 0.0

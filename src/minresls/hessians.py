@@ -17,6 +17,15 @@ in U M^{-1} U'), but it takes step length out of M. M is inverted once per
 accepted update, and it counts as degenerate when its 1-norm condition number
 reaches 1e14, so the test responds to the geometry of the pairs and not to
 how far apart their steps are.
+
+The pairs live in one preallocated ring of 2m rows, s and y of a slot side by
+side, so the live pairs are always a leading block of rows and a product with
+U is a matrix-vector product on that block, with no copy. S'S and S'Y are kept
+as m x m arrays; an accepted pair overwrites the oldest slot and recomputes
+only that slot's row and column of them, O(n m) work. M is assembled in the
+ring's interleaved slot order, which permutes its rows and columns alike and
+so leaves its inverse (permuted the same way) and its condition number as
+they are.
 """
 from __future__ import annotations
 
@@ -43,10 +52,19 @@ class LbfgsStore:
 
     The scale ``gamma`` is y'y / y's of the most recently accepted pair (1.0
     while empty) and can be negative when that pair has negative curvature.
-    Pairs are kept normalized to unit step. The middle block is inverted once
-    per accepted update and the inverse reused across applies; the store is
-    degenerate, and ``apply`` raises, when the inverse does not exist or the
-    1-norm condition number of M reaches ``MAX_MIDDLE_CONDITION``.
+    Pairs are kept normalized to unit step in a preallocated ``2*memory x dim``
+    buffer: slot j holds s_j in row 2j and y_j in row 2j+1. Slots fill in
+    order and then wrap, the newest pair overwriting the oldest, so the first
+    ``2*n_pairs`` rows are always the live pairs. The ``memory x memory``
+    arrays S'S and S'Y are kept in slot order, and an accepted pair refreshes
+    only its own row and column of them. Insertion stamps recover the
+    chronological order that the strictly lower triangle L of M needs.
+
+    The middle block is inverted once per accepted update and the inverse
+    reused across applies; the store is degenerate, and ``apply`` raises,
+    when the inverse does not exist or the 1-norm condition number of M
+    reaches ``MAX_MIDDLE_CONDITION``. A degenerate pair leaves the store once
+    ``memory`` later pairs have been accepted.
     """
 
     def __init__(self, dim: int, memory: int = 10):
@@ -55,15 +73,17 @@ class LbfgsStore:
         self.dim = int(dim)
         self.memory = int(memory)
         self.gamma = 1.0
-        self._s: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
-        self._U = None          # [gamma*S  Y], refreshed on update
-        self._Minv = None
+        self._pairs = np.empty((2 * self.memory, self.dim))   # rows s_0, y_0, s_1, ...
+        self._sts = np.zeros((self.memory, self.memory))      # s_i's_j, slot order
+        self._sty = np.zeros((self.memory, self.memory))      # s_i'y_j, slot order
+        self._stamp = np.zeros(self.memory, dtype=np.int64)   # insertion number per slot
+        self._accepted = 0
+        self._K = None          # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
         self._degenerate = False
 
     @property
     def n_pairs(self) -> int:
-        return len(self._s)
+        return min(self._accepted, self.memory)
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Offer a pair (s, y); returns True when it is kept.
@@ -79,46 +99,55 @@ class LbfgsStore:
         if s_sq == 0.0 or not np.isfinite(ys) or abs(ys) < CAUTIOUS_FLOOR * s_sq:
             return False
         s_norm = math.sqrt(s_sq)
-        self._s.append(s / s_norm)
-        self._y.append(y / s_norm)
-        if len(self._s) > self.memory:
-            self._s.pop(0)
-            self._y.pop(0)
+        j = self._accepted % self.memory        # the oldest slot once full
+        np.divide(s, s_norm, out=self._pairs[2 * j])
+        np.divide(y, s_norm, out=self._pairs[2 * j + 1])
+        self._accepted += 1
+        self._stamp[j] = self._accepted
+        k = self.n_pairs
+        # the new pair against every live row: one row and column of each Gram array
+        sj, yj = self._pairs[2 * j:2 * j + 2] @ self._pairs[:2 * k].T
+        self._sts[j, :k] = self._sts[:k, j] = sj[0::2]
+        self._sty[j, :k] = sj[1::2]
+        self._sty[:k, j] = yj[0::2]
         self.gamma = float(y @ y) / ys
         self._refresh()
         return True
 
     def _refresh(self) -> None:
-        S = np.column_stack(self._s)
-        Y = np.column_stack(self._y)
-        StS = S.T @ S
-        StY = S.T @ Y
-        L = np.tril(StY, -1)
-        D = np.diag(np.diag(StY))
-        m = S.shape[1]
-        M = np.empty((2 * m, 2 * m))
-        M[:m, :m] = self.gamma * StS
-        M[:m, m:] = L
-        M[m:, :m] = L.T
-        M[m:, m:] = -D
-        self._U = np.hstack([self.gamma * S, Y])
+        k = self.n_pairs
+        sty = self._sty[:k, :k]
+        stamp = self._stamp[:k]
+        L = np.where(stamp[:, None] > stamp[None, :], sty, 0.0)
+        # M = [[gamma*S'S, L], [L', -D]] with its rows and columns in the
+        # buffer's interleaved order s_0, y_0, s_1, y_1, ...
+        M = np.zeros((2 * k, 2 * k))
+        M[0::2, 0::2] = self.gamma * self._sts[:k, :k]
+        M[0::2, 1::2] = L
+        M[1::2, 0::2] = L.T
+        np.fill_diagonal(M[1::2, 1::2], -sty.diagonal())
         try:
-            self._Minv = np.linalg.inv(M)
+            Minv = np.linalg.inv(M)
         except np.linalg.LinAlgError:
-            self._Minv = None
+            self._K = None
             self._degenerate = True
             return
-        cond = float(np.linalg.norm(M, 1)) * float(np.linalg.norm(self._Minv, 1))
+        cond = float(np.linalg.norm(M, 1)) * float(np.linalg.norm(Minv, 1))
         self._degenerate = not (cond < MAX_MIDDLE_CONDITION)
+        Minv[0::2, :] *= self.gamma
+        Minv[:, 0::2] *= self.gamma
+        self._K = Minv
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Product B v in O(dim * memory) flops; no oracle calls."""
+        """Product B v = gamma*v - W'(K (W v)) over the live rows W, in
+        O(dim * memory) flops; no oracle calls."""
         v = np.asarray(v, dtype=float)
-        if not self._s:
+        if self._accepted == 0:
             return v.copy()             # empty store acts as the identity
         if self._degenerate:
             raise DegenerateMiddleMatrix("degenerate L-BFGS middle matrix")
-        return self.gamma * v - self._U @ (self._Minv @ (self._U.T @ v))
+        live = self._pairs[:2 * self.n_pairs]
+        return self.gamma * v - (self._K @ (live @ v)) @ live
 
 
 def model_operator(shift: float, *, store: LbfgsStore | None = None,

@@ -38,7 +38,6 @@ __all__ = [
     "MinresTrace",
     "MinresOutcome",
     "minres_npc",
-    "krylov_lsq_oracle",
 ]
 
 SOL = "SOL"
@@ -245,39 +244,3 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     curvature = float(x @ (b - r_prev))
     return MinresOutcome(MAXITER, x, r_prev.copy(), max_inner, curvature,
                          beta1, phi_prev, trace)
-
-
-def krylov_lsq_oracle(A: np.ndarray, b: np.ndarray, t: int) -> float:
-    """Dense reference for the optimal residual over the order-t Krylov space.
-
-    Returns ``min_p ||b - A p||`` over ``p in span{b, Ab, ..., A^(t-1) b}``,
-    computed by orthonormalizing the Krylov basis and solving a dense least
-    squares problem. Intended for verification at small sizes; independent of
-    the recurrence-based kernel above.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("oracle expects a dense square matrix")
-    b = as_vector(b, "b")
-    if t < 1:
-        raise ValueError("Krylov order t must be at least 1")
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise ZeroRightHandSide("zero right-hand side")
-
-    eps = np.finfo(float).eps
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    basis = [b / nb]
-    for _ in range(1, t):
-        w = A @ basis[-1]
-        for _ in range(2):              # modified Gram-Schmidt, twice
-            for q in basis:
-                w = w - (q @ w) * q
-        nw = np.linalg.norm(w)
-        if nw <= 100.0 * eps * scale:
-            break                       # grade reached, basis is complete
-        basis.append(w / nw)
-    Q = np.column_stack(basis)
-    M = A @ Q
-    y, *_ = np.linalg.lstsq(M, b, rcond=None)
-    return float(np.linalg.norm(b - M @ y))

@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to verify the fast paths.
 
-Everything here is deliberately naive: dense recursive quasi-Newton updates,
-exhaustive grid scans, dense linear algebra. These are the independent side of
-every two-route check in the test suite and in ``minresls check``; none of
-them share code with the production kernels they validate.
+Everything here is deliberately naive: an explicit Krylov basis with a dense
+least-squares solve, dense recursive quasi-Newton updates, exhaustive grid
+scans. These are the independent side of every two-route check in the test
+suite and in ``minresls check``; none of them share code with the production
+kernels they validate.
 """
 from __future__ import annotations
 
@@ -11,12 +12,51 @@ import math
 
 import numpy as np
 
+from .core import ZeroRightHandSide, as_vector
+
 __all__ = [
+    "krylov_lsq_oracle",
     "dense_bfgs_matrix",
     "backtrack_reference",
     "forward_grid_reference",
     "profile_fraction_reference",
 ]
+
+
+def krylov_lsq_oracle(A: np.ndarray, b: np.ndarray, t: int) -> float:
+    """Dense reference for the optimal residual over the order-t Krylov space.
+
+    Returns ``min_p ||b - A p||`` over ``p in span{b, Ab, ..., A^(t-1) b}``,
+    computed by orthonormalizing the Krylov basis and solving a dense least
+    squares problem. Intended for verification at small sizes; independent of
+    the recurrence-based MINRES kernel.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("oracle expects a dense square matrix")
+    b = as_vector(b, "b")
+    if t < 1:
+        raise ValueError("Krylov order t must be at least 1")
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        raise ZeroRightHandSide("zero right-hand side")
+
+    eps = np.finfo(float).eps
+    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    basis = [b / nb]
+    for _ in range(1, t):
+        w = A @ basis[-1]
+        for _ in range(2):              # modified Gram-Schmidt, twice
+            for q in basis:
+                w = w - (q @ w) * q
+        nw = np.linalg.norm(w)
+        if nw <= 100.0 * eps * scale:
+            break                       # grade reached, basis is complete
+        basis.append(w / nw)
+    Q = np.column_stack(basis)
+    M = A @ Q
+    y, *_ = np.linalg.lstsq(M, b, rcond=None)
+    return float(np.linalg.norm(b - M @ y))
 
 
 def dense_bfgs_matrix(gamma: float, pairs) -> np.ndarray:

@@ -20,6 +20,7 @@ from minresls.driver import (
     curvature_test_refined,
     schedule_eval,
     solve,
+    _InvariantViolation,
 )
 from minresls.hessians import LbfgsStore
 from minresls.linesearch import LinesearchConfig
@@ -335,3 +336,13 @@ class TestDirectionDispatch:
                         SolverConfig(check_invariants=True))
         assert plain.oracles == checked.oracles
         assert plain.f_final == checked.f_final
+
+    def test_nonsymmetric_hvp_is_named(self):
+        n = 6
+        A = np.diag(np.arange(1.0, n + 1.0))
+        skewed = A + np.triu(np.ones((n, n)), 1)      # a wrong Hessian oracle
+        obj = Objective(n, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
+                        lambda x, v: skewed @ v)
+        with pytest.raises(_InvariantViolation, match="not symmetric"):
+            solve(obj, np.ones(n), SolverConfig(check_invariants=True))
+        assert obj.oracle_count == 2.0      # f and grad at x0; the check is free

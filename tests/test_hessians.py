@@ -133,6 +133,73 @@ class TestLbfgsStore:
         v = rng.standard_normal(5)
         assert np.max(np.abs(st.apply(v) - B @ v)) <= 1e-8 * (1 + np.linalg.norm(B @ v))
 
+    @pytest.mark.parametrize("memory", [1, 3, 10])
+    def test_ring_wraps_match_dense(self, memory):
+        # 3m+2 kept pairs wrap the ring three times, with a rejected offer
+        # after each; only the last m pairs may shape B
+        n = 12
+        rng = pair_rng(100 + memory)
+        st = LbfgsStore(n, memory=memory)
+        history = []
+        for _ in range(3 * memory + 2):
+            s = rng.standard_normal(n)
+            y = s + 0.2 * rng.standard_normal(n)
+            assert st.update(s, y)
+            history.append((s, y))
+            e = np.zeros(n)
+            e[0] = 1.0
+            assert not st.update(e, np.roll(e, 1))      # y's = 0
+            assert st.n_pairs == min(len(history), memory)
+            B = dense_bfgs_matrix(st.gamma, history[-memory:])
+            v = rng.standard_normal(n)
+            ref = B @ v
+            assert np.max(np.abs(st.apply(v) - ref)) <= 1e-8 * (1 + np.linalg.norm(ref))
+
+    def test_degenerate_pair_is_evicted(self):
+        # the gradient-descent fallback of ``solve`` waits for m good pairs
+        # to push a degenerate one out of the ring
+        n, memory = 5, 3
+        rng = pair_rng(43)
+        st = LbfgsStore(n, memory=memory)
+        good = []
+        for _ in range(2):
+            s = rng.standard_normal(n)
+            y = s + 0.2 * rng.standard_normal(n)
+            assert st.update(s, y)
+            good.append((s, y))
+        e1 = np.eye(n)[0]
+        assert st.update(e1, np.eye(n)[1] + 2e-18 * e1)
+        with pytest.raises(DegenerateMiddleMatrix):
+            st.apply(np.ones(n))
+        good = []
+        for _ in range(memory):
+            s = rng.standard_normal(n)
+            y = s + 0.2 * rng.standard_normal(n)
+            assert st.update(s, y)
+            good.append((s, y))
+        B = dense_bfgs_matrix(st.gamma, good)
+        for _ in range(5):
+            v = rng.standard_normal(n)
+            ref = B @ v
+            assert np.max(np.abs(st.apply(v) - ref)) <= 1e-8 * (1 + np.linalg.norm(ref))
+
+    def test_apply_leaves_input_and_store_unchanged(self):
+        rng = pair_rng(47)
+        st = LbfgsStore(7, memory=3)
+        for _ in range(5):
+            s = rng.standard_normal(7)
+            st.update(s, s + 0.2 * rng.standard_normal(7))
+        v = rng.standard_normal(7)
+        v_before = v.copy()
+        state = (st.gamma, st.n_pairs)
+        first = st.apply(v)
+        second = st.apply(v)
+        assert np.array_equal(first, second)
+        assert np.array_equal(v, v_before)
+        assert (st.gamma, st.n_pairs) == state
+        first[:] = 0.0                  # the result is the caller's to keep
+        assert np.array_equal(st.apply(v), second)
+
     def test_cautious_rejection_leaves_state(self):
         st = LbfgsStore(3)
         st.update(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))

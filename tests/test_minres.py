@@ -7,9 +7,9 @@ from minresls.minres import (
     MAXITER,
     NPC,
     SOL,
-    krylov_lsq_oracle,
     minres_npc,
 )
+from minresls.reference import krylov_lsq_oracle
 
 
 def run(A, b, tol, max_inner=50, collect=False):
