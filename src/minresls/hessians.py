@@ -157,11 +157,22 @@ def model_operator(shift: float, *, store: LbfgsStore | None = None,
     B is the L-BFGS matrix of ``store`` when one is given; its products cost
     no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
     copy of ``x``, and every product is charged to the objective's counter as
-    one Hessian-vector oracle call.
+    one Hessian-vector oracle call. In that branch ``shift*v`` is formed in
+    one scratch vector owned by the operator and added into the oracle's
+    result in place, so each product allocates only what the oracle returns;
+    the oracle must therefore return a fresh array, as the builtin problems
+    do, and the operator's result is that array.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     if store is not None:
         return SymmetricOperator(store.dim, lambda v: store.apply(v) + shift * v)
     x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
-    return SymmetricOperator(obj.dim, lambda v: obj.hvp(x, v) + shift * v)
+    scratch = np.empty(obj.dim)
+
+    def apply(v):
+        hv = obj.hvp(x, v)
+        hv += np.multiply(v, shift, out=scratch)
+        return hv
+
+    return SymmetricOperator(obj.dim, apply)

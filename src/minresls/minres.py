@@ -15,6 +15,13 @@ descent direction for a right-hand side ``b = -g``. The solver returns that
 certificate (flag ``NPC``) instead of grinding on, or the usual inexact
 solution (flag ``SOL``) once the residual estimate ``phi_t`` drops below
 ``tol * ||b||``.
+
+Each call allocates its n-vectors once (Lanczos vectors, search directions,
+iterate, residuals and one scratch) and updates them in place, so its
+per-iteration bookkeeping allocates nothing of size n. The operator's result
+is copied into the kernel's own buffer before it is modified, and the arrays
+an outcome returns are not touched again by the kernel: they belong to the
+caller.
 """
 from __future__ import annotations
 
@@ -127,6 +134,12 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     rotation norm ``gamma2`` cannot vanish, and a zero ``beta_{t+1}`` forces
     ``phi_t = 0`` and therefore the solution exit; both facts are asserted
     rather than branched on.
+
+    The work vectors are allocated once per call and updated in place with
+    ``out=``; the operator's result is copied into the kernel's own buffer, so
+    an operator may return its argument or a buffer it reuses. ``b`` is not
+    modified, and the returned ``direction`` and ``residual`` are arrays no
+    later call touches.
     """
     op = ensure_operator(A)
     b = as_vector(b, "b")
@@ -144,12 +157,18 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     eps = np.finfo(float).eps
     stop_tol = max(tol, _TOL_FLOOR * eps)
     n = b.size
+    # work vectors, allocated once and updated in place; the pairs
+    # v/v_prev and r_prev/r_t and the triple d_prev2/d_prev/d_t rotate
     v = b / beta1
     v_prev = np.zeros(n)
+    p = np.empty(n)
+    w = np.empty(n)     # scalar-times-vector scratch
+    d_t = np.empty(n)
     d_prev = np.zeros(n)
     d_prev2 = np.zeros(n)
     x = np.zeros(n)
     r_prev = b.copy()
+    r_t = np.empty(n)
     c_prev = -1.0
     s_prev = 0.0
     delta1 = 0.0        # delta_t^(1), carried into iteration t
@@ -160,11 +179,11 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     trace = MinresTrace() if collect else None
 
     for t in range(1, max_inner + 1):
-        # Lanczos step
-        p = op(v)
+        # Lanczos step; the copy leaves the operator free to return its argument
+        np.copyto(p, op(v))
         alpha = float(v @ p)
-        p = p - beta_t * v_prev
-        p = p - alpha * v
+        np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
+        np.subtract(p, np.multiply(v, alpha, out=w), out=p)
         beta_next = float(np.linalg.norm(p))
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
             raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
@@ -193,7 +212,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
             r_norm = float(np.linalg.norm(r_prev))
             direction = (beta1 / r_norm) * r_prev
             curvature = -(beta1 * beta1) * (c_prev * gamma1)
-            return MinresOutcome(NPC, direction, r_prev.copy(), t, curvature,
+            return MinresOutcome(NPC, direction, r_prev, t, curvature,
                                  beta1, phi_prev, trace)
 
         gamma2 = math.hypot(gamma1, beta_next)
@@ -204,15 +223,20 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
         tau = c * phi_prev
         phi = s * phi_prev
 
-        d_t = (v - delta2 * d_prev - eps_t * d_prev2) / gamma2
-        x = x + tau * d_t
+        # d_t = (v - delta2 d_prev - eps_t d_prev2) / gamma2;  x += tau d_t
+        np.subtract(v, np.multiply(d_prev, delta2, out=w), out=d_t)
+        np.subtract(d_t, np.multiply(d_prev2, eps_t, out=w), out=d_t)
+        np.divide(d_t, gamma2, out=d_t)
+        np.add(x, np.multiply(d_t, tau, out=w), out=x)
 
         if beta_next > 0.0:
-            v_next = p / beta_next
-            r_t = (s * s) * r_prev - (phi * c) * v_next
+            # v_{t+1} = p / beta_{t+1} into v_prev's buffer, which is spent
+            v_next = np.divide(p, beta_next, out=v_prev)
+            # r_t = s^2 r_prev - phi c v_{t+1}
+            np.multiply(r_prev, s * s, out=r_t)
+            np.subtract(r_t, np.multiply(v_next, phi * c, out=w), out=r_t)
         else:
-            v_next = None
-            r_t = np.zeros(n)   # s = 0 makes phi exactly zero here
+            r_t.fill(0.0)       # s = 0 makes phi exactly zero here
 
         if trace is not None:
             trace.gamma2s.append(gamma2)
@@ -224,23 +248,21 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
             trace.rs.append(r_t.copy())
 
         if phi <= stop_tol * beta1:
-            curvature = float(x @ (b - r_t))
+            curvature = float(x @ np.subtract(b, r_t, out=w))
             return MinresOutcome(SOL, x, r_t, t, curvature, beta1, phi, trace)
 
         # beta_{t+1} = 0 would have zeroed phi and taken the solution exit
         assert beta_next > 0.0
 
-        v_prev = v
-        v = v_next
-        r_prev = r_t
-        d_prev2 = d_prev
-        d_prev = d_t
+        v_prev, v = v, v_next
+        r_prev, r_t = r_t, r_prev
+        d_prev2, d_prev, d_t = d_prev, d_t, d_prev2
         c_prev, s_prev = c, s
         phi_prev = phi
         beta_t = beta_next
         delta1 = delta1_next
         eps_t = eps_next
 
-    curvature = float(x @ (b - r_prev))
-    return MinresOutcome(MAXITER, x, r_prev.copy(), max_inner, curvature,
+    curvature = float(x @ np.subtract(b, r_prev, out=w))
+    return MinresOutcome(MAXITER, x, r_prev, max_inner, curvature,
                          beta1, phi_prev, trace)

@@ -29,7 +29,14 @@ __all__ = [
 
 @dataclass
 class ProblemSpec:
-    """Immutable problem description; evaluations are pure."""
+    """Immutable problem description.
+
+    Every evaluation returns a fresh array (or a float) that the caller owns.
+    The oracles may share scratch held by the spec: rosenbrock's ``f`` and
+    ``hvp`` reuse two per-spec work vectors, so the oracles of one spec, and
+    of every objective it mints, are not re-entrant and must not run
+    concurrently (``run_suite`` runs its cells serially).
+    """
 
     name: str
     dim: int
@@ -151,10 +158,18 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     """Chained Rosenbrock: sum of 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
     if n < 2:
         raise ValueError("need n >= 2")
+    # work vectors shared by f and hvp, which never nest; each evaluates the
+    # expression in its comments one numpy operation at a time, in the same
+    # order, so the results are bitwise those of the plain expressions
+    a, b = np.empty(n - 1), np.empty(n - 1)
 
     def f(x):
+        # sum(100 (tail - head^2)^2 + (1 - head)^2)
         head, tail = x[:-1], x[1:]
-        return float(np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2))
+        np.subtract(tail, np.square(head, out=a), out=a)
+        np.multiply(np.square(a, out=a), 100.0, out=a)
+        np.square(np.subtract(1.0, head, out=b), out=b)
+        return float(np.sum(np.add(a, b, out=a)))
 
     def grad(x):
         g = np.zeros_like(x)
@@ -168,13 +183,17 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
         h = np.zeros_like(x)
         head, tail = x[:-1], x[1:]
         vh, vt = v[:-1], v[1:]
-        # diagonal of the leading block plus the trailing 200s
-        diag_head = 1200.0 * head ** 2 - 400.0 * tail + 2.0
-        h[:-1] += diag_head * vh
-        h[1:] += 200.0 * vt
-        off = -400.0 * head
-        h[:-1] += off * vt
-        h[1:] += off * vh
+        # diagonal of the leading block, (1200 head^2 - 400 tail + 2) vh,
+        # plus the trailing 200 vt
+        np.multiply(np.square(head, out=a), 1200.0, out=a)
+        np.subtract(a, np.multiply(tail, 400.0, out=b), out=a)
+        np.add(a, 2.0, out=a)
+        h[:-1] += np.multiply(a, vh, out=a)
+        h[1:] += np.multiply(vt, 200.0, out=a)
+        # off-diagonal -400 head, against vt above and vh below
+        off = np.multiply(head, -400.0, out=b)
+        h[:-1] += np.multiply(off, vt, out=a)
+        h[1:] += np.multiply(off, vh, out=a)
         return h
 
     return ProblemSpec("rosenbrock", n, f, grad, hvp, _uniform_start(n), f_opt=0.0)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from minresls.bench import builtin_config
-from minresls.core import NoHessianOracle, Objective, SymmetricOperator
+from minresls.core import (
+    NoHessianOracle,
+    Objective,
+    OptimizationError,
+    SymmetricOperator,
+)
 from minresls.driver import (
     BUDGET,
     CONVERGED,
@@ -337,12 +342,23 @@ class TestDirectionDispatch:
         assert plain.oracles == checked.oracles
         assert plain.f_final == checked.f_final
 
-    def test_nonsymmetric_hvp_is_named(self):
-        n = 6
+    @staticmethod
+    def skewed_quadratic(n=6):
         A = np.diag(np.arange(1.0, n + 1.0))
         skewed = A + np.triu(np.ones((n, n)), 1)      # a wrong Hessian oracle
-        obj = Objective(n, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
-                        lambda x, v: skewed @ v)
+        return Objective(n, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
+                         lambda x, v: skewed @ v)
+
+    def test_nonsymmetric_hvp_is_named(self):
+        obj = self.skewed_quadratic()
         with pytest.raises(_InvariantViolation, match="not symmetric"):
-            solve(obj, np.ones(n), SolverConfig(check_invariants=True))
+            solve(obj, np.ones(6), SolverConfig(check_invariants=True))
         assert obj.oracle_count == 2.0      # f and grad at x0; the check is free
+
+    def test_nonsymmetric_hvp_is_named_without_checks(self):
+        # the certificate of a nonsymmetric model need not be a descent
+        # direction; solve says so before the curvature search rejects it
+        obj = self.skewed_quadratic()
+        with pytest.raises(OptimizationError, match=r"not symmetric.*"
+                           r"Hessian-vector oracle.*check_invariants=True"):
+            solve(obj, np.ones(6), SolverConfig())

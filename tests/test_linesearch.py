@@ -236,3 +236,28 @@ class TestDecreaseBound:
             floor = cfg.shrink * 2.0 * (1.0 - cfg.sufficient_decrease) \
                 * (-gd) / (L * float(d @ d))
             assert res.step >= min(cfg.initial_step, floor) - 1e-12
+
+
+class TestInputsUnchanged:
+    """Trial points share one buffer per search; x and d must stay intact,
+    and the value returned must be f at x + step*d."""
+
+    def test_armijo(self):
+        obj = quad_obj()
+        x = np.array([1.0, 0.5])
+        d = np.array([-12.0, -6.0])     # backtracks several times
+        kept_x, kept_d = x.copy(), d.copy()
+        res = armijo_backtrack(obj, x, d, float(x @ d), obj.f(x))
+        assert res.n_evals > 2
+        assert np.array_equal(x, kept_x) and np.array_equal(d, kept_d)
+        assert res.f_new == obj.f(x + res.step * d)
+
+    @pytest.mark.parametrize("x0, d0", [(0.1, 1.0), (0.5, 4.0)])   # forward, backtracking
+    def test_npc(self, x0, d0):
+        obj = TestCurvatureSearch.scalar_obj()
+        x, d = np.array([x0]), np.array([d0])
+        kept_x, kept_d = x.copy(), d.copy()
+        res = npc_linesearch(obj, x, d, float(obj.grad(x) @ d), -1.0, obj.f(x))
+        assert res.n_evals > 1
+        assert np.array_equal(x, kept_x) and np.array_equal(d, kept_d)
+        assert res.f_new == obj.f(x + res.step * d)

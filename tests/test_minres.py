@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from minresls.core import ZeroRightHandSide
+from minresls.core import SymmetricOperator, ZeroRightHandSide
 from minresls.minres import (
     MAXITER,
     NPC,
@@ -131,6 +131,55 @@ class TestMonotonicity:
         assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
         xnorms = [np.linalg.norm(x) for x in out.trace.xs]
         assert all(b >= a - 1e-10 * (1 + a) for a, b in zip(xnorms, xnorms[1:]))
+
+
+class TestBufferSafety:
+    """The kernel updates its work vectors in place; none of that may reach
+    the operator's argument, the right-hand side or a returned outcome."""
+
+    def test_operator_returning_its_argument(self):
+        b = np.array([3.0, -1.0, 2.0])
+        out = minres_npc(SymmetricOperator(3, lambda v: v), b, 1e-10, 10)
+        assert out.flag == SOL and out.inner_iters == 1
+        assert np.allclose(out.direction, b, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("A, b, max_inner", [
+        (np.diag([2.0, 1.0, 0.5]), [1.0, 1.0, 1.0], 50),      # SOL
+        (np.diag([1.0, -1.0]), [-2.0, -1.0], 50),             # NPC
+        (np.diag([2.0, 1.0]), [1.0, 1.0], 1),                 # MAXITER
+    ])
+    def test_rhs_unchanged(self, A, b, max_inner):
+        b = np.array(b)
+        kept = b.copy()
+        minres_npc(A, b, 0.0, max_inner, collect=True)
+        assert np.array_equal(b, kept)
+
+    @pytest.mark.parametrize("flag, A", [
+        (SOL, np.diag([3.0, 2.0, 1.0, 0.5])),
+        (NPC, np.diag([3.0, 2.0, -1.0, 0.5])),
+    ])
+    def test_outcome_survives_next_call(self, flag, A):
+        b = np.array([1.0, -2.0, 0.5, 1.5])
+        first = minres_npc(A, b, 0.0, 50)
+        assert first.flag == flag
+        direction, residual = first.direction.copy(), first.residual.copy()
+        minres_npc(A, -b, 0.0, 50)
+        minres_npc(A, b, 0.0, 50)
+        assert np.array_equal(first.direction, direction)
+        assert np.array_equal(first.residual, residual)
+
+    def test_trace_vectors_are_snapshots(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((8, 8))
+        A = M @ M.T + 0.5 * np.eye(8)
+        out = run(A, rng.standard_normal(8), 1e-12, collect=True)
+        assert out.flag == SOL and out.inner_iters >= 3
+        for series in (out.trace.vs, out.trace.xs, out.trace.rs):
+            for a, b in zip(series, series[1:]):
+                assert not np.array_equal(a, b)
+        # the last snapshot is the returned iterate, not an alias of it
+        assert out.trace.xs[-1] is not out.direction
+        assert np.array_equal(out.trace.xs[-1], out.direction)
 
 
 class TestKrylovOracle:

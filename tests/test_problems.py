@@ -1,4 +1,6 @@
 """Benchmark problem definitions: frozen facts and derivative hygiene."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,72 @@ class TestRosenbrock:
     def test_validation(self):
         with pytest.raises(ValueError):
             rosenbrock(n=1)
+
+    @staticmethod
+    def reference(x, v):
+        """The oracles as plain numpy expressions, allocating temporaries."""
+        head, tail = x[:-1], x[1:]
+        f = float(np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2))
+        g = np.zeros_like(x)
+        gap = tail - head ** 2
+        g[:-1] = -400.0 * head * gap - 2.0 * (1.0 - head)
+        g[1:] += 200.0 * gap
+        h = np.zeros_like(x)
+        vh, vt = v[:-1], v[1:]
+        diag_head = 1200.0 * head ** 2 - 400.0 * tail + 2.0
+        h[:-1] += diag_head * vh
+        h[1:] += 200.0 * vt
+        off = -400.0 * head
+        h[:-1] += off * vt
+        h[1:] += off * vh
+        return f, g, h
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_oracles_bitwise_equal_to_reference(self, n):
+        # two objectives of one spec share its scratch; interleaving their
+        # calls must not leak one evaluation into the next
+        spec = rosenbrock(n)
+        objs = (spec.make_objective(), spec.make_objective())
+        rng = np.random.default_rng(n)
+        for i in range(6):
+            x = rng.uniform(-2.0, 2.0, n)
+            v = rng.standard_normal(n)
+            f_ref, g_ref, h_ref = self.reference(x, v)
+            first, second = objs[i % 2], objs[(i + 1) % 2]
+            h = first.hvp(x, v)
+            assert second.f(x) == f_ref
+            assert np.array_equal(first.grad(x), g_ref)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(second.hvp(x, v), h_ref)
+            assert first.f(x) == f_ref
+
+    def test_hvp_results_are_fresh(self):
+        obj = rosenbrock(n=50).make_objective()
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0.0, 1.0, 50)
+        h1 = obj.hvp(x, rng.standard_normal(50))
+        kept = h1.copy()
+        h2 = obj.hvp(rng.uniform(0.0, 1.0, 50), rng.standard_normal(50))
+        assert h2 is not h1 and not np.shares_memory(h1, h2)
+        assert np.array_equal(h1, kept)
+
+    def test_oracles_allocate_no_temporaries(self):
+        # f allocates nothing of size n; hvp only its result. The plain
+        # expressions peak at about 3 and 4 vectors.
+        n = 10_000
+        obj = rosenbrock(n).make_objective()
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 1.0, n)
+        v = rng.standard_normal(n)
+        for call, limit in ((lambda: obj.f(x), 0.5), (lambda: obj.hvp(x, v), 1.5)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - start < limit * 8 * n
 
 
 class TestQuadratic:
