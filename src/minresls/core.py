@@ -148,6 +148,13 @@ class Objective:
     Costs default to one unit per function value, one per gradient and two per
     Hessian-vector product, mirroring the usual reverse-mode arithmetic
     estimates; all three are configurable.
+
+    MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
+    returns, so an oracle must not keep a reference to its arguments. The
+    Hessian-vector result may be modified by the caller: the exact-Hessian
+    model operator adds its shift into it in place unless it is read-only or
+    shares memory with an argument, so ``hvp`` must not return an array it
+    keeps, such as a cache.
     """
 
     def __init__(self, dim, f, grad, hvp=None, *, counter=None,

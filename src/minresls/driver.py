@@ -266,9 +266,10 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     Terminates CONVERGED when the gradient norm reaches ``grad_tol``,
     STAGNATED when a linesearch collapses, BUDGET when the oracle tally
     reaches ``max_oracles``, and DIVERGED when the objective or gradient
-    stops being finite. A curvature certificate that is not a descent
-    direction can only come from a nonsymmetric model operator, such as a
-    wrong Hessian-vector oracle, and raises :class:`OptimizationError`.
+    stops being finite. A curvature certificate with g'd >= 0 raises
+    :class:`OptimizationError`: in exact arithmetic only a nonsymmetric model
+    operator, such as a wrong Hessian-vector oracle, produces one, and in
+    exact mode the message says so.
 
     The budget is checked once per iteration, after the gradient. A BUDGET
     run's ``oracles`` therefore stays below
@@ -364,13 +365,16 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
                                          Bbar, obj)
 
         g_dot_d = float(g @ d)
-        if flag == NPC and not g_dot_d < 0.0:
-            # a certificate of a symmetric model is a descent direction
+        if flag == NPC and g_dot_d >= 0.0:
+            # a certificate of a symmetric model is a descent direction, and
+            # the L-BFGS model is symmetric by construction
+            cause = ("" if store is not None else
+                     "; the model operator is not symmetric: check the "
+                     "Hessian-vector oracle, or run with check_invariants=True "
+                     "to measure the symmetry defect")
             raise OptimizationError(
-                f"model operator is not symmetric: its curvature certificate "
-                f"is not a descent direction (g'd = {g_dot_d:.3e}); in exact "
-                f"mode check the Hessian-vector oracle, or run with "
-                f"check_invariants=True to measure the symmetry defect")
+                f"curvature certificate is not a descent direction "
+                f"(g'd = {g_dot_d:.3e}){cause}")
         try:
             if flag == NPC:
                 res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls)

@@ -158,10 +158,12 @@ def model_operator(shift: float, *, store: LbfgsStore | None = None,
     no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
     copy of ``x``, and every product is charged to the objective's counter as
     one Hessian-vector oracle call. In that branch ``shift*v`` is formed in
-    one scratch vector owned by the operator and added into the oracle's
-    result in place, so each product allocates only what the oracle returns;
-    the oracle must therefore return a fresh array, as the builtin problems
-    do, and the operator's result is that array.
+    one scratch vector owned by the operator and added in place into the
+    oracle's result, which the operator then returns, so each product
+    allocates only what the oracle does. A result that is read-only or shares
+    memory with ``v`` or ``x`` is left alone and the sum is a new array; the
+    oracle must not return an array it keeps, such as a cache (see
+    :class:`~minresls.core.Objective`).
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -172,7 +174,11 @@ def model_operator(shift: float, *, store: LbfgsStore | None = None,
 
     def apply(v):
         hv = obj.hvp(x, v)
-        hv += np.multiply(v, shift, out=scratch)
+        shifted = np.multiply(v, shift, out=scratch)
+        if (not hv.flags.writeable or np.may_share_memory(hv, v)
+                or np.may_share_memory(hv, x)):
+            return hv + shifted
+        hv += shifted
         return hv
 
     return SymmetricOperator(obj.dim, apply)

@@ -11,10 +11,6 @@ the search walks forward on the geometric grid until the first failure and
 returns the last accepted grid point (capped at ``max_step``). Ordinary
 descent directions use plain backtracking on the sufficient-decrease
 condition, padded the same way.
-
-Each search forms its trial points ``x + lam*d`` in one buffer allocated per
-call, so the objective sees the same array, overwritten, at every trial and
-must not keep a reference to it; ``x`` and ``d`` are not modified.
 """
 from __future__ import annotations
 
@@ -37,11 +33,6 @@ _ROUNDING_PAD = 4.0
 
 def _f_pad(f_x: float) -> float:
     return _ROUNDING_PAD * np.finfo(float).eps * abs(f_x)
-
-
-def _trial_point(x, lam, d, out):
-    """x + lam*d, formed in ``out``: one buffer serves every trial of a search."""
-    return np.add(x, np.multiply(d, lam, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -83,10 +74,9 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
         raise ValueError("backtracking needs a descent direction (g'd < 0)")
     lam = cfg.initial_step
     pad = _f_pad(f_x)
-    trial = np.empty_like(x, dtype=float)
     evals = 0
     while True:
-        f_trial = obj.f(_trial_point(x, lam, d, trial))
+        f_trial = obj.f(x + lam * d)
         evals += 1
         if (np.isfinite(f_trial)
                 and f_trial - f_x <= cfg.sufficient_decrease * lam * g_dot_d + pad):
@@ -114,10 +104,9 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
 
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
-    trial = np.empty_like(x, dtype=float)
 
     def shifted_gap(lam):
-        f_trial = obj.f(_trial_point(x, lam, d, trial))
+        f_trial = obj.f(x + lam * d)
         gap = f_trial - f_x - sigma * lam * g_dot_d - 0.5 * sigma * lam * lam * d_curv
         return gap, f_trial
 

@@ -8,6 +8,7 @@ out, so a typo in a formula cannot silently poison a benchmark.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,10 +33,8 @@ class ProblemSpec:
     """Immutable problem description.
 
     Every evaluation returns a fresh array (or a float) that the caller owns.
-    The oracles may share scratch held by the spec: rosenbrock's ``f`` and
-    ``hvp`` reuse two per-spec work vectors, so the oracles of one spec, and
-    of every objective it mints, are not re-entrant and must not run
-    concurrently (``run_suite`` runs its cells serially).
+    Rosenbrock's ``hvp`` reuses two work vectors per thread, so objectives of
+    one spec may run in different threads.
     """
 
     name: str
@@ -158,18 +157,19 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     """Chained Rosenbrock: sum of 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    # work vectors shared by f and hvp, which never nest; each evaluates the
-    # expression in its comments one numpy operation at a time, in the same
-    # order, so the results are bitwise those of the plain expressions
-    a, b = np.empty(n - 1), np.empty(n - 1)
+    # hvp's two work vectors, made by the first call in each thread, so that
+    # objectives of one spec may still run concurrently
+    local = threading.local()
+
+    def work():
+        pair = getattr(local, "pair", None)
+        if pair is None:
+            pair = local.pair = (np.empty(n - 1), np.empty(n - 1))
+        return pair
 
     def f(x):
-        # sum(100 (tail - head^2)^2 + (1 - head)^2)
         head, tail = x[:-1], x[1:]
-        np.subtract(tail, np.square(head, out=a), out=a)
-        np.multiply(np.square(a, out=a), 100.0, out=a)
-        np.square(np.subtract(1.0, head, out=b), out=b)
-        return float(np.sum(np.add(a, b, out=a)))
+        return float(np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2))
 
     def grad(x):
         g = np.zeros_like(x)
@@ -180,6 +180,10 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
         return g
 
     def hvp(x, v):
+        # each line evaluates the expression in its comment one numpy
+        # operation at a time, in the same order, in the work vectors a and
+        # b, so the result is bitwise that of the plain expression
+        a, b = work()
         h = np.zeros_like(x)
         head, tail = x[:-1], x[1:]
         vh, vt = v[:-1], v[1:]

@@ -1,9 +1,11 @@
 """Outer loop: schedules, curvature screening, flag dispatch, termination."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from minresls import driver
 from minresls.bench import builtin_config
 from minresls.core import (
     NoHessianOracle,
@@ -29,7 +31,7 @@ from minresls.driver import (
 )
 from minresls.hessians import LbfgsStore
 from minresls.linesearch import LinesearchConfig
-from minresls.minres import NPC
+from minresls.minres import NPC, MinresOutcome
 from minresls.problems import build_problem
 
 
@@ -362,3 +364,54 @@ class TestDirectionDispatch:
         with pytest.raises(OptimizationError, match=r"not symmetric.*"
                            r"Hessian-vector oracle.*check_invariants=True"):
             solve(obj, np.ones(6), SolverConfig())
+
+    @staticmethod
+    def forced_certificate(monkeypatch, direction):
+        """Make every inner solve return ``direction(b)`` as an NPC certificate."""
+        def fake(A, b, tol, max_inner, **kwargs):
+            return MinresOutcome(NPC, direction(b), b.copy(), 1, -1.0,
+                                 float(np.linalg.norm(b)), 1.0, None)
+
+        monkeypatch.setattr(driver, "minres_npc", fake)
+
+    def test_ascent_certificate_of_lbfgs_model_names_no_asymmetry(self, monkeypatch):
+        # the L-BFGS model is symmetric by construction
+        self.forced_certificate(monkeypatch, lambda b: -b)
+        obj = spec("quadratic", n=4).make_objective()
+        with pytest.raises(OptimizationError, match="not a descent direction") as err:
+            solve(obj, np.ones(4), SolverConfig(hessian="lbfgs"))
+        assert "symmetric" not in str(err.value)
+
+    def test_nan_certificate_reaches_the_curvature_search(self, monkeypatch):
+        # g'd = NaN is not g'd >= 0: the curvature search rejects every step
+        self.forced_certificate(monkeypatch, lambda b: np.full(b.size, np.nan))
+        obj = spec("quadratic", n=4).make_objective()
+        trace = solve(obj, np.ones(4), SolverConfig())
+        assert trace.status == STAGNATED
+
+    def test_identity_hvp_returning_its_argument(self):
+        # an oracle may return its input, or a read-only array; the shift
+        # zeta_k > 0 must then leave MINRES's vectors alone, so the run
+        # matches the one whose oracle returns a fresh copy
+        problem = spec("quartic_saddle", n=10)
+        x0 = problem.start(np.random.default_rng(2))
+
+        def run(hvp):
+            obj = Objective(problem.dim, problem._f, problem._grad, hvp)
+            return solve(obj, x0, SolverConfig(max_oracles=400))
+
+        def read_only(x, v):
+            out = v.copy()
+            out.flags.writeable = False
+            return out
+
+        def untimed(records):
+            return [dataclasses.replace(r, time_ms=0.0) for r in records]
+
+        reference = run(lambda x, v: v.copy())
+        assert reference.records and all(r.zeta > 0.0 for r in reference.records)
+        for hvp in (lambda x, v: v, lambda x, v: v[:], read_only):
+            trace = run(hvp)
+            assert trace.status == reference.status
+            assert untimed(trace.records) == untimed(reference.records)
+            assert np.array_equal(trace.x_final, reference.x_final)

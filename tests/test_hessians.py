@@ -66,6 +66,27 @@ class TestRegularized:
             rhs = v @ (A @ v) + 0.7 * (v @ v)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
+    def test_shift_leaves_oracle_inputs_alone(self):
+        # the shift is added in place only into a result that is the oracle's
+        # own: not its argument v, a view of it, the frozen x, or read-only
+        def read_only(x, v):
+            out = 2.0 * v
+            out.flags.writeable = False
+            return out
+
+        v = np.array([1.0, -2.0, 0.5])
+        for hvp, scale in ((lambda x, v: v, 1.0), (lambda x, v: v[:], 1.0),
+                           (lambda x, v: x, None), (read_only, 2.0)):
+            obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3), hvp)
+            x = np.array([3.0, 4.0, 5.0])
+            op = model_operator(0.5, obj=obj, x=x)
+            for _ in range(2):
+                kept = v.copy()
+                out = op(v)
+                assert np.array_equal(v, kept)
+                expected = (x if scale is None else scale * v) + 0.5 * v
+                assert np.array_equal(out, expected)
+
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
             shifted_dense(np.eye(2), -0.1)

@@ -239,8 +239,7 @@ class TestDecreaseBound:
 
 
 class TestInputsUnchanged:
-    """Trial points share one buffer per search; x and d must stay intact,
-    and the value returned must be f at x + step*d."""
+    """A search leaves x and d intact and returns f at x + step*d."""
 
     def test_armijo(self):
         obj = quad_obj()

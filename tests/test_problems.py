@@ -1,4 +1,5 @@
 """Benchmark problem definitions: frozen facts and derivative hygiene."""
+import threading
 import tracemalloc
 
 import numpy as np
@@ -115,8 +116,8 @@ class TestRosenbrock:
 
     @pytest.mark.parametrize("n", [2, 3, 1000])
     def test_oracles_bitwise_equal_to_reference(self, n):
-        # two objectives of one spec share its scratch; interleaving their
-        # calls must not leak one evaluation into the next
+        # two objectives of one spec share hvp's work vectors in one thread;
+        # interleaving their calls must not leak one evaluation into the next
         spec = rosenbrock(n)
         objs = (spec.make_objective(), spec.make_objective())
         rng = np.random.default_rng(n)
@@ -142,23 +143,45 @@ class TestRosenbrock:
         assert h2 is not h1 and not np.shares_memory(h1, h2)
         assert np.array_equal(h1, kept)
 
-    def test_oracles_allocate_no_temporaries(self):
-        # f allocates nothing of size n; hvp only its result. The plain
-        # expressions peak at about 3 and 4 vectors.
+    def test_hvp_allocates_only_its_result(self):
+        # after the first call, which makes the thread's work vectors; the
+        # plain expression peaks at about 4 vectors
         n = 10_000
         obj = rosenbrock(n).make_objective()
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 1.0, n)
         v = rng.standard_normal(n)
-        for call, limit in ((lambda: obj.f(x), 0.5), (lambda: obj.hvp(x, v), 1.5)):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - start < limit * 8 * n
+        obj.hvp(x, v)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            obj.hvp(x, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * 8 * n
+
+    def test_objectives_of_one_spec_run_concurrently(self):
+        # each thread has its own work vectors, so concurrent products agree
+        # with the plain expression
+        n = 20_000
+        spec = rosenbrock(n)
+        results = {}
+
+        def products(seed):
+            obj = spec.make_objective()
+            rng = np.random.default_rng(seed)
+            x, v = rng.uniform(-2.0, 2.0, n), rng.standard_normal(n)
+            h_ref = self.reference(x, v)[2]
+            results[seed] = all(np.array_equal(obj.hvp(x, v), h_ref)
+                                for _ in range(200))
+
+        threads = [threading.Thread(target=products, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == {1: True, 2: True}
 
 
 class TestQuadratic:
