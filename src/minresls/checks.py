@@ -254,8 +254,9 @@ def check_linesearch_grid(seed=71) -> str:
     """Both searches land exactly on the reference grid points.
 
     Backtracking is compared against the smallest-exponent scan and the
-    forward curvature search against the largest-accepted scan, including a
-    run on a concave quadratic that must ride out to the cap.
+    forward curvature search against the largest-accepted scan, from
+    ``initial_step`` and warm-started further down the grid, including a run
+    on a concave quadratic that must ride out to the cap.
     """
     cfg = LinesearchConfig()
     sigma = cfg.sufficient_decrease
@@ -293,6 +294,14 @@ def check_linesearch_grid(seed=71) -> str:
                                            cfg.max_step)
     assert res2.step == ref2 and res2.capped == capped2
     assert res2.step > cfg.initial_step, "forward search failed to grow"
+
+    # the same search warm-started six grid points below initial_step
+    start = cfg.initial_step * cfg.shrink ** 6
+    res_w = npc_linesearch(obj2, x2, d2, g_dot_d, d_curv, f_x2, cfg, start=start)
+    ref_w, capped_w = forward_grid_reference(phi_ok, start, cfg.shrink, cfg.max_step)
+    assert res_w.step == ref_w and res_w.capped == capped_w
+    assert res_w.step == res2.step, "warm start moved the accepted step"
+    assert res_w.n_evals == res2.n_evals + 6
 
     # concave quadratic: the test holds everywhere, expect the cap
     obj3 = Objective(1, lambda z: -0.5 * float(z @ z), lambda z: -z)

@@ -271,15 +271,21 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     operator, such as a wrong Hessian-vector oracle, produces one, and in
     exact mode the message says so.
 
+    Each curvature search after the first starts at
+    min(previous accepted curvature step, ``initial_step``), a point of the
+    same geometric grid, so it backtracks less; the first starts at
+    ``initial_step``.
+
     The budget is checked once per iteration, after the gradient. A BUDGET
     run's ``oracles`` therefore stays below
     ``max_oracles + max_inner*hvp_cost + L*f_cost + grad_cost``, where
 
         L = 1 + max(floor(log(min_step/initial_step) / log(shrink)),
-                    ceil(log(max_step/initial_step) / log(1/shrink)))
+                    ceil(log(max_step/min_step) / log(1/shrink)))
 
-    bounds the evaluations of one linesearch (backtracking, or the forward
-    search); L = 60 under the default :class:`LinesearchConfig`.
+    bounds the evaluations of one linesearch: backtracking from at most
+    ``initial_step``, or a forward search from a warm start no smaller than
+    ``min_step``. L = 95 under the default :class:`LinesearchConfig`.
     """
     x = as_vector(x0, "x0")
     if x.size != obj.dim:
@@ -297,6 +303,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     status = None
     gnorm = math.inf
     pending = None          # (s_vec, g_old) awaiting the next gradient
+    npc_start = ls.initial_step
 
     f_x = obj.f(x)
     k = 0
@@ -377,7 +384,9 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
                 f"(g'd = {g_dot_d:.3e}){cause}")
         try:
             if flag == NPC:
-                res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls)
+                res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls,
+                                     start=npc_start)
+                npc_start = min(res.step, ls.initial_step)
             else:
                 res = armijo_backtrack(obj, x, d, g_dot_d, f_x, ls)
         except StepsizeStagnation:

@@ -157,18 +157,25 @@ def model_operator(shift: float, *, store: LbfgsStore | None = None,
     B is the L-BFGS matrix of ``store`` when one is given; its products cost
     no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
     copy of ``x``, and every product is charged to the objective's counter as
-    one Hessian-vector oracle call. In that branch ``shift*v`` is formed in
-    one scratch vector owned by the operator and added in place into the
-    oracle's result, which the operator then returns, so each product
-    allocates only what the oracle does. A result that is read-only or shares
-    memory with ``v`` or ``x`` is left alone and the sum is a new array; the
-    oracle must not return an array it keeps, such as a cache (see
+    one Hessian-vector oracle call. Either way ``shift*v`` is formed in one
+    scratch vector owned by the operator and added in place into the product
+    B v, which the operator then returns, so each product allocates only what
+    ``store.apply`` or the oracle does. An oracle result that is read-only or
+    shares memory with ``v`` or ``x`` is left alone and the sum is a new
+    array; the oracle must not return an array it keeps, such as a cache (see
     :class:`~minresls.core.Objective`).
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     if store is not None:
-        return SymmetricOperator(store.dim, lambda v: store.apply(v) + shift * v)
+        scratch = np.empty(store.dim)
+
+        def apply_lbfgs(v):
+            bv = store.apply(v)             # always a fresh array
+            bv += np.multiply(v, shift, out=scratch)
+            return bv
+
+        return SymmetricOperator(store.dim, apply_lbfgs)
     x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
     scratch = np.empty(obj.dim)
 

@@ -6,11 +6,13 @@ with an extra quadratic term,
     Phi(lam) = f(x + lam*d) - f(x) - sigma*lam*g'd - (sigma/2)*lam^2*d'Bd,
 
 accepted when Phi(lam) <= 0 up to a few ulps of |f(x)|. Since d'Bd <= 0 the
-test only gets easier along the ray, so when the initial step already passes,
-the search walks forward on the geometric grid until the first failure and
-returns the last accepted grid point (capped at ``max_step``). Ordinary
-descent directions use plain backtracking on the sufficient-decrease
-condition, padded the same way.
+test only gets easier along the ray, so when the first trial step already
+passes, the search walks forward on the geometric grid until the first failure
+and returns the last accepted grid point (capped at ``max_step``). The first
+trial step is ``initial_step``, unless the caller warm-starts the search at
+another point of the grid, as the outer loop does with the previous accepted
+curvature step. Ordinary descent directions use plain backtracking on the
+sufficient-decrease condition, padded the same way.
 """
 from __future__ import annotations
 
@@ -88,19 +90,33 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
 
 def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
                    g_dot_d: float, d_curv: float, f_x: float,
-                   cfg: LinesearchConfig = LinesearchConfig()) -> LinesearchResult:
+                   cfg: LinesearchConfig = LinesearchConfig(), *,
+                   start: float | None = None) -> LinesearchResult:
     """Grid search under the curvature-aware acceptance test.
 
     ``d_curv`` is d'Bd of the unshifted model matrix and must be nonpositive.
-    Backtracks when the initial step fails; otherwise grows the step by
-    1/shrink while the test keeps passing and returns the last accepted grid
-    point. A forward search that reaches ``max_step`` returns it with
-    ``capped=True``.
+    The first trial step is ``start``, ``cfg.initial_step`` by default, and
+    must lie in ``[min_step, max_step]``. Backtracks when it fails; otherwise
+    grows the step by 1/shrink while the test keeps passing and returns the
+    last accepted grid point. A forward search that reaches ``max_step``
+    returns it with ``capped=True``.
+
+    A warm start ``initial_step * shrink^j`` keeps the grid of the default
+    start (exactly so when ``shrink`` is a power of two, as the default 0.5
+    is). When the steps that pass form an interval [0, lam*], both starts
+    then accept the same step, the largest grid point in the interval or
+    ``max_step``; only ``n_evals`` differs. From below ``initial_step`` the
+    forward walk can take up to ceil(log(max_step/start) / log(1/shrink))
+    steps.
     """
     if g_dot_d >= 0.0:
         raise ValueError("curvature search needs a descent direction (g'd < 0)")
     if d_curv > 0.0:
         raise ValueError("curvature search needs d'Bd <= 0")
+    lam = cfg.initial_step if start is None else start
+    if not (cfg.min_step <= lam <= cfg.max_step):
+        raise ValueError(f"start {lam!r} lies outside [min_step, max_step] = "
+                         f"[{cfg.min_step!r}, {cfg.max_step!r}]")
 
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
@@ -111,7 +127,6 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
         return gap, f_trial
 
     evals = 1
-    lam = cfg.initial_step
     gap, f_lam = shifted_gap(lam)
     if gap > pad or not np.isfinite(gap):
         # backtracking branch

@@ -30,7 +30,7 @@ from minresls.driver import (
     _InvariantViolation,
 )
 from minresls.hessians import LbfgsStore
-from minresls.linesearch import LinesearchConfig
+from minresls.linesearch import LinesearchConfig, npc_linesearch
 from minresls.minres import NPC, MinresOutcome
 from minresls.problems import build_problem
 
@@ -40,9 +40,10 @@ def spec(name, **params):
 
 
 def linesearch_eval_cap(ls):
-    """L of solve's budget bound: the most evaluations one linesearch makes."""
+    """L of solve's budget bound: the most evaluations one linesearch makes,
+    backtracking from ``initial_step`` or walking forward from ``min_step``."""
     backward = math.floor(math.log(ls.min_step / ls.initial_step) / math.log(ls.shrink))
-    forward = math.ceil(math.log(ls.max_step / ls.initial_step) / math.log(1.0 / ls.shrink))
+    forward = math.ceil(math.log(ls.max_step / ls.min_step) / math.log(1.0 / ls.shrink))
     return 1 + max(backward, forward)
 
 
@@ -200,10 +201,10 @@ class TestTerminationStatuses:
 
     def test_budget_overshoot_bound(self):
         # the bound stated in solve's docstring, over a sweep of budgets
-        assert linesearch_eval_cap(LinesearchConfig()) == 60
+        assert linesearch_eval_cap(LinesearchConfig()) == 95
         ls = LinesearchConfig(min_step=2.0 ** -10, max_step=8.0)
         max_evals = linesearch_eval_cap(ls)
-        assert max_evals == 11
+        assert max_evals == 14
         problem = spec("rosenbrock", n=20)
         x0 = problem.start(np.random.default_rng(4))
         for max_oracles in range(5, 400, 9):
@@ -214,6 +215,17 @@ class TestTerminationStatuses:
             bound = (max_oracles + cfg.max_inner * obj.hvp_cost
                      + max_evals * obj.f_cost + obj.grad_cost)
             assert max_oracles <= trace.oracles < bound, (max_oracles, trace.oracles)
+
+    def test_warm_started_search_reaches_the_bound(self):
+        # a curvature search warm-started at min_step on a descending ray
+        # walks forward to max_step: past the 60 evaluations of a search
+        # started at initial_step, and exactly onto L
+        ls = LinesearchConfig()
+        obj = Objective(1, lambda x: -x[0], lambda x: -np.ones(1))
+        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, ls,
+                             start=ls.min_step)
+        assert res.capped and res.step == ls.max_step
+        assert 60 < res.n_evals == linesearch_eval_cap(ls)
 
     def test_stagnated_on_false_descent_claim(self):
         # gradient oracle promises descent that the (constant) function
@@ -287,6 +299,41 @@ class TestDirectionDispatch:
         assert npc_records
         # near the saddle the curvature search should push past unit steps
         assert any(r.step > 1.0 for r in npc_records)
+
+    @pytest.mark.parametrize("name, params, seed", [
+        ("rosenbrock", {"n": 50}, 7),               # steps of 2^-10 to 2^-3
+        ("quartic_saddle", {"spectrum": (1.0, -1.0, -0.5, 1.0)}, 0),   # 1024, then 2
+    ])
+    def test_curvature_search_is_warm_started(self, monkeypatch, name, params, seed):
+        # each curvature search after the first starts at the previous
+        # accepted one, capped at initial_step; the steps are the same as
+        # with every search started at initial_step, in fewer evaluations
+        # when a search starts lower
+        problem = spec(name, **params)
+        x0 = problem.start(np.random.default_rng(seed))
+        cfg = builtin_config("newton_mr")
+        searches = []
+
+        def recorded(*args, start):
+            res = npc_linesearch(*args, start=start)
+            searches.append((start, res.step))
+            return res
+
+        monkeypatch.setattr(driver, "npc_linesearch", recorded)
+        warm = solve(problem.make_objective(), x0, cfg)
+        monkeypatch.setattr(driver, "npc_linesearch",
+                            lambda *args, start: npc_linesearch(*args))
+        cold = solve(problem.make_objective(), x0, cfg)
+
+        initial = cfg.linesearch.initial_step
+        starts = [start for start, _ in searches]
+        assert len(starts) > 1
+        assert starts == [initial] + [min(step, initial) for _, step in searches[:-1]]
+        fields = lambda t: [dataclasses.replace(r, oracles=0.0, time_ms=0.0)
+                            for r in t.records]
+        assert fields(warm) == fields(cold)
+        assert np.array_equal(warm.x_final, cold.x_final)
+        assert (warm.oracles < cold.oracles) == (min(starts) < initial)
 
     def test_lbfgs_inner_iterations_bounded_by_memory(self):
         memory = 10

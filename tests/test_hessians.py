@@ -87,6 +87,23 @@ class TestRegularized:
                 expected = (x if scale is None else scale * v) + 0.5 * v
                 assert np.array_equal(out, expected)
 
+    def test_lbfgs_shift_is_bitwise_the_plain_sum(self):
+        # the shift goes in place into apply's fresh result: v stays intact,
+        # and the product is bit for bit apply(v) + shift*v, empty store too
+        rng = pair_rng(5)
+        store = LbfgsStore(6, memory=3)
+        for filled in (False, True):
+            while filled and store.n_pairs < 3:
+                s = rng.standard_normal(6)
+                store.update(s, 2.0 * s + 0.1 * rng.standard_normal(6))
+            op = model_operator(0.3, store=store)
+            for _ in range(2):
+                v = rng.standard_normal(6)
+                kept = v.copy()
+                out = op(v)
+                assert np.array_equal(v, kept)
+                assert np.array_equal(out, store.apply(v) + 0.3 * v)
+
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
             shifted_dense(np.eye(2), -0.1)

@@ -215,6 +215,27 @@ class TestCurvatureSearch:
             # claimed slope/curvature say decrease is possible; f refuses
             npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, -1.0, 0.0, cfg)
 
+    @pytest.mark.parametrize("start", [0.5e-6, 0.0, -1.0, 4.5, np.inf, np.nan])
+    def test_start_outside_step_range(self, start):
+        calls = [0]
+        def f(x):
+            calls[0] += 1
+            return -x[0]
+        obj = Objective(1, f, lambda x: -np.ones(1))
+        cfg = LinesearchConfig(min_step=1e-6, max_step=4.0)
+        with pytest.raises(ValueError, match="start"):
+            npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, cfg,
+                           start=start)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("start", [1e-6, 4.0])
+    def test_start_at_step_range_ends(self, start):
+        obj = Objective(1, lambda x: -x[0], lambda x: -np.ones(1))
+        cfg = LinesearchConfig(min_step=1e-6, max_step=4.0)
+        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, cfg,
+                             start=start)
+        assert res.capped and res.step == 4.0
+
 
 class TestDecreaseBound:
     def test_armijo_step_lower_bound_on_quadratic(self):
