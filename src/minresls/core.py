@@ -151,10 +151,8 @@ class Objective:
 
     MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
     returns, so an oracle must not keep a reference to its arguments. The
-    Hessian-vector result may be modified by the caller: the exact-Hessian
-    model operator adds its shift into it in place unless it is read-only or
-    shares memory with an argument, so ``hvp`` must not return an array it
-    keeps, such as a cache.
+    Hessian-vector result is only read, so ``hvp`` may return its argument, a
+    read-only array, or a buffer it keeps and refills on the next call.
     """
 
     def __init__(self, dim, f, grad, hvp=None, *, counter=None,

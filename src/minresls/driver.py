@@ -1,10 +1,11 @@
 """Outer loop: regularized Newton / quasi-Newton steps from the inner solver.
 
-Each iteration shifts the model matrix B_k by zeta_k, hands ``-g_k`` to the
-inner MINRES kernel with relative tolerance theta_k, screens the returned
-direction with a small-curvature test, and picks the stepsize with the search
-matching the direction's flag. Tolerance and shift shrink with the gradient
-norm, which is what produces the superlinear tail.
+Each iteration hands the model matrix B_k, its shift zeta_k and ``-g_k`` to
+the inner MINRES kernel, which solves (B_k + zeta_k I) d = -g_k to relative
+tolerance theta_k, screens the returned direction with a small-curvature
+test, and picks the stepsize with the search matching the direction's flag.
+Tolerance and shift shrink with the gradient norm, which is what produces the
+superlinear tail.
 
 Schedules use natural log of (k + 1) wherever a log of the iteration counter
 appears, so the k = 1 values stay positive.
@@ -212,23 +213,23 @@ class _InvariantViolation(AssertionError):
     pass
 
 
-def _assert_symmetric(Bbar, obj):
+def _assert_symmetric(B, obj):
     """Reject a model operator whose products are not symmetric, e.g. a wrong
     Hessian-vector oracle, before MINRES runs on it."""
     with obj.counter.paused():
-        defect = symmetry_defect(Bbar)
+        defect = symmetry_defect(B)
     if not (defect <= SYMMETRY_TOL):
         raise _InvariantViolation(f"model operator is not symmetric: symmetry "
                                   f"defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
 
 
 def _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                 Bbar, obj):
+                                 B, obj):
     """Direction-quality assertions, enabled by ``check_invariants``.
 
     Descent and norm bounds for each flag; the constant-bearing lower bound
-    for solution-path directions uses a dense operator norm and is only
-    affordable (and only checked) at small dimension.
+    for solution-path directions uses the dense norm of B + zeta*I and is
+    only affordable (and only checked) at small dimension.
     """
     d_sq = float(d @ d)
     minus_dg = -float(d @ g)
@@ -242,17 +243,17 @@ def _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
         if abs(math.sqrt(d_sq) - gnorm) > 1e-10 * (1.0 + gnorm):
             raise _InvariantViolation("certificate direction norm drifted from ||g||")
         with obj.counter.paused():
-            true_quad = float(d @ Bbar(d))
-        if not (true_quad - zeta * d_sq <= -zeta * d_sq + 1e-8):
+            true_quad = float(d @ B(d))
+        if not (true_quad <= -zeta * d_sq + 1e-8):
             raise _InvariantViolation("certificate direction has positive model curvature")
         return
     # solution path (SOL, or accepted MAXITER iterate)
     bound = max(gnorm / sp.curvature_floor, gnorm ** (1.0 - sp.alpha) / a_k)
     if not (math.sqrt(d_sq) <= bound + 1e-10):
         raise _InvariantViolation("solution-path direction norm exceeds its bound")
-    if Bbar.dim <= 50:
+    if B.dim <= 50:
         with obj.counter.paused():
-            dense = Bbar.to_dense()
+            dense = B.to_dense() + zeta * np.eye(B.dim)
         nb = float(np.linalg.norm(dense, 2))
         c_k = 1.0 / (nb + nb * nb)
         thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
@@ -326,14 +327,14 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             break
 
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
-        Bbar = model_operator(zeta, store=store, obj=obj, x=x)
+        B = model_operator(store=store, obj=obj, x=x)
         if cfg.check_invariants and k == 1:
-            _assert_symmetric(Bbar, obj)
+            _assert_symmetric(B, obj)
         b = -g
 
         d_curv = 0.0
         try:
-            out = minres_npc(Bbar, b, theta, cfg.max_inner)
+            out = minres_npc(B, b, theta, cfg.max_inner, shift=zeta)
         except NumericalBreakdown:
             status = DIVERGED
             break
@@ -369,7 +370,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
         if cfg.check_invariants:
             _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                         Bbar, obj)
+                                         B, obj)
 
         g_dot_d = float(g @ d)
         if flag == NPC and g_dot_d >= 0.0:

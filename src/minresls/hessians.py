@@ -1,4 +1,4 @@
-"""Hessian models: compact L-BFGS and the regularized model operator.
+"""Hessian models: compact L-BFGS and the model operator.
 
 The quasi-Newton store keeps the most recent curvature pairs and applies the
 BFGS matrix (not its inverse) through the compact outer-product form
@@ -150,42 +150,18 @@ class LbfgsStore:
         return self.gamma * v - (self._K @ (live @ v)) @ live
 
 
-def model_operator(shift: float, *, store: LbfgsStore | None = None,
+def model_operator(*, store: LbfgsStore | None = None,
                    obj: Objective | None = None, x=None) -> SymmetricOperator:
-    """The regularized model ``B + shift*I`` as one matrix-free operator.
+    """The model matrix B as one matrix-free operator.
 
     B is the L-BFGS matrix of ``store`` when one is given; its products cost
     no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
     copy of ``x``, and every product is charged to the objective's counter as
-    one Hessian-vector oracle call. Either way ``shift*v`` is formed in one
-    scratch vector owned by the operator and added in place into the product
-    B v, which the operator then returns, so each product allocates only what
-    ``store.apply`` or the oracle does. An oracle result that is read-only or
-    shares memory with ``v`` or ``x`` is left alone and the sum is a new
-    array; the oracle must not return an array it keeps, such as a cache (see
-    :class:`~minresls.core.Objective`).
+    one Hessian-vector oracle call. A product is returned as ``store.apply``
+    or the oracle gives it; the outer loop's regularization zeta*I is added by
+    :func:`~minresls.minres.minres_npc`, which only reads it.
     """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
     if store is not None:
-        scratch = np.empty(store.dim)
-
-        def apply_lbfgs(v):
-            bv = store.apply(v)             # always a fresh array
-            bv += np.multiply(v, shift, out=scratch)
-            return bv
-
-        return SymmetricOperator(store.dim, apply_lbfgs)
+        return SymmetricOperator(store.dim, store.apply)
     x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
-    scratch = np.empty(obj.dim)
-
-    def apply(v):
-        hv = obj.hvp(x, v)
-        shifted = np.multiply(v, shift, out=scratch)
-        if (not hv.flags.writeable or np.may_share_memory(hv, v)
-                or np.may_share_memory(hv, x)):
-            return hv + shifted
-        hv += shifted
-        return hv
-
-    return SymmetricOperator(obj.dim, apply)
+    return SymmetricOperator(obj.dim, lambda v: obj.hvp(x, v))

@@ -1,6 +1,9 @@
-"""MINRES for symmetric, possibly indefinite systems, with curvature screening.
+"""MINRES for shifted symmetric, possibly indefinite systems, with curvature
+screening.
 
-The kernel runs the classical three-term Lanczos recurrence together with the
+The kernel solves ``(A + shift*I) x = b`` for a symmetric operator A and a
+finite scalar shift; in the rest of this docstring A stands for the shifted
+matrix. It runs the classical three-term Lanczos recurrence together with the
 Givens-QR update of the tridiagonal least-squares problem. On top of the
 standard iterate updates it watches the sign of the scalar product
 ``c_{t-1} * gamma1_t`` formed from the rotation bookkeeping. Two identities of
@@ -18,10 +21,10 @@ solution (flag ``SOL``) once the residual estimate ``phi_t`` drops below
 
 Each call allocates its n-vectors once (Lanczos vectors, search directions,
 iterate, residuals and one scratch) and updates them in place, so its
-per-iteration bookkeeping allocates nothing of size n. The operator's result
-is copied into the kernel's own buffer before it is modified, and the arrays
-an outcome returns are not touched again by the kernel: they belong to the
-caller.
+per-iteration bookkeeping allocates nothing of size n. Each Lanczos step
+writes ``A v + shift*v`` straight into the kernel's own buffer: the operator's
+result is read, never written, and the arrays an outcome returns are not
+touched again by the kernel: they belong to the caller.
 """
 from __future__ import annotations
 
@@ -91,10 +94,10 @@ class MinresTrace:
 class MinresOutcome:
     """Result of one inner solve.
 
-    ``curvature`` is the quadratic form d'Ad of the returned direction,
-    obtained from the recurrence identities rather than an extra product. For
-    an ``NPC`` outcome it is nonpositive by construction; ``residual`` then
-    holds the certifying residual r_{t-1} itself.
+    ``curvature`` is the quadratic form d'(A + shift*I)d of the returned
+    direction, obtained from the recurrence identities rather than an extra
+    product. For an ``NPC`` outcome it is nonpositive by construction;
+    ``residual`` then holds the certifying residual r_{t-1} itself.
     """
 
     flag: str
@@ -107,8 +110,10 @@ class MinresOutcome:
     trace: MinresTrace | None = None
 
 
-def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> MinresOutcome:
-    """Run MINRES on ``A x = b`` until solution, curvature certificate, or cap.
+def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
+               collect: bool = False) -> MinresOutcome:
+    """Run MINRES on ``(A + shift*I) x = b`` until solution, curvature
+    certificate, or cap.
 
     Parameters
     ----------
@@ -124,6 +129,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     max_inner : int
         Iteration cap; hitting it returns flag ``MAXITER`` with the current
         iterate and residual.
+    shift : float
+        Finite multiple of the identity added to ``A``; negative values are
+        allowed. Every product is formed as ``A v + shift*v``, and the flags,
+        ``curvature`` and residuals all refer to ``A + shift*I``.
     collect : bool
         Record a :class:`MinresTrace` for diagnostics and tests.
 
@@ -136,10 +145,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     rather than branched on.
 
     The work vectors are allocated once per call and updated in place with
-    ``out=``; the operator's result is copied into the kernel's own buffer, so
-    an operator may return its argument or a buffer it reuses. ``b`` is not
-    modified, and the returned ``direction`` and ``residual`` are arrays no
-    later call touches.
+    ``out=``. The operator's result is only read, as the first operand of the
+    sum written into the kernel's own buffer, so an operator may return its
+    argument or a buffer it keeps. ``b`` is not modified, and the returned
+    ``direction`` and ``residual`` are arrays no later call touches.
     """
     op = ensure_operator(A)
     b = as_vector(b, "b")
@@ -149,6 +158,8 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
         raise ValueError("tol must be nonnegative")
     if max_inner < 1:
         raise ValueError("max_inner must be at least 1")
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
 
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
@@ -179,8 +190,8 @@ def minres_npc(A, b, tol: float, max_inner: int, *, collect: bool = False) -> Mi
     trace = MinresTrace() if collect else None
 
     for t in range(1, max_inner + 1):
-        # Lanczos step; the copy leaves the operator free to return its argument
-        np.copyto(p, op(v))
+        # Lanczos step on A + shift*I; the operator's result is only read
+        np.add(op(v), np.multiply(v, shift, out=w), out=p)
         alpha = float(v @ p)
         np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
         np.subtract(p, np.multiply(v, alpha, out=w), out=p)

@@ -351,7 +351,7 @@ class TestDirectionDispatch:
     ])
     def test_one_operator_call_per_inner_iteration(self, monkeypatch, name, params,
                                                    config):
-        # B_k + zeta_k I is a single operator layer, not a shift around a model
+        # the model operator is B_k alone; MINRES adds zeta_k I itself
         calls = []
         original = SymmetricOperator.__call__
 
@@ -437,9 +437,9 @@ class TestDirectionDispatch:
         assert trace.status == STAGNATED
 
     def test_identity_hvp_returning_its_argument(self):
-        # an oracle may return its input, or a read-only array; the shift
-        # zeta_k > 0 must then leave MINRES's vectors alone, so the run
-        # matches the one whose oracle returns a fresh copy
+        # an oracle may return its input, or a read-only array: MINRES adds
+        # zeta_k > 0 into its own vector, so the run matches the one whose
+        # oracle returns a fresh copy
         problem = spec("quartic_saddle", n=10)
         x0 = problem.start(np.random.default_rng(2))
 
@@ -462,3 +462,37 @@ class TestDirectionDispatch:
             assert trace.status == reference.status
             assert untimed(trace.records) == untimed(reference.records)
             assert np.array_equal(trace.x_final, reference.x_final)
+
+    def test_hvp_may_return_a_buffer_it_keeps(self):
+        # one persistent buffer, refilled and returned by every product: it
+        # still holds exactly H v when the next product starts, so nothing
+        # downstream wrote into it, and the run is that of a fresh-array hvp
+        problem = spec("quartic_saddle", n=10)
+        x0 = problem.start(np.random.default_rng(2))
+        buf = np.empty(problem.dim)
+        products, intact = [], []
+
+        def kept_buffer(x, v):
+            if products:
+                intact.append(np.array_equal(buf, products[-1]))
+            buf[:] = problem._hvp(x, v)
+            products.append(buf.copy())
+            return buf
+
+        def run(hvp):
+            obj = Objective(problem.dim, problem._f, problem._grad, hvp)
+            return solve(obj, x0, builtin_config("newton_mr"))
+
+        def untimed(records):
+            return [dataclasses.replace(r, time_ms=0.0) for r in records]
+
+        reference = run(problem._hvp)
+        trace = run(kept_buffer)
+        intact.append(np.array_equal(buf, products[-1]))
+        assert reference.status == CONVERGED
+        assert reference.records and all(r.zeta > 0.0 for r in reference.records)
+        assert len(intact) == sum(r.inner_iters for r in trace.records)
+        assert all(intact)
+        assert trace.status == reference.status
+        assert untimed(trace.records) == untimed(reference.records)
+        assert np.array_equal(trace.x_final, reference.x_final)

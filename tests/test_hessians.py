@@ -1,4 +1,4 @@
-"""Hessian models: the regularized model operator, compact L-BFGS store."""
+"""Hessian models: the model operator, its shifted solves, compact L-BFGS store."""
 import os
 import subprocess
 import sys
@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minresls.core import DegenerateMiddleMatrix, Objective, OracleCounter
+from minresls.core import (
+    DegenerateMiddleMatrix,
+    Objective,
+    OracleCounter,
+    SymmetricOperator,
+)
 from minresls.hessians import LbfgsStore, model_operator
-from minresls.minres import NPC, minres_npc
+from minresls.minres import MAXITER, NPC, SOL, minres_npc
 from minresls.reference import dense_bfgs_matrix
 
 
@@ -21,7 +26,7 @@ class TestExactOperator:
     def test_identity_hessian(self):
         obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
                         lambda x, v: v.copy())
-        op = model_operator(0.0, obj=obj, x=np.zeros(3))
+        op = model_operator(obj=obj, x=np.zeros(3))
         v = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(op(v), v)
         assert op.dim == 3
@@ -30,7 +35,7 @@ class TestExactOperator:
         c = OracleCounter()
         obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
                         lambda x, v: 2.0 * v, counter=c)
-        op = model_operator(0.0, obj=obj, x=np.zeros(2))
+        op = model_operator(obj=obj, x=np.zeros(2))
         op(np.ones(2)); op(np.ones(2))
         assert c.count == 4.0          # two products at cost 2 each
 
@@ -38,37 +43,21 @@ class TestExactOperator:
         from minresls.problems import build_problem
         obj = build_problem("toy_sine", self_test=False, n=4).make_objective()
         x = np.linspace(0.1, 0.9, 8)
-        H = model_operator(0.0, obj=obj, x=x).to_dense()
+        H = model_operator(obj=obj, x=x).to_dense()
         assert np.max(np.abs(H - H.T)) <= 1e-12
 
     def test_evaluation_point_is_frozen(self):
         obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
                         lambda x, v: x * v)
         x = np.array([1.0, 2.0])
-        op = model_operator(0.0, obj=obj, x=x)
+        op = model_operator(obj=obj, x=x)
         x[:] = 5.0
         assert np.array_equal(op(np.ones(2)), [1.0, 2.0])
 
 
-class TestRegularized:
-    def test_cancels_negative_eigenvalue(self):
-        shifted = shifted_dense(np.diag([1.0, -1.0]), 1.0)
-        assert np.array_equal(shifted(np.array([0.0, 1.0])), [0.0, 0.0])
-
-    def test_rayleigh_quotients_shift(self):
-        rng = pair_rng(2)
-        M = rng.standard_normal((5, 5))
-        A = 0.5 * (M + M.T)
-        shifted = shifted_dense(A, 0.7)
-        for _ in range(10):
-            v = rng.standard_normal(5)
-            lhs = v @ shifted(v)
-            rhs = v @ (A @ v) + 0.7 * (v @ v)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_shift_leaves_oracle_inputs_alone(self):
-        # the shift is added in place only into a result that is the oracle's
-        # own: not its argument v, a view of it, the frozen x, or read-only
+    def test_product_is_the_oracle_result(self):
+        # the operator passes the oracle's result through: its argument v, a
+        # view of it, the frozen x or a read-only array, with v left intact
         def read_only(x, v):
             out = 2.0 * v
             out.flags.writeable = False
@@ -79,43 +68,67 @@ class TestRegularized:
                            (lambda x, v: x, None), (read_only, 2.0)):
             obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3), hvp)
             x = np.array([3.0, 4.0, 5.0])
-            op = model_operator(0.5, obj=obj, x=x)
+            op = model_operator(obj=obj, x=x)
             for _ in range(2):
                 kept = v.copy()
                 out = op(v)
                 assert np.array_equal(v, kept)
-                expected = (x if scale is None else scale * v) + 0.5 * v
-                assert np.array_equal(out, expected)
-
-    def test_lbfgs_shift_is_bitwise_the_plain_sum(self):
-        # the shift goes in place into apply's fresh result: v stays intact,
-        # and the product is bit for bit apply(v) + shift*v, empty store too
-        rng = pair_rng(5)
-        store = LbfgsStore(6, memory=3)
-        for filled in (False, True):
-            while filled and store.n_pairs < 3:
-                s = rng.standard_normal(6)
-                store.update(s, 2.0 * s + 0.1 * rng.standard_normal(6))
-            op = model_operator(0.3, store=store)
-            for _ in range(2):
-                v = rng.standard_normal(6)
-                kept = v.copy()
-                out = op(v)
-                assert np.array_equal(v, kept)
-                assert np.array_equal(out, store.apply(v) + 0.3 * v)
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            shifted_dense(np.eye(2), -0.1)
-        with pytest.raises(ValueError):
-            model_operator(-0.1, store=LbfgsStore(2))
+                assert np.array_equal(out, x if scale is None else scale * v)
 
 
-def shifted_dense(A, shift):
-    """``A + shift*I`` through the exact-Hessian branch, with Hessian ``A``."""
-    n = A.shape[0]
-    obj = Objective(n, lambda x: 0.0, lambda x: np.zeros(n), lambda x, v: A @ v)
-    return model_operator(shift, obj=obj, x=np.zeros(n))
+class TestShiftedSolve:
+    """``minres_npc(B, ..., shift=sigma)`` is bit for bit MINRES on the
+    operator v -> B v + sigma*v, for every kind of model B the driver uses."""
+
+    N = 8
+
+    @classmethod
+    def models(cls):
+        """(name, B) for a dense matrix, the frozen-point HVP operator, and an
+        L-BFGS store empty and filled; all but the empty store are indefinite,
+        with an eigenvalue near -5."""
+        n = cls.N
+        rng = pair_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * np.array([-5.0, -0.5, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])) @ Q.T
+        A = 0.5 * (A + A.T)
+        obj = Objective(n, lambda x: 0.0, lambda x: np.zeros(n),
+                        lambda x, v: A @ v + x * v)
+        filled = LbfgsStore(n, memory=3)
+        # the first pair has curvature near -5, the later ones set gamma > 0
+        for s in (Q[:, 0] + 0.1 * rng.standard_normal(n),
+                  rng.standard_normal(n), rng.standard_normal(n)):
+            assert filled.update(s, A @ s)
+        return [
+            ("dense", A),
+            ("hvp", model_operator(obj=obj, x=0.1 * rng.standard_normal(n))),
+            ("lbfgs_empty", model_operator(store=LbfgsStore(n))),
+            ("lbfgs_filled", model_operator(store=filled)),
+        ]
+
+    @pytest.mark.parametrize("sigma", [1e-12, 0.3, 2.0])
+    @pytest.mark.parametrize("kind", ["dense", "hvp", "lbfgs_empty", "lbfgs_filled"])
+    def test_bitwise_equal_to_the_summed_operator(self, kind, sigma):
+        B = dict(self.models())[kind]
+        op = B if not isinstance(B, np.ndarray) else SymmetricOperator(
+            self.N, lambda v: B @ v)
+        summed = SymmetricOperator(self.N, lambda v: op(v) + sigma * v)
+        lam, V = np.linalg.eigh(summed.to_dense())
+        b_pos = V[:, lam > 0.0].sum(axis=1)     # off the negative eigenspace
+        b_any = pair_rng(11).standard_normal(self.N)
+        cases = [(b_pos, 1e-10, 4 * self.N, SOL), (b_any, 1e-10, 4 * self.N, NPC),
+                 (b_pos, 0.0, 2, MAXITER)]
+        for b, tol, cap, flag in cases:
+            got = minres_npc(B, b, tol, cap, shift=sigma)
+            ref = minres_npc(summed, b, tol, cap)
+            # B = gamma*I with an empty store: one iteration solves it
+            assert got.flag == (SOL if kind == "lbfgs_empty" else flag)
+            assert got.flag == ref.flag
+            assert got.inner_iters == ref.inner_iters
+            assert got.curvature == ref.curvature
+            assert got.residual_norm == ref.residual_norm
+            assert np.array_equal(got.direction, ref.direction)
+            assert np.array_equal(got.residual, ref.residual)
 
 
 class TestLbfgsStore:
@@ -281,7 +294,7 @@ class TestLbfgsStore:
         e1 = np.array([1.0, 0.0])
         assert st.update(e1, -e1)
         assert st.gamma == -1.0
-        out = minres_npc(model_operator(0.0, store=st), np.array([1.0, 1.0]), 1e-8, 20)
+        out = minres_npc(model_operator(store=st), np.array([1.0, 1.0]), 1e-8, 20)
         assert out.flag == NPC
 
     def test_operator_is_symmetric(self):
@@ -290,7 +303,7 @@ class TestLbfgsStore:
         for _ in range(4):
             s = rng.standard_normal(5)
             st.update(s, s + 0.1 * rng.standard_normal(5))
-        B = model_operator(0.0, store=st).to_dense()
+        B = model_operator(store=st).to_dense()
         assert np.max(np.abs(B - B.T)) <= 1e-10
 
     def test_package_import_loads_only_numpy(self):

@@ -118,6 +118,22 @@ class TestTermination:
         with pytest.raises(ValueError):
             run(np.eye(2), [1.0, 0.0, 0.0], 1e-8)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_shift_rejected_before_any_product(self, shift):
+        calls = []
+        op = SymmetricOperator(2, lambda v: calls.append(1) or v)
+        with pytest.raises(ValueError, match="shift"):
+            minres_npc(op, np.array([1.0, 0.0]), 1e-8, 10, shift=shift)
+        assert calls == []
+
+    def test_negative_shift_accepted(self):
+        # diag(3, 0.5) - 1 I = diag(2, -0.5): the shift makes it indefinite
+        A = np.diag([3.0, 0.5])
+        out = minres_npc(A, np.array([0.0, 1.0]), 1e-10, 10, shift=-1.0)
+        assert out.flag == NPC and out.curvature == -0.5
+        out = minres_npc(A, np.array([1.0, 0.0]), 1e-10, 10, shift=-1.0)
+        assert out.flag == SOL and np.array_equal(out.direction, [0.5, 0.0])
+
 
 class TestMonotonicity:
     def test_residual_decreases_iterates_grow(self):
@@ -142,6 +158,39 @@ class TestBufferSafety:
         out = minres_npc(SymmetricOperator(3, lambda v: v), b, 1e-10, 10)
         assert out.flag == SOL and out.inner_iters == 1
         assert np.allclose(out.direction, b, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_operator_result_is_only_read(self, shift):
+        # an operator may return a buffer it keeps, or a read-only array: the
+        # kernel adds the shift into its own vector, so the buffer still holds
+        # A v and the outcome is that of an operator returning fresh arrays
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((6, 6))
+        A = 0.5 * (M + M.T)
+        kept = np.empty(6)
+        products, intact = [], []
+
+        def into_kept(v):
+            if products:    # the previous product, as the kernel left it
+                intact.append(np.array_equal(kept, products[-1]))
+            np.matmul(A, v, out=kept)
+            products.append(kept.copy())
+            return kept
+
+        def read_only(v):
+            out = A @ v
+            out.flags.writeable = False
+            return out
+
+        b = rng.standard_normal(6)
+        ref = minres_npc(SymmetricOperator(6, lambda v: A @ v), b, 1e-10, 20,
+                         shift=shift)
+        for fn in (into_kept, read_only):
+            out = minres_npc(SymmetricOperator(6, fn), b, 1e-10, 20, shift=shift)
+            assert (out.flag, out.inner_iters) == (ref.flag, ref.inner_iters)
+            assert np.array_equal(out.direction, ref.direction)
+        intact.append(np.array_equal(kept, products[-1]))
+        assert len(intact) == ref.inner_iters and all(intact)
 
     @pytest.mark.parametrize("A, b, max_inner", [
         (np.diag([2.0, 1.0, 0.5]), [1.0, 1.0, 1.0], 50),      # SOL

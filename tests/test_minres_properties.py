@@ -1,6 +1,7 @@
 """Property tests of the MINRES exit contracts (Liu & Roosta, "MINRES: from
 negative curvature detection to monotonicity properties", SIAM J. Optim.
-32(4), 2022) on random diagonal spectra of mixed sign."""
+32(4), 2022) on random diagonal spectra of mixed sign, reached through the
+``shift`` argument."""
 import numpy as np
 import pytest
 
@@ -13,10 +14,12 @@ from minresls.minres import NPC, SOL, minres_npc  # noqa: E402
 
 @st.composite
 def mixed_system(draw):
-    """(eigenvalues, b, tol, b_hits_negative): at least one eigenvalue of
-    each sign, magnitudes in [0.1, 10] so that rounding has a known scale.
-    Half the draws zero b on the negative eigenvalues; MINRES then never
-    leaves the positive eigenspace and must return SOL."""
+    """(eigenvalues, shift, b, tol, b_hits_negative): at least one
+    eigenvalue of each sign, magnitudes in [0.1, 10] so that rounding has a
+    known scale. The eigenvalues are those of A + shift*I, where A is the
+    diagonal matrix handed to MINRES with the shift. Half the draws zero b on
+    the negative eigenvalues; MINRES then never leaves the positive
+    eigenspace and must return SOL."""
     n = draw(st.integers(2, 30))
     mags = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
     signs = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
@@ -24,6 +27,7 @@ def mixed_system(draw):
     signs[neg] = -1.0
     signs[pos] = 1.0
     lam = mags * signs
+    shift = draw(st.one_of(st.sampled_from((0.0, 1e-12)), st.floats(-1.0, 1.0)))
     b = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     hits_negative = draw(st.booleans())
     if not hits_negative:
@@ -31,14 +35,17 @@ def mixed_system(draw):
     if not np.linalg.norm(b) > 1e-3:
         b[pos] = 1.0
     tol = draw(st.sampled_from((0.0, 1e-10, 1e-4, 0.5)))
-    return lam, b, tol, hits_negative
+    return lam, shift, b, tol, hits_negative
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(mixed_system())
 def test_exit_contracts(system):
-    lam, b, tol, hits_negative = system
-    out = minres_npc(np.diag(lam), b, tol, 4 * b.size)
+    lam, shift, b, tol, hits_negative = system
+    A = np.diag(lam - shift)
+    out = minres_npc(A, b, tol, 4 * b.size, shift=shift)
+    # the dense A + shift*I, whose diagonal is lam up to rounding
+    lam = np.diag(A + shift * np.eye(b.size))
     d = out.direction
     bnorm = float(np.linalg.norm(b))
     scale = float(np.abs(lam).max())
