@@ -41,7 +41,6 @@ from .driver import (
     schedule_eval,
     solve,
 )
-from .reference import krylov_lsq_oracle
 from .problems import REGISTRY, ProblemSpec, build_problem, list_problems
 from .bench import (
     ProfileTable,
@@ -90,7 +89,6 @@ __all__ = [
     "build_problem",
     "emit_trace",
     "ensure_operator",
-    "krylov_lsq_oracle",
     "list_problems",
     "minres_npc",
     "model_operator",

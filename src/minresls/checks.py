@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Objective
+from .core import Objective, SymmetricOperator
 from .hessians import LbfgsStore
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
 from .minres import MAXITER, NPC, SOL, minres_npc
 from .problems import build_problem, list_problems
 from .reference import (backtrack_reference, dense_bfgs_matrix, forward_grid_reference,
-                        krylov_lsq_oracle)
+                        krylov_lsq_oracle, minres_rotations)
 
 __all__ = [
     "random_symmetric_system",
+    "minres_iterations",
     "check_minres_oracle_equivalence",
     "check_minres_identities",
     "check_npc_certificates",
@@ -62,15 +63,32 @@ def random_symmetric_system(rng, n=None, kind="mixed"):
     return A, b, eigs
 
 
+def minres_iterations(A, b, tol, max_inner):
+    """One MINRES solve on the dense ``A``, replayed from outside the kernel.
+
+    Returns ``(outcome, vs, xs, rs, phis)``: the Lanczos vectors v_t, copied
+    by the operator as the kernel multiplies them, and x_t, r_t, phi_t of each
+    completed iteration t, read off the same solve stopped by ``max_inner=t``.
+    """
+    vs = []
+    op = SymmetricOperator(b.size, lambda v: vs.append(v.copy()) or A @ v)
+    out = minres_npc(op, b, tol, max_inner)
+    # a certificate at iteration T completes only T - 1 iterations
+    steps = [minres_npc(A, b, tol, t) for t in range(1, out.inner_iters)]
+    steps += [] if out.flag == NPC else [out]
+    return (out, vs, [s.direction for s in steps], [s.residual for s in steps],
+            [s.residual_norm for s in steps])
+
+
 def check_minres_oracle_equivalence(n_systems=200, seed=101) -> str:
     """phi_t agrees with the dense Krylov least-squares optimum at every t."""
     rng = np.random.default_rng(seed)
     compared = 0
     for _ in range(n_systems):
         A, b, _ = random_symmetric_system(rng)
-        out = minres_npc(A, b, 0.0, 50, collect=True)
+        out, _, _, _, phis = minres_iterations(A, b, 0.0, 50)
         beta1 = out.rhs_norm
-        for i, phi in enumerate(out.trace.phis):
+        for i, phi in enumerate(phis):
             ref = krylov_lsq_oracle(A, b, i + 1)
             assert abs(phi - ref) <= 1e-8 * beta1, (
                 f"phi_{i+1} = {phi:.3e} vs oracle {ref:.3e} (scale {beta1:.3e})")
@@ -81,40 +99,40 @@ def check_minres_oracle_equivalence(n_systems=200, seed=101) -> str:
 def check_minres_identities(n_systems=100, seed=7) -> str:
     """Recurrence identities and sanity invariants along every run.
 
-    Checked per iteration: the curvature identity
-    r_{t-1}'A r_{t-1} = -phi_{t-1}^2 c_{t-1} gamma1_t, the residual alignment
-    r_t'b = ||r_t||^2, phi_t = ||b - A x_t||, monotonicity of phi, |s_t| <= 1,
-    and local orthonormality of the Lanczos vectors.
+    Checked per iteration: the curvature identity r_{t-1}'A r_{t-1} =
+    -phi_{t-1}^2 c_{t-1} gamma1_t (scalars from ``minres_rotations``), the residual
+    alignment r_t'b = ||r_t||^2, phi_t = ||b - A x_t||, monotonicity of phi,
+    |s_t| = phi_t/phi_{t-1} <= 1, and local orthonormality of the Lanczos vectors.
     """
     rng = np.random.default_rng(seed)
     iters_total = 0
     for _ in range(n_systems):
         A, b, _ = random_symmetric_system(rng)
-        out = minres_npc(A, b, 0.0, 50, collect=True)
-        tr = out.trace
+        out, vs, xs, rs, phis = minres_iterations(A, b, 0.0, 50)
         beta1 = out.rhs_norm
         norm_a = float(np.linalg.norm(A, 2))
         scale = 1e-8 * max(1.0, norm_a) * beta1 * beta1
-        residuals = [b] + tr.rs
-        for t in range(1, len(tr.alphas) + 1):
+        residuals = [b] + rs
+        phis = [beta1] + phis       # phis[t] = phi_t from here on
+        certs = minres_rotations(A, vs)
+        for t in range(1, len(vs) + 1):
             r_prev = residuals[t - 1]
             lhs = float(r_prev @ (A @ r_prev))
-            rhs = -(tr.phi_prevs[t - 1] ** 2) * tr.c_prevs[t - 1] * tr.gamma1s[t - 1]
+            rhs = -(phis[t - 1] ** 2) * certs[t - 1]
             assert abs(lhs - rhs) <= scale, f"curvature identity off by {abs(lhs-rhs):.3e}"
-            v = tr.vs[t - 1]
+            v = vs[t - 1]
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             if t >= 2:
-                assert abs(float(v @ tr.vs[t - 2])) <= 1e-10
-        for i, r in enumerate(tr.rs):
+                assert abs(float(v @ vs[t - 2])) <= 1e-10
+        for i, r in enumerate(rs):
             align = float(r @ b) - float(r @ r)
             assert abs(align) <= 1e-8 * beta1 * beta1, f"residual alignment off by {align:.3e}"
-            direct = float(np.linalg.norm(b - A @ tr.xs[i]))
-            assert abs(tr.phis[i] - direct) <= 1e-8 * beta1
-            assert abs(tr.ss[i]) <= 1.0 + 1e-12
-        phis = [beta1] + tr.phis
+            direct = float(np.linalg.norm(b - A @ xs[i]))
+            assert abs(phis[i + 1] - direct) <= 1e-8 * beta1
+            assert abs(phis[i + 1] / phis[i]) <= 1.0 + 1e-12
         for a, bb in zip(phis, phis[1:]):
             assert bb <= a + 1e-12 * beta1, "phi is not monotone"
-        iters_total += len(tr.alphas)
+        iters_total += len(vs)
     return f"{n_systems} systems, {iters_total} iterations validated"
 
 
@@ -131,7 +149,7 @@ def check_npc_certificates(n_systems=200, seed=23) -> str:
     n_sol = 0
     for _ in range(n_systems):
         A, b, _ = random_symmetric_system(rng, kind="indefinite")
-        out = minres_npc(A, b, 0.0, 200, collect=True)
+        out = minres_npc(A, b, 0.0, 200)
         beta1 = out.rhs_norm
         assert out.flag != MAXITER, "indefinite system with tol=0 failed to classify"
         if out.flag == NPC:
@@ -158,7 +176,7 @@ def check_posdef_termination(n_systems=100, seed=31) -> str:
     for _ in range(n_systems):
         A, b, _ = random_symmetric_system(rng, kind="definite")
         n = b.size
-        out = minres_npc(A, b, 0.0, 10 * n, collect=False)
+        out = minres_npc(A, b, 0.0, 10 * n)
         assert out.flag == SOL, f"definite system ended {out.flag}"
         assert out.inner_iters <= n
         resid = float(np.linalg.norm(A @ out.direction - b))
@@ -178,21 +196,20 @@ def check_monotone_iterate_growth(n_systems=200, seed=47, kind="mixed") -> str:
     checked = 0
     for _ in range(n_systems):
         A, b, _ = random_symmetric_system(rng, kind=kind)
-        out = minres_npc(A, b, 0.0, 50, collect=True)
-        tr = out.trace
-        if not tr.xs:
+        _, vs, xs, _, _ = minres_iterations(A, b, 0.0, 50)
+        if not xs:
             continue
         p1_closed = (float(b @ (A @ b)) / float(np.linalg.norm(A @ b) ** 2)) * b
-        assert np.max(np.abs(tr.xs[0] - p1_closed)) <= 1e-10 * (1.0 + np.max(np.abs(p1_closed)))
-        p1b = float(tr.xs[0] @ b)
-        for x_t in tr.xs:
+        assert np.max(np.abs(xs[0] - p1_closed)) <= 1e-10 * (1.0 + np.max(np.abs(p1_closed)))
+        p1b = float(xs[0] @ b)
+        for x_t in xs:
             ptb = float(x_t @ b)
             ptap = float(x_t @ (A @ x_t))
             assert ptb > ptap - 1e-10, f"p'b = {ptb:.3e} <= p'Ap = {ptap:.3e}"
             assert ptb >= p1b - 1e-10
             checked += 1
         # interlacing of the Lanczos projection
-        V = np.column_stack(tr.vs)
+        V = np.column_stack(vs)
         T = V.T @ A @ V
         eig_t = np.sort(np.linalg.eigvalsh(0.5 * (T + T.T)))[::-1]
         eig_a = np.sort(np.linalg.eigvalsh(A))[::-1]
@@ -367,4 +384,6 @@ def run_all_checks() -> list[CheckResult]:
             results.append(CheckResult(name, True, detail))
         except AssertionError as exc:
             results.append(CheckResult(name, False, str(exc)))
+        except Exception as exc:    # a crashing suite fails alone
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

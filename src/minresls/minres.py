@@ -24,12 +24,13 @@ iterate, residuals and one scratch) and updates them in place, so its
 per-iteration bookkeeping allocates nothing of size n. Each Lanczos step
 writes ``A v + shift*v`` straight into the kernel's own buffer: the operator's
 result is read, never written, and the arrays an outcome returns are not
-touched again by the kernel: they belong to the caller.
+touched again by the kernel: they belong to the caller. The kernel records
+nothing else; ``minres_npc`` says how its per-iteration history is observed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "SOL",
     "NPC",
     "MAXITER",
-    "MinresTrace",
     "MinresOutcome",
     "minres_npc",
 ]
@@ -67,30 +67,6 @@ _TOL_FLOOR = 64.0
 
 
 @dataclass
-class MinresTrace:
-    """Per-iteration diagnostics, recorded only when requested.
-
-    Entries indexed by iteration t = 1, 2, ... The ``phi``/``x``/``r`` lists
-    cover completed iterations only; an iteration that exits with the curvature
-    certificate stops before producing them.
-    """
-
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)        # beta_{t+1}
-    gamma1s: list = field(default_factory=list)
-    gamma2s: list = field(default_factory=list)
-    c_prevs: list = field(default_factory=list)      # c_{t-1}
-    phi_prevs: list = field(default_factory=list)    # phi_{t-1}
-    cs: list = field(default_factory=list)
-    ss: list = field(default_factory=list)
-    taus: list = field(default_factory=list)
-    phis: list = field(default_factory=list)
-    vs: list = field(default_factory=list)           # Lanczos vectors v_t
-    xs: list = field(default_factory=list)           # iterates x_t
-    rs: list = field(default_factory=list)           # residual recursions r_t
-
-
-@dataclass
 class MinresOutcome:
     """Result of one inner solve.
 
@@ -107,11 +83,9 @@ class MinresOutcome:
     curvature: float
     rhs_norm: float
     residual_norm: float
-    trace: MinresTrace | None = None
 
 
-def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
-               collect: bool = False) -> MinresOutcome:
+def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> MinresOutcome:
     """Run MINRES on ``(A + shift*I) x = b`` until solution, curvature
     certificate, or cap.
 
@@ -133,8 +107,6 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
         Finite multiple of the identity added to ``A``; negative values are
         allowed. Every product is formed as ``A v + shift*v``, and the flags,
         ``curvature`` and residuals all refer to ``A + shift*I``.
-    collect : bool
-        Record a :class:`MinresTrace` for diagnostics and tests.
 
     Notes
     -----
@@ -143,6 +115,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
     rotation norm ``gamma2`` cannot vanish, and a zero ``beta_{t+1}`` forces
     ``phi_t = 0`` and therefore the solution exit; both facts are asserted
     rather than branched on.
+
+    Iteration t calls the operator exactly once, on v_t, and ``max_inner = t``
+    stops the same solve after iteration t with x_t, r_t and phi_t as its
+    ``direction``, ``residual`` and ``residual_norm`` (unless t certifies).
 
     The work vectors are allocated once per call and updated in place with
     ``out=``. The operator's result is only read, as the first operand of the
@@ -187,7 +163,6 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
     phi_prev = beta1    # phi_{t-1}
     beta_t = 0.0        # beta_t (zero pairs with v_prev = 0 at t = 1)
     anorm_est = 0.0
-    trace = MinresTrace() if collect else None
 
     for t in range(1, max_inner + 1):
         # Lanczos step on A + shift*I; the operator's result is only read
@@ -209,22 +184,13 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
         eps_next = s_prev * beta_next
         delta1_next = -c_prev * beta_next
 
-        if trace is not None:
-            trace.vs.append(v.copy())
-            trace.alphas.append(alpha)
-            trace.betas.append(beta_next)
-            trace.gamma1s.append(gamma1)
-            trace.c_prevs.append(c_prev)
-            trace.phi_prevs.append(phi_prev)
-
         if c_prev * gamma1 >= 0.0:
             # non-positive curvature certificate: return the previous residual,
             # rescaled to the right-hand side norm
             r_norm = float(np.linalg.norm(r_prev))
             direction = (beta1 / r_norm) * r_prev
             curvature = -(beta1 * beta1) * (c_prev * gamma1)
-            return MinresOutcome(NPC, direction, r_prev, t, curvature,
-                                 beta1, phi_prev, trace)
+            return MinresOutcome(NPC, direction, r_prev, t, curvature, beta1, phi_prev)
 
         gamma2 = math.hypot(gamma1, beta_next)
         # gamma1 != 0 on this side of the curvature test, so the rotation exists
@@ -249,18 +215,9 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
         else:
             r_t.fill(0.0)       # s = 0 makes phi exactly zero here
 
-        if trace is not None:
-            trace.gamma2s.append(gamma2)
-            trace.cs.append(c)
-            trace.ss.append(s)
-            trace.taus.append(tau)
-            trace.phis.append(phi)
-            trace.xs.append(x.copy())
-            trace.rs.append(r_t.copy())
-
         if phi <= stop_tol * beta1:
             curvature = float(x @ np.subtract(b, r_t, out=w))
-            return MinresOutcome(SOL, x, r_t, t, curvature, beta1, phi, trace)
+            return MinresOutcome(SOL, x, r_t, t, curvature, beta1, phi)
 
         # beta_{t+1} = 0 would have zeroed phi and taken the solution exit
         assert beta_next > 0.0
@@ -275,5 +232,4 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0,
         eps_t = eps_next
 
     curvature = float(x @ np.subtract(b, r_prev, out=w))
-    return MinresOutcome(MAXITER, x, r_prev, max_inner, curvature,
-                         beta1, phi_prev, trace)
+    return MinresOutcome(MAXITER, x, r_prev, max_inner, curvature, beta1, phi_prev)

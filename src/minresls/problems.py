@@ -2,9 +2,16 @@
 
 Each builder returns a :class:`ProblemSpec` that can mint fresh objectives
 (one oracle counter per run) and sample a deterministic starting point from a
-caller-supplied generator. The registry path additionally self-tests the
-analytic derivatives against central differences before handing the problem
-out, so a typo in a formula cannot silently poison a benchmark.
+caller-supplied generator.
+
+``ProblemSpec.self_test`` compares the analytic gradient and HVP with central
+differences at a few random points. The gradient check differences f along
+every coordinate, so it costs O(n^2) work, and its absolute tolerance fails a
+correct ``rosenbrock`` at n = 1e4, where rounding in f swamps the difference
+quotient. ``build_problem`` runs it by default; manifest cells
+(``bench.parse_manifest``) and the benchmark harness build with
+``self_test=False`` and are not checked. ``minresls check`` self-tests every
+registered problem at its default size.
 """
 from __future__ import annotations
 
@@ -236,8 +243,10 @@ def list_problems():
 def build_problem(name: str, self_test: bool = True, **params) -> ProblemSpec:
     """Instantiate a registered problem; unknown names raise KeyError.
 
-    Registry builds run the derivative self-test by default; pass
-    ``self_test=False`` to skip it when building in a tight loop.
+    Registry builds run the derivative self-test (three probe points, see
+    :meth:`ProblemSpec.self_test`) by default. It is O(n^2) and rejects a
+    correct ``rosenbrock`` at n = 1e4, so large instances, manifest cells and
+    the benchmark pass ``self_test=False`` and go unchecked.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(list_problems())}")

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is deliberately naive: an explicit Krylov basis with a dense
-least-squares solve, dense recursive quasi-Newton updates, exhaustive grid
+least-squares solve, MINRES rotations rebuilt from dense quadratic forms of
+the Lanczos vectors, dense recursive quasi-Newton updates, exhaustive grid
 scans. These are the independent side of every two-route check in the test
 suite and in ``minresls check``; none of them share code with the production
 kernels they validate.
@@ -16,6 +17,7 @@ from .core import ZeroRightHandSide, as_vector
 
 __all__ = [
     "krylov_lsq_oracle",
+    "minres_rotations",
     "dense_bfgs_matrix",
     "backtrack_reference",
     "forward_grid_reference",
@@ -57,6 +59,28 @@ def krylov_lsq_oracle(A: np.ndarray, b: np.ndarray, t: int) -> float:
     M = A @ Q
     y, *_ = np.linalg.lstsq(M, b, rcond=None)
     return float(np.linalg.norm(b - M @ y))
+
+
+def minres_rotations(A: np.ndarray, vs) -> np.ndarray:
+    """Certificate scalars c_{t-1} * gamma1_t rebuilt from Lanczos vectors.
+
+    ``vs`` holds the Lanczos vectors v_1..v_T of a MINRES run on the dense ``A``;
+    alpha_t = v_t'A v_t and beta_{t+1} = v_{t+1}'A v_t are dense quadratic forms
+    fed through the Givens recurrence from c_0 = -1, s_0 = 0. The scalars equal
+    -r_{t-1}'A r_{t-1} / phi_{t-1}^2; the first nonnegative one certifies.
+    """
+    c_prev, s_prev, delta1 = -1.0, 0.0, 0.0
+    certs = []
+    for t, v in enumerate(vs):
+        Av = A @ v
+        gamma1 = s_prev * delta1 - c_prev * float(v @ Av)
+        certs.append(c_prev * gamma1)
+        if t + 1 < len(vs):
+            beta_next = float(vs[t + 1] @ Av)
+            gamma2 = math.hypot(gamma1, beta_next)
+            delta1 = -c_prev * beta_next
+            c_prev, s_prev = gamma1 / gamma2, beta_next / gamma2
+    return np.array(certs)
 
 
 def dense_bfgs_matrix(gamma: float, pairs) -> np.ndarray:

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from minresls import cli
+from minresls import checks, cli
 from minresls.bench import (
     BUILTIN_CONFIGS,
     ParsedTrace,
@@ -434,3 +434,20 @@ class TestCli:
         assert cli.main(["check"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "1 of 2 suites failed" in out
+
+    def test_check_survives_a_raising_suite(self, monkeypatch, capsys):
+        # an exception other than AssertionError fails its suite alone
+        def raises():
+            return 1 / 0
+
+        suite = [("before", lambda: "ok", {}), ("raises", raises, {}),
+                 ("after", lambda: "ok", {})]
+        monkeypatch.setattr(checks, "_FAST_SUITE", suite)
+        results = checks.run_all_checks()
+        assert [(r.name, r.passed) for r in results] == [
+            ("before", True), ("raises", False), ("after", True)]
+        assert results[1].detail == "ZeroDivisionError: division by zero"
+        assert cli.main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert "raises  FAIL  ZeroDivisionError: division by zero" in out
+        assert "after   pass  ok" in out and "1 of 3 suites failed" in out

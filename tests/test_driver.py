@@ -417,7 +417,7 @@ class TestDirectionDispatch:
         """Make every inner solve return ``direction(b)`` as an NPC certificate."""
         def fake(A, b, tol, max_inner, **kwargs):
             return MinresOutcome(NPC, direction(b), b.copy(), 1, -1.0,
-                                 float(np.linalg.norm(b)), 1.0, None)
+                                 float(np.linalg.norm(b)), 1.0)
 
         monkeypatch.setattr(driver, "minres_npc", fake)
 

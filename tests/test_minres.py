@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from minresls.checks import minres_iterations, random_symmetric_system
 from minresls.core import SymmetricOperator, ZeroRightHandSide
 from minresls.minres import (
     MAXITER,
@@ -9,12 +10,12 @@ from minresls.minres import (
     SOL,
     minres_npc,
 )
-from minresls.reference import krylov_lsq_oracle
+from minresls.reference import krylov_lsq_oracle, minres_rotations
 
 
-def run(A, b, tol, max_inner=50, collect=False):
+def run(A, b, tol, max_inner=50):
     return minres_npc(np.asarray(A, dtype=float), np.asarray(b, dtype=float),
-                      tol, max_inner, collect=collect)
+                      tol, max_inner)
 
 
 class TestFrozenCases:
@@ -44,11 +45,12 @@ class TestFrozenCases:
         # only fires once the rotations have mixed in the negative eigenvalue.
         A = np.diag([1.0, -1.0])
         b = np.array([-2.0, -1.0])
-        out = run(A, b, 0.0, collect=True)
+        out, vs, _, _, _ = minres_iterations(A, b, 0.0, 50)
         assert out.flag == NPC
         assert out.inner_iters == 2
-        assert out.trace.c_prevs[0] * out.trace.gamma1s[0] < 0.0
-        assert out.trace.c_prevs[1] * out.trace.gamma1s[1] >= 0.0
+        certs = minres_rotations(A, vs)
+        assert certs[0] < 0.0
+        assert certs[1] >= 0.0
         d = out.direction
         assert d @ (A @ d) < 0.0
 
@@ -141,11 +143,10 @@ class TestMonotonicity:
         M = rng.standard_normal((10, 10))
         A = M @ M.T + 0.5 * np.eye(10)
         b = rng.standard_normal(10)
-        out = run(A, b, 1e-11, max_inner=60, collect=True)
+        out, _, xs, _, phis = minres_iterations(A, b, 1e-11, 60)
         assert out.flag == SOL
-        phis = out.trace.phis
         assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
-        xnorms = [np.linalg.norm(x) for x in out.trace.xs]
+        xnorms = [np.linalg.norm(x) for x in xs]
         assert all(b >= a - 1e-10 * (1 + a) for a, b in zip(xnorms, xnorms[1:]))
 
 
@@ -200,7 +201,7 @@ class TestBufferSafety:
     def test_rhs_unchanged(self, A, b, max_inner):
         b = np.array(b)
         kept = b.copy()
-        minres_npc(A, b, 0.0, max_inner, collect=True)
+        minres_npc(A, b, 0.0, max_inner)
         assert np.array_equal(b, kept)
 
     @pytest.mark.parametrize("flag, A", [
@@ -217,18 +218,67 @@ class TestBufferSafety:
         assert np.array_equal(first.direction, direction)
         assert np.array_equal(first.residual, residual)
 
-    def test_trace_vectors_are_snapshots(self):
+
+class TestIterationHistory:
+    """The history the checks rebuild outside the kernel: recorded Lanczos
+    vectors, truncated solves and the rotation reference."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "indefinite", "definite"])
+    def test_npc_exit_is_first_nonnegative_reference_scalar(self, kind):
+        rng = np.random.default_rng(17)
+        checked = npc = 0
+        for _ in range(100):
+            A, b, _ = random_symmetric_system(rng, kind=kind)
+            out, vs, _, _, _ = minres_iterations(A, b, 0.0, 50)
+            certs = minres_rotations(A, vs)
+            assert certs.size == out.inner_iters
+            if np.any(np.abs(certs) <= 1e-10 * np.linalg.norm(A, 2)):
+                continue        # a near-tie may round either way
+            signs = list(certs >= 0.0)
+            expected = signs.index(True) + 1 if True in signs else None
+            assert (out.inner_iters if out.flag == NPC else None) == expected
+            checked += 1
+            npc += out.flag == NPC
+        assert checked >= 90
+        if kind == "definite":
+            assert npc == 0
+        else:
+            assert npc > 0
+
+    def test_history_of_a_solution(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((8, 8))
         A = M @ M.T + 0.5 * np.eye(8)
-        out = run(A, rng.standard_normal(8), 1e-12, collect=True)
+        b = rng.standard_normal(8)
+        out, vs, xs, rs, phis = minres_iterations(A, b, 1e-12, 50)
         assert out.flag == SOL and out.inner_iters >= 3
-        for series in (out.trace.vs, out.trace.xs, out.trace.rs):
-            for a, b in zip(series, series[1:]):
-                assert not np.array_equal(a, b)
-        # the last snapshot is the returned iterate, not an alias of it
-        assert out.trace.xs[-1] is not out.direction
-        assert np.array_equal(out.trace.xs[-1], out.direction)
+        assert len(vs) == len(xs) == len(rs) == len(phis) == out.inner_iters
+        assert np.array_equal(vs[0], b / np.linalg.norm(b))
+        for series in (vs, xs, rs):
+            for a, c in zip(series, series[1:]):
+                assert not np.array_equal(a, c)
+        assert xs[-1] is out.direction and phis[-1] == out.residual_norm
+        # x_t from the solve stopped at t is the iterate the full solve built
+        ref = run(A, b, 1e-12, max_inner=out.inner_iters - 1)
+        assert ref.flag == MAXITER
+        assert np.array_equal(ref.direction, xs[-2])
+
+    def test_history_of_a_certificate(self):
+        A = np.diag([3.0, 2.0, -1.0, 0.5])
+        b = np.array([1.0, -2.0, 0.5, 1.5])
+        out, vs, xs, rs, phis = minres_iterations(A, b, 0.0, 50)
+        assert out.flag == NPC and out.inner_iters >= 2
+        assert len(vs) == out.inner_iters
+        assert len(xs) == len(rs) == len(phis) == out.inner_iters - 1
+        # the certifying residual is r_{T-1} of the solve stopped at T - 1
+        assert np.array_equal(out.residual, rs[-1])
+        assert out.residual_norm == phis[-1]
+
+    def test_rotations_frozen(self):
+        e1 = np.array([1.0, 0.0])
+        # c_0 gamma1_1 = -alpha_1 = -b'Ab / ||b||^2
+        assert list(minres_rotations(np.eye(2), [e1])) == [-1.0]
+        assert list(minres_rotations(-np.eye(2), [e1])) == [1.0]
 
 
 class TestKrylovOracle:
@@ -244,9 +294,9 @@ class TestKrylovOracle:
         M = rng.standard_normal((7, 7))
         A = M @ M.T + 0.3 * np.eye(7)
         b = rng.standard_normal(7)
-        out = run(A, b, 1e-12, max_inner=40, collect=True)
+        out, _, _, _, phis = minres_iterations(A, b, 1e-12, 40)
         assert out.flag == SOL
-        for t, phi in enumerate(out.trace.phis, start=1):
+        for t, phi in enumerate(phis, start=1):
             assert abs(phi - krylov_lsq_oracle(A, b, t)) <= 1e-8 * np.linalg.norm(b)
 
     def test_validation(self):

@@ -1,7 +1,8 @@
 """Property tests of the MINRES exit contracts (Liu & Roosta, "MINRES: from
 negative curvature detection to monotonicity properties", SIAM J. Optim.
 32(4), 2022) on random diagonal spectra of mixed sign, reached through the
-``shift`` argument."""
+``shift`` argument, and of the truncation property the self-checks rely on:
+a solve stopped at its own exit iteration returns the same outcome."""
 import numpy as np
 import pytest
 
@@ -49,6 +50,12 @@ def test_exit_contracts(system):
     d = out.direction
     bnorm = float(np.linalg.norm(b))
     scale = float(np.abs(lam).max())
+    # the same solve stopped at its own exit iteration returns the same outcome
+    again = minres_npc(A, b, tol, out.inner_iters, shift=shift)
+    assert (again.flag, again.inner_iters) == (out.flag, out.inner_iters)
+    assert (again.curvature, again.residual_norm) == (out.curvature, out.residual_norm)
+    assert np.array_equal(again.direction, d)
+    assert np.array_equal(again.residual, out.residual)
     if not hits_negative:
         assert out.flag == SOL
     if out.flag == SOL:

@@ -221,6 +221,12 @@ class TestRegistry:
         with pytest.raises(AssertionError, match="gradient gap"):
             broken.self_test()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="per-coordinate differences cancel at large |f|: "
+                              "gradient gap 1.593e-06 > 1e-06 (ROADMAP open item 3)")
+    def test_self_test_accepts_correct_rosenbrock_at_scale(self):
+        build_problem("rosenbrock", n=10_000)
+
     def test_fresh_counters_per_objective(self):
         spec = build_problem("quadratic", self_test=False, n=2)
         a, b = spec.make_objective(), spec.make_objective()
