@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import NotEvaluable
 from .driver import CONVERGED, RunTrace, ScheduleParams, SolverConfig, solve
 from .linesearch import LinesearchConfig
 from .problems import build_problem
@@ -241,8 +242,9 @@ def parse_manifest(text: str, base_dir: str | None = None,
                    origin: str = "<manifest>") -> list[RunCell]:
     """Parse and fully validate a manifest; raises before any cell could run.
 
-    Unknown problems, unknown configs, bad parameter or override values all
-    surface as ValueError tagged with the manifest line number.
+    Unknown problems, unknown configs, bad parameter or override values and
+    a failed derivative self-test all surface as ValueError tagged with the
+    manifest line number.
     """
     search_dirs = [base_dir] if base_dir else []
     cells = []
@@ -280,8 +282,8 @@ def parse_manifest(text: str, base_dir: str | None = None,
         if seed < 0 or repeats < 1:
             raise ValueError(f"{origin}:{ln}: need seed >= 0 and repeats >= 1")
         try:
-            spec = build_problem(fields["problem"], self_test=False, **params)
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = build_problem(fields["problem"], **params)
+        except (KeyError, TypeError, ValueError, AssertionError, NotEvaluable) as exc:
             detail = exc.args[0] if exc.args else exc
             raise ValueError(f"{origin}:{ln}: {detail}") from None
         try:

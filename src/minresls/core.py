@@ -3,9 +3,7 @@
 Everything downstream works on plain 1-D float64 numpy arrays. An operator is
 matrix-free (only its action ``v -> A v`` is available), an objective bundles
 callbacks for the function value, the gradient and, optionally, a
-Hessian-vector product, together with a running tally of oracle work. The
-finite-difference helpers at the bottom are the independent checks used to
-validate analytic derivatives.
+Hessian-vector product, together with a running tally of oracle work.
 """
 from __future__ import annotations
 
@@ -26,8 +24,6 @@ __all__ = [
     "SymmetricOperator",
     "ensure_operator",
     "Objective",
-    "fd_grad_check",
-    "fd_hvp_check",
     "symmetry_defect",
     "estimate_operator_norm",
 ]
@@ -176,7 +172,11 @@ class Objective:
 
     def f(self, x: np.ndarray) -> float:
         self.counter.add(self.f_cost)
-        return float(self._f(x))
+        out = self._f(x)
+        if not isinstance(out, float) and np.shape(out) != ():
+            raise ValueError(f"function oracle returned shape {np.shape(out)}, "
+                             "expected a scalar")
+        return float(out)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.counter.add(self.grad_cost)
@@ -194,46 +194,6 @@ class Objective:
             raise ValueError(f"{oracle} oracle returned shape {out.shape}, "
                              f"expected ({self.dim},)")
         return out
-
-
-def fd_grad_check(obj: Objective, x: np.ndarray, h: float = 1e-5) -> float:
-    """Max normalized gap between the analytic gradient and central differences.
-
-    Returns ``max_i |fd_i - g_i| / (1 + |g_i|)``. Raises :class:`NotEvaluable`
-    if the objective is non-finite at any probe point.
-    """
-    x = as_vector(x)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    g = obj.grad(x)
-    worst = 0.0
-    e = np.zeros_like(x)
-    for i in range(x.size):
-        e[i] = h
-        fp = obj.f(x + e)
-        fm = obj.f(x - e)
-        e[i] = 0.0
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NotEvaluable("objective not evaluable near the probe point")
-        fd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
-    return worst
-
-
-def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray, h: float = 1e-5) -> float:
-    """Max normalized gap between the analytic Hessian-vector product and a
-    central difference of gradients along ``v``."""
-    x = as_vector(x)
-    v = as_vector(v, "v")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    hv = obj.hvp(x, v)
-    gp = obj.grad(x + h * v)
-    gm = obj.grad(x - h * v)
-    if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-        raise NotEvaluable("gradient not evaluable near the probe point")
-    fd = (gp - gm) / (2.0 * h)
-    return float(np.max(np.abs(fd - hv) / (1.0 + np.abs(hv))))
 
 
 def estimate_operator_norm(op: SymmetricOperator, rng=None, iters: int = 30) -> float:

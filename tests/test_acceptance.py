@@ -34,7 +34,7 @@ SWEEP_COMBOS = [(0.1, beta, zmult)
 @pytest.fixture(scope="module")
 def coupled_sweep_runs():
     """Nine coupled-schedule runs on the sine fit, invariants armed."""
-    problem = build_problem("toy_sine", self_test=False, n=200)
+    problem = build_problem("toy_sine", n=200)
     runs = []
     t0 = time.perf_counter()
     for i, (cap, beta, zmult) in enumerate(SWEEP_COMBOS):
@@ -50,7 +50,7 @@ def coupled_sweep_runs():
 @pytest.fixture(scope="module")
 def saddle_runs():
     """100 seeded starts within 1e-3 of the strict saddle, invariants armed."""
-    problem = build_problem("quartic_saddle", self_test=False, n=10)
+    problem = build_problem("quartic_saddle", n=10)
     cfg = SolverConfig(check_invariants=True)
     runs = []
     for i in range(100):
@@ -165,7 +165,7 @@ def test_criterion_08_lbfgs_mr_end_to_end():
     """Chained Rosenbrock n=100 under the quasi-Newton schedule with the
     refined test: converges to ||g|| <= 1e-10 inside 1e5 oracle calls with
     monotone objective values."""
-    problem = build_problem("rosenbrock", self_test=False, n=100)
+    problem = build_problem("rosenbrock", n=100)
     sp = ScheduleParams(mode="lbfgs_mr")
     cfg = SolverConfig(schedule=sp, hessian="lbfgs", max_oracles=1e5)
     assert cfg.resolved_curvature_test == "refined"

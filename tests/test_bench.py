@@ -28,6 +28,7 @@ from minresls.bench import (
     write_suite,
 )
 from minresls.driver import CONVERGED, RunTrace
+from minresls.problems import REGISTRY, ProblemSpec, quadratic
 from minresls.reference import profile_fraction_reference
 
 
@@ -146,6 +147,15 @@ class TestManifests:
          "bad or duplicate parameter"),
         ("problem=quadratic config=newton_mr seed=1 junk", "not key=value"),
         ("problem=quadratic p.m=4 config=newton_mr seed=1", "unexpected keyword"),
+        ("problem=quadratic p.spectrum=1,nan config=newton_mr seed=1",
+         "spectrum contains non-finite entries"),
+        ("problem=quadratic p.spectrum=1,inf config=newton_mr seed=1",
+         "spectrum contains non-finite entries"),
+        ("problem=quartic_saddle p.spectrum=1,nan,-1 config=newton_mr seed=1",
+         "spectrum contains non-finite entries"),
+        ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be positive"),
+        ("problem=quadratic p.spectrum=1e308,1e308,1e308,1e308 config=newton_mr seed=1",
+         "objective not evaluable"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
         with pytest.raises(ValueError, match="m:1"):
@@ -153,6 +163,16 @@ class TestManifests:
         with pytest.raises(ValueError) as exc:
             parse_manifest(line + "\n", origin="m")
         assert fragment in str(exc.value)
+
+    def test_failed_self_test_is_tagged(self, monkeypatch):
+        def broken(n=3):
+            spec = quadratic(n=n)
+            return ProblemSpec("broken", n, spec._f, lambda x: 2.0 * x, spec._hvp,
+                               spec._start)
+        monkeypatch.setitem(REGISTRY, "broken", broken)
+        with pytest.raises(ValueError, match="m:2: broken: gradient gap"):
+            parse_manifest("problem=quadratic config=newton_mr seed=1\n"
+                           "problem=broken config=newton_mr seed=1\n", origin="m")
 
     def test_line_numbers_skip_comments(self):
         text = "# header\n\nproblem=quadratic config=newton_mr seed=bad\n"

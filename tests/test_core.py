@@ -11,11 +11,10 @@ from minresls.core import (
     as_vector,
     ensure_operator,
     estimate_operator_norm,
-    fd_grad_check,
-    fd_hvp_check,
     symmetry_defect,
 )
 from minresls.driver import solve
+from minresls.problems import build_problem, fd_grad_check, fd_hvp_check
 
 
 def quadratic_objective(counter=None):
@@ -90,6 +89,12 @@ class TestObjective:
         with pytest.raises(NoHessianOracle, match="no Hessian oracle"):
             obj.hvp(np.zeros(1), np.zeros(1))
 
+    def test_function_shape_checked(self):
+        obj = Objective(3, lambda x: x, lambda x: np.zeros(3))
+        with pytest.raises(ValueError, match=r"function oracle returned shape \(3,\), "
+                                             r"expected a scalar"):
+            obj.f(np.zeros(3))
+
     def test_gradient_shape_checked(self):
         obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(4))
         with pytest.raises(ValueError, match=r"gradient oracle returned shape \(4,\), "
@@ -124,17 +129,16 @@ class TestFiniteDifferences:
     def test_gradient_quadratic(self):
         # gradient is x itself; central differences are exact up to rounding
         obj = quadratic_objective()
-        assert fd_grad_check(obj, np.array([1.0, 2.0]), 1e-5) <= 1e-8
+        assert fd_grad_check(obj, np.array([1.0, 2.0]), np.array([0.6, -1.3])) <= 1e-8
 
     def test_gradient_constant(self):
         obj = Objective(3, lambda x: 7.0, lambda x: np.zeros(3))
-        assert fd_grad_check(obj, np.ones(3), 1e-5) <= 1e-12
+        assert fd_grad_check(obj, np.ones(3), np.array([1.0, -2.0, 0.5])) <= 1e-12
 
     def test_gradient_toy_sine(self):
-        from minresls.problems import build_problem
-        obj = build_problem("toy_sine", self_test=False, n=5).make_objective()
+        obj = build_problem("toy_sine", n=5).make_objective()
         rng = np.random.default_rng(11)
-        assert fd_grad_check(obj, rng.uniform(0, 1, 10), 1e-5) <= 1e-6
+        assert fd_grad_check(obj, rng.uniform(0, 1, 10), rng.standard_normal(10)) <= 1e-6
 
     def test_gradient_not_evaluable(self):
         def f(x):
@@ -142,7 +146,7 @@ class TestFiniteDifferences:
                 return float(np.log(x[0]))
         obj = Objective(1, f, lambda x: 1.0 / x)
         with pytest.raises(NotEvaluable):
-            fd_grad_check(obj, np.array([1e-9]), h=1e-5)
+            fd_grad_check(obj, np.array([1e-9]), np.ones(1))
 
     def test_hvp_constant_hessian(self):
         D = np.diag([1.0, -1.0])
@@ -150,11 +154,10 @@ class TestFiniteDifferences:
                         lambda x, v: D @ v)
         x = np.array([0.3, -2.0])
         assert np.array_equal(obj.hvp(x, np.array([0.0, 1.0])), [0.0, -1.0])
-        assert fd_hvp_check(obj, x, np.array([0.0, 1.0]), 1e-5) <= 1e-8
+        assert fd_hvp_check(obj, x, np.array([0.0, 1.0])) <= 1e-8
 
     def test_hvp_toy_sine(self):
-        from minresls.problems import build_problem
-        obj = build_problem("toy_sine", self_test=False, n=5).make_objective()
+        obj = build_problem("toy_sine", n=5).make_objective()
         rng = np.random.default_rng(12)
         assert fd_hvp_check(obj, rng.uniform(0, 1, 10), rng.standard_normal(10)) <= 1e-6
 
@@ -166,10 +169,6 @@ class TestFiniteDifferences:
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         with pytest.raises(NoHessianOracle):
             fd_hvp_check(obj, np.zeros(1), np.ones(1))
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            fd_grad_check(quadratic_objective(), np.ones(2), h=0.0)
 
 
 class TestOperators:

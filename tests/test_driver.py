@@ -36,7 +36,7 @@ from minresls.problems import build_problem
 
 
 def spec(name, **params):
-    return build_problem(name, self_test=False, **params)
+    return build_problem(name, **params)
 
 
 def linesearch_eval_cap(ls):

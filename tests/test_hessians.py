@@ -41,7 +41,7 @@ class TestExactOperator:
 
     def test_dense_is_symmetric_on_toy_sine(self):
         from minresls.problems import build_problem
-        obj = build_problem("toy_sine", self_test=False, n=4).make_objective()
+        obj = build_problem("toy_sine", n=4).make_objective()
         x = np.linspace(0.1, 0.9, 8)
         H = model_operator(obj=obj, x=x).to_dense()
         assert np.max(np.abs(H - H.T)) <= 1e-12

@@ -1,5 +1,6 @@
 """Benchmark problem definitions: frozen facts and derivative hygiene."""
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from minresls.problems import (
     REGISTRY,
+    ProblemSpec,
     build_problem,
     list_problems,
     quadratic,
@@ -76,6 +78,8 @@ class TestQuarticSaddle:
             quartic_saddle(spectrum=(1.0, 2.0))
         with pytest.raises(ValueError):
             quartic_saddle(n=1)
+        with pytest.raises(ValueError, match="spectrum contains non-finite"):
+            quartic_saddle(spectrum=(1.0, np.nan, -1.0))
 
 
 class TestRosenbrock:
@@ -197,6 +201,14 @@ class TestQuadratic:
     def test_indefinite_has_no_reference_value(self):
         assert quadratic(spectrum=(1.0, -2.0)).f_opt is None
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            quadratic(n=0)
+        with pytest.raises(ValueError, match="spectrum must be nonempty"):
+            quadratic(spectrum=())
+        with pytest.raises(ValueError, match="spectrum contains non-finite"):
+            quadratic(spectrum=(1.0, np.inf))
+
 
 class TestRegistry:
     def test_listing(self):
@@ -208,27 +220,146 @@ class TestRegistry:
             build_problem("nonesuch")
 
     def test_params_forwarded(self):
-        spec = build_problem("quadratic", self_test=False, spectrum=(3.0, 1.0))
+        spec = build_problem("quadratic", spectrum=(3.0, 1.0))
         assert spec.dim == 2
 
     def test_self_test_runs_by_default(self):
         build_problem("toy_sine", n=3)          # raises if derivatives drift
 
     def test_self_test_catches_broken_gradient(self):
-        spec = build_problem("quadratic", self_test=False, n=3)
+        spec = build_problem("quadratic", n=3)
         broken = type(spec)(spec.name, spec.dim, spec._f,
                             lambda x: 2.0 * x, spec._hvp, spec._start)
         with pytest.raises(AssertionError, match="gradient gap"):
             broken.self_test()
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="per-coordinate differences cancel at large |f|: "
-                              "gradient gap 1.593e-06 > 1e-06 (ROADMAP open item 3)")
-    def test_self_test_accepts_correct_rosenbrock_at_scale(self):
-        build_problem("rosenbrock", n=10_000)
+    @pytest.mark.parametrize("name", ["toy_sine", "quartic_saddle", "rosenbrock",
+                                      "quadratic"])
+    def test_self_test_accepts_correct_builtins_at_scale(self, name):
+        # rounding in f grows with n; the gaps' scales keep it below FD_TOL.
+        # The bound only guards the O(n) cost: a per-coordinate scan of
+        # n = 1e5 takes minutes, the directional checks well under a second
+        t0 = time.perf_counter()
+        spec = build_problem(name, n=100_000)
+        assert spec.dim >= 100_000
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_self_test_catches_one_wrong_gradient_entry(self):
+        # a 1% error in one of 1e4 entries barely moves g'v; the HVP check,
+        # which differences the gradient entrywise, rejects it
+        spec = rosenbrock(n=10_000)
+
+        def grad(x):
+            g = spec._grad(x)
+            g[5_000] *= 1.01
+            return g
+        broken = ProblemSpec(spec.name, spec.dim, spec._f, grad, spec._hvp, spec._start)
+        with pytest.raises(AssertionError, match="gap"):
+            broken.self_test(points=3)
 
     def test_fresh_counters_per_objective(self):
-        spec = build_problem("quadratic", self_test=False, n=2)
+        spec = build_problem("quadratic", n=2)
         a, b = spec.make_objective(), spec.make_objective()
         a.f(np.zeros(2))
         assert a.oracle_count == 1.0 and b.oracle_count == 0.0
+
+
+# Test-only copies of each builtin's grad and hvp with one sign switch per
+# additive term, grad terms first. ``s[k] = -1`` flips term k; all +1 is the
+# builtin. The counts are the terms of the builtin's expressions as written.
+def _toy_sine_terms(n, s):
+    def grad(z):
+        x, y = z[:n], z[n:]
+        e = y - np.sin(x)
+        return np.concatenate([s[0] * (-np.cos(x) * e), s[1] * e])
+
+    def hvp(z, v):
+        x, y = z[:n], z[n:]
+        e = y - np.sin(x)
+        cx = np.cos(x)
+        vx, vy = v[:n], v[n:]
+        hx = s[2] * (np.sin(x) * e * vx) + s[3] * (cx * cx * vx) + s[4] * (-cx * vy)
+        hy = s[5] * (-cx * vx) + s[6] * vy
+        return np.concatenate([hx, hy])
+    return grad, hvp
+
+
+def _quartic_saddle_terms(n, s):
+    a = np.ones(n)
+    a[1] = -1.0
+
+    def grad(x):
+        return s[0] * (a * x) + s[1] * (float(x @ x) * x)
+
+    def hvp(x, v):
+        return (s[2] * (a * v) + s[3] * (float(x @ x) * v)
+                + s[4] * (2.0 * float(x @ v) * x))
+    return grad, hvp
+
+
+def _rosenbrock_terms(n, s):
+    def grad(x):
+        g = np.zeros_like(x)
+        head, tail = x[:-1], x[1:]
+        gap = tail - head ** 2
+        g[:-1] = s[0] * (-400.0 * head * gap) + s[1] * (-2.0 * (1.0 - head))
+        g[1:] += s[2] * (200.0 * gap)
+        return g
+
+    def hvp(x, v):
+        h = np.zeros_like(x)
+        head, tail = x[:-1], x[1:]
+        vh, vt = v[:-1], v[1:]
+        h[:-1] += (s[3] * (1200.0 * head ** 2 * vh) + s[4] * (-400.0 * tail * vh)
+                   + s[5] * (2.0 * vh) + s[6] * (-400.0 * head * vt))
+        h[1:] += s[7] * (200.0 * vt) + s[8] * (-400.0 * head * vh)
+        return h
+    return grad, hvp
+
+
+def _quadratic_terms(n, s):
+    lam = np.ones(n)
+    return (lambda x: s[0] * (lam * x)), (lambda x, v: s[1] * (lam * v))
+
+
+TERM_COPIES = {
+    "toy_sine": (_toy_sine_terms, 7),
+    "quartic_saddle": (_quartic_saddle_terms, 5),
+    "rosenbrock": (_rosenbrock_terms, 9),
+    "quadratic": (_quadratic_terms, 2),
+}
+
+
+def _with_terms(name, n, s):
+    spec = REGISTRY[name](n=n)
+    grad, hvp = TERM_COPIES[name][0](n, s)
+    return spec, ProblemSpec(spec.name, spec.dim, spec._f, grad, hvp, spec._start)
+
+
+class TestSelfTestMutations:
+    @pytest.mark.parametrize("name", sorted(TERM_COPIES))
+    def test_unswitched_copies_match_builtins(self, name):
+        spec, copy = _with_terms(name, 50, np.ones(TERM_COPIES[name][1]))
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            x = rng.uniform(0.0, 1.0, spec.dim)
+            v = rng.standard_normal(spec.dim)
+            for ref, got in ((spec._grad(x), copy._grad(x)),
+                             (spec._hvp(x, v), copy._hvp(x, v))):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [10, 10_000])
+    @pytest.mark.parametrize("name", sorted(TERM_COPIES))
+    def test_every_sign_flip_fails_self_test(self, name, n):
+        # build_problem's three probe points must reject each single flip
+        survivors = []
+        for k in range(TERM_COPIES[name][1]):
+            s = np.ones(TERM_COPIES[name][1])
+            s[k] = -1.0
+            _, mutant = _with_terms(name, n, s)
+            try:
+                mutant.self_test(points=3)
+            except AssertionError:
+                continue
+            survivors.append(k)
+        assert survivors == []
