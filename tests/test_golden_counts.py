@@ -1,0 +1,81 @@
+"""Deterministic counts of ``demos/example.manifest`` against a committed file.
+
+Each line of ``golden_counts.txt`` is one run at seed 3, 5 or 11: its status,
+outer iterations and oracle count, then one ``flag/inner_iters/step`` token
+per outer iteration. Counts and grid steps do not depend on the last bits of
+the iterates, so the file holds across numpy builds; ``x_final`` is not
+pinned. A change that moves any count fails here and names the first field
+that differs. After a deliberate change, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden_counts.py --write
+
+and say in the change description why the counts moved.
+"""
+import dataclasses
+import sys
+from pathlib import Path
+
+from minresls.bench import parse_manifest, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = ROOT / "demos" / "example.manifest"
+GOLDEN = Path(__file__).with_name("golden_counts.txt")
+SEEDS = (3, 5, 11)
+HEADER = ("status", "iters", "oracles")
+RECORD = ("flag", "inner_iters", "step")
+
+
+def count_lines():
+    """One line per run of the example manifest at each of ``SEEDS``."""
+    cells = parse_manifest(MANIFEST.read_text(), base_dir=str(MANIFEST.parent),
+                           origin=str(MANIFEST))
+    lines = []
+    for seed in SEEDS:
+        for t in run_suite([dataclasses.replace(c, seed=seed) for c in cells]):
+            tokens = [f"{t.problem}/{t.config}/seed={t.seed}/repeat={t.repeat}",
+                      t.status, str(t.iters), repr(t.oracles)]
+            tokens += [f"{r.flag}/{r.inner_iters}/{r.step!r}" for r in t.records]
+            lines.append(" ".join(tokens))
+    return lines
+
+
+def first_difference(golden, now):
+    """Where ``now`` first departs from ``golden``, or None when they agree."""
+    if len(golden) != len(now):
+        return f"{len(now)} runs, golden file has {len(golden)}"
+    for want_line, got_line in zip(golden, now):
+        want, got = want_line.split(), got_line.split()
+        if want[0] != got[0]:
+            return f"run {got[0]} where the golden file has {want[0]}"
+        for name, w, g in zip(HEADER, want[1:4], got[1:4]):
+            if w != g:
+                return f"{got[0]}: {name} {g}, golden {w}"
+        for k, (w, g) in enumerate(zip(want[4:], got[4:]), 1):
+            for name, wf, gf in zip(RECORD, w.split("/"), g.split("/")):
+                if wf != gf:
+                    return f"{got[0]}: record k={k} {name} {gf}, golden {wf}"
+        if len(want) != len(got):
+            return f"{got[0]}: {len(got) - 4} records, golden {len(want) - 4}"
+    return None
+
+
+def test_example_manifest_counts_match_golden_file():
+    golden = GOLDEN.read_text().splitlines()
+    diff = first_difference(golden, count_lines())
+    assert diff is None, diff
+
+
+def test_first_difference_names_the_field():
+    golden = ["a/c/seed=3/repeat=0 CONVERGED 2 9.0 SOL/3/1.0 NPC/1/4.0"]
+    assert first_difference(golden, golden) is None
+    moved = ["a/c/seed=3/repeat=0 CONVERGED 2 9.0 SOL/3/1.0 NPC/1/2.0"]
+    assert first_difference(golden, moved) == "a/c/seed=3/repeat=0: record k=2 step 2.0, golden 4.0"
+    fewer = ["a/c/seed=3/repeat=0 CONVERGED 2 9.0 SOL/3/1.0"]
+    assert first_difference(golden, fewer) == "a/c/seed=3/repeat=0: 1 records, golden 2"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_counts.py --write")
+    GOLDEN.write_text("\n".join(count_lines()) + "\n")
+    print(f"wrote {GOLDEN}")
