@@ -4,15 +4,19 @@ Each ``check_*`` function draws seeded random instances, asserts the relevant
 identities with their stated tolerances, and returns a short human-readable
 tally. The assertions are the contract; the CLI wraps them into pass/fail
 lines, pytest calls them directly (the acceptance tests at the documented
-instance counts).
+instance counts). ``assert_symmetric`` and ``assert_direction_properties`` are
+what ``solve`` asserts under ``check_invariants``, billing no oracle work.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import performance_profile
 from .core import Objective, SymmetricOperator
+from .driver import GD
 from .hessians import LbfgsStore
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
 from .minres import MAXITER, NPC, SOL, minres_npc
@@ -21,6 +25,12 @@ from .reference import (backtrack_reference, dense_bfgs_matrix, forward_grid_ref
                         krylov_lsq_oracle, minres_rotations)
 
 __all__ = [
+    "SYMMETRY_TOL",
+    "InvariantViolation",
+    "estimate_operator_norm",
+    "symmetry_defect",
+    "assert_symmetric",
+    "assert_direction_properties",
     "random_symmetric_system",
     "minres_iterations",
     "check_minres_oracle_equivalence",
@@ -36,6 +46,99 @@ __all__ = [
     "run_all_checks",
     "CheckResult",
 ]
+
+
+# Largest ``symmetry_defect`` of the model operator that ``assert_symmetric``
+# accepts; a symmetric operator's defect is rounding error, far below this.
+SYMMETRY_TOL = 1e-8
+
+
+class InvariantViolation(AssertionError):
+    """A model operator or direction broke a contract of ``check_invariants``."""
+
+
+def estimate_operator_norm(op: SymmetricOperator, rng=None, iters: int = 30) -> float:
+    """Crude 2-norm estimate by power iteration on the symmetric operator."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    v = rng.standard_normal(op.dim)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(iters):
+        w = op(v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        est = nw
+        v = w / nw
+    return float(est)
+
+
+def symmetry_defect(op: SymmetricOperator, rng=None, probes: int = 20) -> float:
+    """Largest normalized asymmetry ``|u'(Av) - v'(Au)|`` over random probes.
+
+    The normalization is ``1 + ||u|| ||v|| ||A||_est`` so the defect of an
+    exactly symmetric operator sits at rounding level regardless of scale.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    norm_est = max(estimate_operator_norm(op, rng), 1e-30)
+    worst = 0.0
+    for _ in range(probes):
+        u = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim)
+        lhs = float(u @ op(v))
+        rhs = float(v @ op(u))
+        scale = 1.0 + np.linalg.norm(u) * np.linalg.norm(v) * norm_est
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def assert_symmetric(B, obj):
+    """Reject a model operator whose products are not symmetric, e.g. a wrong
+    Hessian-vector oracle, before MINRES runs on it."""
+    with obj.counter.paused():
+        defect = symmetry_defect(B)
+    if not (defect <= SYMMETRY_TOL):
+        raise InvariantViolation(f"model operator is not symmetric: symmetry "
+                                 f"defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
+
+
+def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj):
+    """Direction-quality assertions, enabled by ``check_invariants``.
+
+    Descent and norm bounds for each flag; the constant-bearing lower bound
+    for solution-path directions uses the dense norm of B + zeta*I and is
+    only affordable (and only checked) at small dimension.
+    """
+    d_sq = float(d @ d)
+    minus_dg = -float(d @ g)
+    if flag == GD:
+        if not np.array_equal(d, -g):
+            raise InvariantViolation("fallback direction is not the negative gradient")
+        return
+    if flag == NPC:
+        if not (minus_dg > theta * gnorm * gnorm):
+            raise InvariantViolation("certificate direction lost its descent margin")
+        if abs(math.sqrt(d_sq) - gnorm) > 1e-10 * (1.0 + gnorm):
+            raise InvariantViolation("certificate direction norm drifted from ||g||")
+        with obj.counter.paused():
+            true_quad = float(d @ B(d))
+        if not (true_quad <= -zeta * d_sq + 1e-8):
+            raise InvariantViolation("certificate direction has positive model curvature")
+        return
+    # solution path (SOL, or accepted MAXITER iterate)
+    bound = max(gnorm / sp.curvature_floor, gnorm ** (1.0 - sp.alpha) / a_k)
+    if not (math.sqrt(d_sq) <= bound + 1e-10):
+        raise InvariantViolation("solution-path direction norm exceeds its bound")
+    if B.dim <= 50:
+        with obj.counter.paused():
+            dense = B.to_dense() + zeta * np.eye(B.dim)
+        nb = float(np.linalg.norm(dense, 2))
+        c_k = 1.0 / (nb + nb * nb)
+        thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
+        if not (minus_dg > c_k * thresh * gnorm * gnorm):
+            raise InvariantViolation("solution-path direction lost its descent margin")
 
 
 def random_symmetric_system(rng, n=None, kind="mixed"):
@@ -340,8 +443,6 @@ def check_problem_derivatives(points=10, seed=83) -> str:
 
 def check_profile_example() -> str:
     """Frozen two-solver example for the performance profile construction."""
-    from .bench import performance_profile    # local import, bench pulls driver
-
     table = {
         ("fast", "p1"): (10.0, True),
         ("slow", "p1"): (20.0, True),

@@ -24,8 +24,6 @@ __all__ = [
     "SymmetricOperator",
     "ensure_operator",
     "Objective",
-    "symmetry_defect",
-    "estimate_operator_norm",
 ]
 
 
@@ -195,39 +193,3 @@ class Objective:
                              f"expected ({self.dim},)")
         return out
 
-
-def estimate_operator_norm(op: SymmetricOperator, rng=None, iters: int = 30) -> float:
-    """Crude 2-norm estimate by power iteration on the symmetric operator."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    v = rng.standard_normal(op.dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = op(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return float(est)
-
-
-def symmetry_defect(op: SymmetricOperator, rng=None, probes: int = 20) -> float:
-    """Largest normalized asymmetry ``|u'(Av) - v'(Au)|`` over random probes.
-
-    The normalization is ``1 + ||u|| ||v|| ||A||_est`` so the defect of an
-    exactly symmetric operator sits at rounding level regardless of scale.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    norm_est = max(estimate_operator_norm(op, rng), 1e-30)
-    worst = 0.0
-    for _ in range(probes):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        lhs = float(u @ op(v))
-        rhs = float(v @ op(u))
-        scale = 1.0 + np.linalg.norm(u) * np.linalg.norm(v) * norm_est
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

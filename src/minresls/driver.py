@@ -1,11 +1,11 @@
 """Outer loop: regularized Newton / quasi-Newton steps from the inner solver.
 
-Each iteration hands the model matrix B_k, its shift zeta_k and ``-g_k`` to
-the inner MINRES kernel, which solves (B_k + zeta_k I) d = -g_k to relative
-tolerance theta_k, screens the returned direction with a small-curvature
-test, and picks the stepsize with the search matching the direction's flag.
-Tolerance and shift shrink with the gradient norm, which is what produces the
-superlinear tail.
+Each iteration of :func:`solve` reads evaluate, choose, search, record. It
+evaluates and tests the gradient; :func:`_choose_direction` solves
+(B_k + zeta_k I) d = -g_k with MINRES to relative tolerance theta_k and screens
+the solution (SOL) or certificate (NPC), else falls back to -g_k (GD); the
+search matching the flag picks the step, and a record is kept. Tolerance and
+shift shrink with the gradient norm, which is what produces the superlinear tail.
 
 Schedules use natural log of (k + 1) wherever a log of the iteration counter
 appears, so the k = 1 values stay positive.
@@ -26,11 +26,10 @@ from .core import (
     OptimizationError,
     StepsizeStagnation,
     as_vector,
-    symmetry_defect,
 )
 from .hessians import LbfgsStore, model_operator
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
-from .minres import MAXITER, NPC, SOL, minres_npc
+from .minres import NPC, SOL, minres_npc
 
 __all__ = [
     "GD",
@@ -57,12 +56,6 @@ BUDGET = "BUDGET"
 DIVERGED = "DIVERGED"
 
 _SCHEDULE_MODES = ("newton_mr", "lbfgs_mr", "coupled")
-
-# Largest normalized symmetry defect (``core.symmetry_defect``) of the model
-# operator that ``check_invariants`` accepts; a symmetric operator's defect is
-# rounding error, orders of magnitude below this.
-SYMMETRY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -162,7 +155,7 @@ class SolverConfig:
     max_oracles: float = 1e5
     hessian: str = "exact"                # "exact" | "lbfgs"
     lbfgs_memory: int = 10
-    check_invariants: bool = False
+    check_invariants: bool = False       # assert model symmetry, direction contracts
 
     def __post_init__(self):
         if self.hessian not in ("exact", "lbfgs"):
@@ -209,56 +202,31 @@ class RunTrace:
     repeat: int | None = None
 
 
-class _InvariantViolation(AssertionError):
-    pass
+def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
+    """``(flag, d, inner_iters, d_curv)`` from (B + zeta I) d = -g solved to ``theta``.
 
-
-def _assert_symmetric(B, obj):
-    """Reject a model operator whose products are not symmetric, e.g. a wrong
-    Hessian-vector oracle, before MINRES runs on it."""
-    with obj.counter.paused():
-        defect = symmetry_defect(B)
-    if not (defect <= SYMMETRY_TOL):
-        raise _InvariantViolation(f"model operator is not symmetric: symmetry "
-                                  f"defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
-
-
-def _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                 B, obj):
-    """Direction-quality assertions, enabled by ``check_invariants``.
-
-    Descent and norm bounds for each flag; the constant-bearing lower bound
-    for solution-path directions uses the dense norm of B + zeta*I and is
-    only affordable (and only checked) at small dimension.
+    A certificate is NPC with d_curv = d'Bd; a solution, or the iterate at the
+    inner cap, is SOL. A failed screen gives GD (d = -g, d_curv = 0) with the
+    inner iterations kept; a degenerate L-BFGS matrix gives GD with none.
     """
+    sp = cfg.schedule
+    refined = cfg.resolved_curvature_test == "refined"
+    try:
+        out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
+    except DegenerateMiddleMatrix:
+        return GD, -g, 0, 0.0
+    d = out.direction
     d_sq = float(d @ d)
-    minus_dg = -float(d @ g)
-    if flag == GD:
-        if not np.array_equal(d, -g):
-            raise _InvariantViolation("fallback direction is not the negative gradient")
-        return
-    if flag == NPC:
-        if not (minus_dg > theta * gnorm * gnorm):
-            raise _InvariantViolation("certificate direction lost its descent margin")
-        if abs(math.sqrt(d_sq) - gnorm) > 1e-10 * (1.0 + gnorm):
-            raise _InvariantViolation("certificate direction norm drifted from ||g||")
-        with obj.counter.paused():
-            true_quad = float(d @ B(d))
-        if not (true_quad <= -zeta * d_sq + 1e-8):
-            raise _InvariantViolation("certificate direction has positive model curvature")
-        return
-    # solution path (SOL, or accepted MAXITER iterate)
-    bound = max(gnorm / sp.curvature_floor, gnorm ** (1.0 - sp.alpha) / a_k)
-    if not (math.sqrt(d_sq) <= bound + 1e-10):
-        raise _InvariantViolation("solution-path direction norm exceeds its bound")
-    if B.dim <= 50:
-        with obj.counter.paused():
-            dense = B.to_dense() + zeta * np.eye(B.dim)
-        nb = float(np.linalg.norm(dense, 2))
-        c_k = 1.0 / (nb + nb * nb)
-        thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
-        if not (minus_dg > c_k * thresh * gnorm * gnorm):
-            raise _InvariantViolation("solution-path direction lost its descent margin")
+    if out.flag == NPC:
+        d_curv = out.curvature - zeta * d_sq
+        if not refined or curvature_test_npc_cap(d_curv, d_sq, sp):
+            return NPC, d, out.inner_iters, d_curv
+    elif refined:
+        if curvature_test_refined(out.curvature, d_sq, gnorm * gnorm, a_k, sp):
+            return SOL, d, out.inner_iters, 0.0
+    elif curvature_test_basic(out.curvature, d_sq, gnorm, a_k, sp):
+        return SOL, d, out.inner_iters, 0.0
+    return GD, -g, out.inner_iters, 0.0
 
 
 def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
@@ -294,9 +262,11 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     if cfg.hessian == "exact" and not obj.has_hvp:
         raise NoHessianOracle("exact mode needs a Hessian-vector oracle")
 
+    if cfg.check_invariants:
+        from . import checks    # test-only instruments, not loaded otherwise
+
     sp = cfg.schedule
     ls = cfg.linesearch
-    test_kind = cfg.resolved_curvature_test
     store = LbfgsStore(obj.dim, cfg.lbfgs_memory) if cfg.hessian == "lbfgs" else None
 
     t0 = time.perf_counter()
@@ -329,48 +299,14 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
         B = model_operator(store=store, obj=obj, x=x)
         if cfg.check_invariants and k == 1:
-            _assert_symmetric(B, obj)
-        b = -g
-
-        d_curv = 0.0
+            checks.assert_symmetric(B, obj)
         try:
-            out = minres_npc(B, b, theta, cfg.max_inner, shift=zeta)
+            flag, d, inner, d_curv = _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg)
         except NumericalBreakdown:
             status = DIVERGED
             break
-        except DegenerateMiddleMatrix:
-            out = None
-
-        if out is None:
-            d = -g
-            flag = GD
-            inner = 0
-        else:
-            d = out.direction
-            inner = out.inner_iters
-            if out.flag == NPC:
-                flag = NPC
-                d_sq = float(d @ d)
-                d_curv = out.curvature - zeta * d_sq
-                if test_kind == "refined" and not curvature_test_npc_cap(d_curv, d_sq, sp):
-                    d = -g
-                    flag = GD
-            else:
-                # SOL, or the iterate left standing at the inner cap
-                flag = SOL
-                ptBp = out.curvature
-                p_sq = float(d @ d)
-                if test_kind == "refined":
-                    ok = curvature_test_refined(ptBp, p_sq, gnorm * gnorm, a_k, sp)
-                else:
-                    ok = curvature_test_basic(ptBp, p_sq, gnorm, a_k, sp)
-                if not ok:
-                    d = -g
-                    flag = GD
-
         if cfg.check_invariants:
-            _assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp,
-                                         B, obj)
+            checks.assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
 
         g_dot_d = float(g @ d)
         if flag == NPC and g_dot_d >= 0.0:

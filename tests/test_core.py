@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from minresls.checks import estimate_operator_norm, symmetry_defect
 from minresls.core import (
     NoHessianOracle,
     NotEvaluable,
@@ -10,8 +11,6 @@ from minresls.core import (
     SymmetricOperator,
     as_vector,
     ensure_operator,
-    estimate_operator_norm,
-    symmetry_defect,
 )
 from minresls.driver import solve
 from minresls.problems import build_problem, fd_grad_check, fd_hvp_check

@@ -7,11 +7,14 @@ import pytest
 
 from minresls import driver
 from minresls.bench import builtin_config
+from minresls.checks import InvariantViolation
 from minresls.core import (
     NoHessianOracle,
+    NumericalBreakdown,
     Objective,
     OptimizationError,
     SymmetricOperator,
+    ensure_operator,
 )
 from minresls.driver import (
     BUDGET,
@@ -27,11 +30,10 @@ from minresls.driver import (
     curvature_test_refined,
     schedule_eval,
     solve,
-    _InvariantViolation,
 )
 from minresls.hessians import LbfgsStore
 from minresls.linesearch import LinesearchConfig, npc_linesearch
-from minresls.minres import NPC, MinresOutcome
+from minresls.minres import MAXITER, NPC, SOL, MinresOutcome, minres_npc
 from minresls.problems import build_problem
 
 
@@ -136,6 +138,64 @@ class TestSolverConfig:
             SolverConfig(max_inner=0)
         with pytest.raises(ValueError):
             SolverConfig(max_oracles=0.0)
+
+
+class TestChooseDirection:
+    """Every outcome of the direction choice, on small dense models."""
+
+    @staticmethod
+    def choose(B, g, **cfg_fields):
+        cfg = SolverConfig(**cfg_fields)
+        gnorm = float(np.linalg.norm(g))
+        theta, zeta, a_k = schedule_eval(1, gnorm, cfg.schedule)
+        return driver._choose_direction(ensure_operator(B), g, gnorm, theta, zeta,
+                                        a_k, cfg)
+
+    def test_violent_certificate_is_npc_exact_and_gd_lbfgs(self):
+        # a certificate at t = 1 with |d'Bd| / ||d||^2 about 5e8, above the
+        # refined screen's 1e8 cap
+        B, g = np.diag([1.0, -1e9]), np.ones(2)
+        flag, d, inner, d_curv = self.choose(B, g)
+        assert (flag, inner) == (NPC, 1)
+        assert d_curv / float(d @ d) == pytest.approx((1.0 - 1e9) / 2.0, rel=1e-12)
+        flag, d, inner, d_curv = self.choose(B, g, hessian="lbfgs")
+        assert (flag, inner, d_curv) == (GD, 1, 0.0)
+        assert np.array_equal(d, -g)
+
+    def test_stiff_solution_is_sol_exact_and_gd_lbfgs(self):
+        # p'Bp = 1e-13 ||g||^2 clears the basic floor against ||p||^2 and
+        # fails the refined one against ||g||^2
+        B, g = 1e13 * np.eye(2), np.ones(2)
+        flag, d, inner, d_curv = self.choose(B, g)
+        assert (flag, inner, d_curv) == (SOL, 1, 0.0)
+        assert np.allclose(d, -g / 1e13, rtol=1e-14)
+        flag, d, inner, _ = self.choose(B, g, hessian="lbfgs")
+        assert (flag, inner) == (GD, 1)
+        assert np.array_equal(d, -g)
+
+    @pytest.mark.parametrize("hessian", ["exact", "lbfgs"])
+    def test_inner_cap_is_flagged_sol(self, hessian):
+        B, g = np.diag([1.0, 2.0, 3.0, 10.0]), np.ones(4)
+        assert minres_npc(B, -g, 0.1, 1).flag == MAXITER
+        flag, d, inner, _ = self.choose(B, g, max_inner=1, hessian=hessian)
+        assert (flag, inner) == (SOL, 1)
+        assert np.allclose(d, minres_npc(B, -g, 0.1, 1).direction, rtol=1e-10)
+
+    def test_degenerate_model_is_gd_without_inner_iterations(self):
+        from minresls.core import DegenerateMiddleMatrix
+
+        def degenerate(v):
+            raise DegenerateMiddleMatrix("forced")
+
+        g = np.array([1.0, -2.0])
+        flag, d, inner, d_curv = self.choose(SymmetricOperator(2, degenerate), g,
+                                             hessian="lbfgs")
+        assert (flag, inner, d_curv) == (GD, 0, 0.0)
+        assert np.array_equal(d, -g)
+
+    def test_breakdown_propagates(self):
+        with pytest.raises(NumericalBreakdown):
+            self.choose(np.full((2, 2), np.nan), np.ones(2))
 
 
 class TestSolveBasics:
@@ -400,7 +460,7 @@ class TestDirectionDispatch:
 
     def test_nonsymmetric_hvp_is_named(self):
         obj = self.skewed_quadratic()
-        with pytest.raises(_InvariantViolation, match="not symmetric"):
+        with pytest.raises(InvariantViolation, match="not symmetric"):
             solve(obj, np.ones(6), SolverConfig(check_invariants=True))
         assert obj.oracle_count == 2.0      # f and grad at x0; the check is free
 
