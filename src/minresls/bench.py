@@ -53,6 +53,7 @@ __all__ = [
     "metric_from_summary",
     "parse_config_text",
     "parse_manifest",
+    "parse_trace",
     "parse_trace_text",
     "performance_profile",
     "repeat_rng",

@@ -42,14 +42,19 @@ def fd_grad_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     """Gap ``|fd - g'v| / (1 + ||g|| ||v||)`` of a central difference of f along v.
 
     Rounding in f(x +- h v) grows with |f|; the Cauchy-Schwarz scale absorbs it.
+    A scale that overflows raises :class:`NotEvaluable`, as the gap would read 0.
     """
     x = as_vector(x)
     v = as_vector(v, "v")
     g = obj.grad(x)
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.linalg.norm(g) * np.linalg.norm(v)
+    if not np.isfinite(scale):
+        raise NotEvaluable("gradient norm overflows at the probe point")
     fd = (obj.f(x + FD_STEP * v) - obj.f(x - FD_STEP * v)) / (2.0 * FD_STEP)
     if not np.isfinite(fd):
         raise NotEvaluable("objective not evaluable near the probe point")
-    return abs(fd - float(g @ v)) / (1.0 + np.linalg.norm(g) * np.linalg.norm(v))
+    return abs(fd - float(g @ v)) / scale
 
 
 def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:

@@ -155,7 +155,7 @@ class TestManifests:
          "spectrum contains non-finite entries"),
         ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be positive"),
         ("problem=quadratic p.spectrum=1e308,1e308,1e308,1e308 config=newton_mr seed=1",
-         "objective not evaluable"),
+         "gradient norm overflows"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
         with pytest.raises(ValueError, match="m:1"):

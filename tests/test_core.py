@@ -147,6 +147,13 @@ class TestFiniteDifferences:
         with pytest.raises(NotEvaluable):
             fd_grad_check(obj, np.array([1e-9]), np.ones(1))
 
+    def test_gradient_norm_overflow(self):
+        # ||g|| ||v|| overflows to inf, which would read a gap of 0
+        obj = Objective(2, lambda x: 0.0, lambda x: np.full(2, 1e200))
+        with pytest.raises(NotEvaluable, match="gradient norm overflows"):
+            fd_grad_check(obj, np.zeros(2), np.array([1.0, -1.0]))
+        assert obj.oracle_count == 1.0      # the gradient only; f is never called
+
     def test_hvp_constant_hessian(self):
         D = np.diag([1.0, -1.0])
         obj = Objective(2, lambda x: 0.5 * float(x @ (D @ x)), lambda x: D @ x,
