@@ -14,14 +14,13 @@ from .core import (
     NumericalBreakdown,
     Objective,
     OptimizationError,
-    OracleCounter,
     StepsizeStagnation,
     SymmetricOperator,
     ZeroRightHandSide,
     ensure_operator,
 )
 from .minres import MAXITER, NPC, SOL, MinresOutcome, minres_npc
-from .hessians import LbfgsStore, model_operator
+from .hessians import LbfgsStore
 from .linesearch import (
     LinesearchConfig,
     LinesearchResult,
@@ -73,7 +72,6 @@ __all__ = [
     "NumericalBreakdown",
     "Objective",
     "OptimizationError",
-    "OracleCounter",
     "ProblemSpec",
     "ProfileTable",
     "REGISTRY",
@@ -91,7 +89,6 @@ __all__ = [
     "ensure_operator",
     "list_problems",
     "minres_npc",
-    "model_operator",
     "npc_linesearch",
     "parse_manifest",
     "parse_trace",

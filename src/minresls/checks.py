@@ -97,7 +97,7 @@ def symmetry_defect(op: SymmetricOperator, rng=None, probes: int = 20) -> float:
 def assert_symmetric(B, obj):
     """Reject a model operator whose products are not symmetric, e.g. a wrong
     Hessian-vector oracle, before MINRES runs on it."""
-    with obj.counter.paused():
+    with obj.paused():
         defect = symmetry_defect(B)
     if not (defect <= SYMMETRY_TOL):
         raise InvariantViolation(f"model operator is not symmetric: symmetry "
@@ -122,7 +122,7 @@ def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
             raise InvariantViolation("certificate direction lost its descent margin")
         if abs(math.sqrt(d_sq) - gnorm) > 1e-10 * (1.0 + gnorm):
             raise InvariantViolation("certificate direction norm drifted from ||g||")
-        with obj.counter.paused():
+        with obj.paused():
             true_quad = float(d @ B(d))
         if not (true_quad <= -zeta * d_sq + 1e-8):
             raise InvariantViolation("certificate direction has positive model curvature")
@@ -132,7 +132,7 @@ def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
     if not (math.sqrt(d_sq) <= bound + 1e-10):
         raise InvariantViolation("solution-path direction norm exceeds its bound")
     if B.dim <= 50:
-        with obj.counter.paused():
+        with obj.paused():
             dense = B.to_dense() + zeta * np.eye(B.dim)
         nb = float(np.linalg.norm(dense, 2))
         c_k = 1.0 / (nb + nb * nb)

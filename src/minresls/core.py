@@ -8,6 +8,7 @@ Hessian-vector product, together with a running tally of oracle work.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "StepsizeStagnation",
     "DegenerateMiddleMatrix",
     "as_vector",
-    "OracleCounter",
     "SymmetricOperator",
     "ensure_operator",
     "Objective",
@@ -74,32 +74,6 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-class OracleCounter:
-    """Monotone tally of oracle work, in units of one function evaluation."""
-
-    __slots__ = ("count", "_paused")
-
-    def __init__(self):
-        self.count = 0.0
-        self._paused = False
-
-    def add(self, units: float) -> None:
-        if units < 0:
-            raise ValueError("oracle cost must be nonnegative")
-        if not self._paused:
-            self.count += units
-
-    @contextlib.contextmanager
-    def paused(self):
-        """Suspend counting, e.g. while instrumentation re-evaluates the model."""
-        prev = self._paused
-        self._paused = True
-        try:
-            yield self
-        finally:
-            self._paused = prev
-
-
 class SymmetricOperator:
     """Matrix-free symmetric linear map on R^dim."""
 
@@ -139,9 +113,11 @@ def ensure_operator(A) -> SymmetricOperator:
 class Objective:
     """Smooth objective with oracle accounting.
 
-    Costs default to one unit per function value, one per gradient and two per
+    ``oracle_count`` tallies oracle work in units of one function evaluation:
+    every call of ``f``, ``grad`` or ``hvp`` adds that oracle's cost. Costs
+    default to one unit per function value, one per gradient and two per
     Hessian-vector product, mirroring the usual reverse-mode arithmetic
-    estimates; all three are configurable.
+    estimates; each is configurable and must be finite and nonnegative.
 
     MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
     returns, so an oracle must not keep a reference to its arguments. The
@@ -149,27 +125,33 @@ class Objective:
     read-only array, or a buffer it keeps and refills on the next call.
     """
 
-    def __init__(self, dim, f, grad, hvp=None, *, counter=None,
+    def __init__(self, dim, f, grad, hvp=None, *,
                  f_cost=1.0, grad_cost=1.0, hvp_cost=2.0):
         self.dim = int(dim)
         self._f = f
         self._grad = grad
         self._hvp = hvp
-        self.counter = counter if counter is not None else OracleCounter()
-        self.f_cost = float(f_cost)
-        self.grad_cost = float(grad_cost)
-        self.hvp_cost = float(hvp_cost)
+        self.oracle_count = 0.0
+        self.f_cost = _cost("f_cost", f_cost)
+        self.grad_cost = _cost("grad_cost", grad_cost)
+        self.hvp_cost = _cost("hvp_cost", hvp_cost)
 
     @property
     def has_hvp(self) -> bool:
         return self._hvp is not None
 
-    @property
-    def oracle_count(self) -> float:
-        return self.counter.count
+    @contextlib.contextmanager
+    def paused(self):
+        """Restore ``oracle_count`` on exit, e.g. after instrumentation has
+        re-evaluated the model; pauses nest."""
+        saved = self.oracle_count
+        try:
+            yield self
+        finally:
+            self.oracle_count = saved
 
     def f(self, x: np.ndarray) -> float:
-        self.counter.add(self.f_cost)
+        self.oracle_count += self.f_cost
         out = self._f(x)
         if not isinstance(out, float) and np.shape(out) != ():
             raise ValueError(f"function oracle returned shape {np.shape(out)}, "
@@ -177,13 +159,13 @@ class Objective:
         return float(out)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        self.counter.add(self.grad_cost)
+        self.oracle_count += self.grad_cost
         return self._checked("gradient", self._grad(x))
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hvp is None:
             raise NoHessianOracle("no Hessian oracle attached to this objective")
-        self.counter.add(self.hvp_cost)
+        self.oracle_count += self.hvp_cost
         return self._checked("Hessian-vector", self._hvp(x, v))
 
     def _checked(self, oracle: str, out) -> np.ndarray:
@@ -193,3 +175,9 @@ class Objective:
                              f"expected ({self.dim},)")
         return out
 
+
+def _cost(name: str, value) -> float:
+    cost = float(value)
+    if not (math.isfinite(cost) and cost >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {cost!r}")
+    return cost

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .core import (
     Objective,
     OptimizationError,
     StepsizeStagnation,
+    SymmetricOperator,
     as_vector,
 )
-from .hessians import LbfgsStore, model_operator
+from .hessians import LbfgsStore
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
 from .minres import NPC, SOL, minres_npc
 
@@ -88,14 +90,16 @@ class ScheduleParams:
             raise ValueError("curvature_floor must be positive")
         if not (0.0 < self.tol_cap < 1.0):
             raise ValueError("tol_cap must lie in (0, 1)")
-        if self.shift_cap <= 0.0:
+        if not (self.shift_cap > 0.0):
             raise ValueError("shift_cap must be positive")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if not (0.0 < self.zeta_exp <= 1.0):
             raise ValueError("zeta_exp must lie in (0, 1]")
-        if self.beta <= 0.0 or self.zeta_mult <= 0.0:
+        if not (self.beta > 0.0 and self.zeta_mult > 0.0):
             raise ValueError("beta and zeta_mult must be positive")
+        if not (self.npc_curvature_cap > 0.0):
+            raise ValueError("npc_curvature_cap must be positive")
 
 
 def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
@@ -162,8 +166,10 @@ class SolverConfig:
             raise ValueError(f"unknown hessian mode {self.hessian!r}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
-        if self.grad_tol < 0 or self.max_oracles <= 0:
+        if not (self.grad_tol >= 0.0 and self.max_oracles > 0.0):
             raise ValueError("grad_tol must be >= 0 and max_oracles > 0")
+        if self.lbfgs_memory < 1:
+            raise ValueError("lbfgs_memory must be at least 1")
 
     @property
     def resolved_curvature_test(self) -> str:
@@ -297,7 +303,12 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             break
 
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
-        B = model_operator(store=store, obj=obj, x=x)
+        # the model B, without zeta*I: L-BFGS products cost no oracle calls,
+        # exact ones one Hessian-vector call each. x is rebound, never written,
+        # so the copy is not for correctness: without it the allocator
+        # trimmed and refaulted the heap (ROADMAP item 6)
+        apply = store.apply if store is not None else partial(obj.hvp, x.copy())
+        B = SymmetricOperator(obj.dim, apply)
         if cfg.check_invariants and k == 1:
             checks.assert_symmetric(B, obj)
         try:

@@ -1,4 +1,4 @@
-"""Hessian models: compact L-BFGS and the model operator.
+"""Quasi-Newton Hessian model: the compact L-BFGS store.
 
 The quasi-Newton store keeps the most recent curvature pairs and applies the
 BFGS matrix (not its inverse) through the compact outer-product form
@@ -33,13 +33,9 @@ import math
 
 import numpy as np
 
-from .core import (
-    DegenerateMiddleMatrix,
-    Objective,
-    SymmetricOperator,
-)
+from .core import DegenerateMiddleMatrix
 
-__all__ = ["LbfgsStore", "model_operator"]
+__all__ = ["LbfgsStore"]
 
 # |y's| >= CAUTIOUS_FLOOR * ||s||^2 keeps the pair
 CAUTIOUS_FLOOR = 1e-18
@@ -149,19 +145,3 @@ class LbfgsStore:
         live = self._pairs[:2 * self.n_pairs]
         return self.gamma * v - (self._K @ (live @ v)) @ live
 
-
-def model_operator(*, store: LbfgsStore | None = None,
-                   obj: Objective | None = None, x=None) -> SymmetricOperator:
-    """The model matrix B as one matrix-free operator.
-
-    B is the L-BFGS matrix of ``store`` when one is given; its products cost
-    no oracle calls. Otherwise B is the exact Hessian of ``obj`` at a frozen
-    copy of ``x``, and every product is charged to the objective's counter as
-    one Hessian-vector oracle call. A product is returned as ``store.apply``
-    or the oracle gives it; the outer loop's regularization zeta*I is added by
-    :func:`~minresls.minres.minres_npc`, which only reads it.
-    """
-    if store is not None:
-        return SymmetricOperator(store.dim, store.apply)
-    x = np.array(x, dtype=float, copy=True)   # freeze the evaluation point
-    return SymmetricOperator(obj.dim, lambda v: obj.hvp(x, v))

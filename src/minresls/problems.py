@@ -1,7 +1,7 @@
 """Benchmark problems with analytic gradients and Hessian-vector products.
 
 Each builder returns a :class:`ProblemSpec` that can mint fresh objectives
-(one oracle counter per run) and sample a deterministic starting point from a
+(one oracle tally per run) and sample a deterministic starting point from a
 caller-supplied generator.
 
 ``ProblemSpec.self_test`` checks the analytic derivatives with O(n) work per
@@ -91,7 +91,7 @@ class ProblemSpec:
     f_opt: float | None = None
 
     def make_objective(self) -> Objective:
-        """A fresh objective with its own zeroed oracle counter."""
+        """A fresh objective, its oracle tally at zero."""
         return Objective(self.dim, self._f, self._grad, self._hvp)
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
@@ -103,7 +103,7 @@ class ProblemSpec:
         Runs :func:`fd_grad_check` and :func:`fd_hvp_check` along two standard
         normal directions; raises AssertionError on a gap above ``FD_TOL`` and
         :class:`NotEvaluable` if f or the gradient is not finite nearby. Uses a
-        throwaway objective, so no run counter is touched.
+        throwaway objective, so no run's oracle tally is touched.
         """
         rng = np.random.default_rng(seed)
         obj = self.make_objective()

@@ -156,6 +156,22 @@ class TestManifests:
         ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be positive"),
         ("problem=quadratic p.spectrum=1e308,1e308,1e308,1e308 config=newton_mr seed=1",
          "gradient norm overflows"),
+        ("problem=quadratic config=newton_mr seed=1 schedule.shift_cap=nan",
+         "shift_cap must be positive"),
+        ("problem=quadratic config=newton_mr seed=1 schedule.beta=nan",
+         "beta and zeta_mult must be positive"),
+        ("problem=quadratic config=newton_mr seed=1 schedule.zeta_mult=nan",
+         "beta and zeta_mult must be positive"),
+        ("problem=quadratic config=lbfgs_mr seed=1 schedule.npc_curvature_cap=nan",
+         "npc_curvature_cap must be positive"),
+        ("problem=quadratic config=lbfgs_mr seed=1 schedule.npc_curvature_cap=0",
+         "npc_curvature_cap must be positive"),
+        ("problem=quadratic config=newton_mr seed=1 grad_tol=nan",
+         "grad_tol must be >= 0"),
+        ("problem=quadratic config=newton_mr seed=1 max_oracles=nan",
+         "max_oracles > 0"),
+        ("problem=quadratic config=lbfgs_mr seed=1 lbfgs_memory=0",
+         "lbfgs_memory must be at least 1"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
         with pytest.raises(ValueError, match="m:1"):

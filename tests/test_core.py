@@ -7,7 +7,6 @@ from minresls.core import (
     NoHessianOracle,
     NotEvaluable,
     Objective,
-    OracleCounter,
     SymmetricOperator,
     as_vector,
     ensure_operator,
@@ -16,9 +15,9 @@ from minresls.driver import solve
 from minresls.problems import build_problem, fd_grad_check, fd_hvp_check
 
 
-def quadratic_objective(counter=None):
+def quadratic_objective():
     return Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                     lambda x, v: v.copy(), counter=counter)
+                     lambda x, v: v.copy())
 
 
 class TestAsVector:
@@ -39,31 +38,36 @@ class TestAsVector:
             as_vector([1.0, np.nan])
 
 
-class TestOracleCounter:
+class TestOracleTally:
     def test_monotone_sum(self):
-        c = OracleCounter()
-        increments = [1.0, 2.0, 0.0, 1.0]
+        obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1), lambda x, v: v,
+                        f_cost=1.0, grad_cost=2.0, hvp_cost=0.0)
+        x = np.zeros(1)
         seen = []
-        for u in increments:
-            c.add(u)
-            seen.append(c.count)
+        for call in (obj.f, obj.grad, lambda x: obj.hvp(x, x), obj.f):
+            call(x)
+            seen.append(obj.oracle_count)
         assert seen == [1.0, 3.0, 3.0, 4.0]
         assert all(b >= a for a, b in zip(seen, seen[1:]))
 
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            OracleCounter().add(-1.0)
+    def test_bad_cost_rejected(self):
+        for name in ("f_cost", "grad_cost", "hvp_cost"):
+            for bad in (-1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite "
+                                                     "and nonnegative"):
+                    Objective(1, lambda x: 0.0, lambda x: np.zeros(1), **{name: bad})
 
     def test_paused_suspends_and_restores(self):
-        c = OracleCounter()
-        c.add(2.0)
-        with c.paused():
-            c.add(100.0)
-            with c.paused():        # nesting keeps the outer pause
-                c.add(100.0)
-            c.add(100.0)
-        c.add(1.0)
-        assert c.count == 3.0
+        obj = quadratic_objective()
+        x = np.zeros(2)
+        obj.hvp(x, x)
+        with obj.paused():
+            obj.f(x)
+            with obj.paused():      # nesting restores the outer pause's tally
+                obj.hvp(x, x)
+            obj.grad(x)
+        obj.f(x)
+        assert obj.oracle_count == 3.0
 
 
 class TestObjective:
@@ -116,12 +120,6 @@ class TestObjective:
                             lambda x, v: np.ones(4))
         with pytest.raises(ValueError, match="Hessian-vector oracle returned shape"):
             solve(bad_hvp, np.ones(3))
-
-    def test_shared_counter(self):
-        c = OracleCounter()
-        a, b = quadratic_objective(c), quadratic_objective(c)
-        a.f(np.zeros(2)); b.f(np.zeros(2))
-        assert c.count == 2.0
 
 
 class TestFiniteDifferences:

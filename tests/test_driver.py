@@ -95,6 +95,14 @@ class TestSchedule:
             ScheduleParams(alpha=0.0)
         with pytest.raises(ValueError):
             ScheduleParams(curvature_floor=0.0)
+        for field in ("shift_cap", "beta", "zeta_mult", "npc_curvature_cap"):
+            for bad in (math.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match=f"{field}.* must be positive"):
+                    ScheduleParams(**{field: bad})
+        for field in ("curvature_floor", "tol_cap", "alpha", "zeta_exp"):
+            with pytest.raises(ValueError, match=field):
+                ScheduleParams(**{field: math.nan})
+        ScheduleParams(shift_cap=math.inf, npc_curvature_cap=math.inf)   # caps may be off
 
 
 class TestCurvatureTests:
@@ -138,6 +146,14 @@ class TestSolverConfig:
             SolverConfig(max_inner=0)
         with pytest.raises(ValueError):
             SolverConfig(max_oracles=0.0)
+        for field, bad in (("grad_tol", math.nan), ("grad_tol", -1.0),
+                           ("max_oracles", math.nan), ("max_oracles", -1.0)):
+            with pytest.raises(ValueError, match="grad_tol must be >= 0 and max_oracles > 0"):
+                SolverConfig(**{field: bad})
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="lbfgs_memory must be at least 1"):
+                SolverConfig(lbfgs_memory=bad)
+        SolverConfig(grad_tol=math.inf, max_oracles=math.inf)   # inf stays allowed
 
 
 class TestChooseDirection:

@@ -1,7 +1,9 @@
-"""Hessian models: the model operator, its shifted solves, compact L-BFGS store."""
+"""Hessian models: the model operators solve builds, their shifted solves, the
+compact L-BFGS store."""
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,9 @@ import pytest
 from minresls.core import (
     DegenerateMiddleMatrix,
     Objective,
-    OracleCounter,
     SymmetricOperator,
 )
-from minresls.hessians import LbfgsStore, model_operator
+from minresls.hessians import LbfgsStore
 from minresls.minres import MAXITER, NPC, SOL, minres_npc
 from minresls.reference import dense_bfgs_matrix
 
@@ -22,42 +23,42 @@ def pair_rng(seed):
     return np.random.default_rng(seed)
 
 
+def exact_operator(obj, x):
+    """The exact-Hessian model B at x, built as ``solve`` builds it."""
+    return SymmetricOperator(obj.dim, partial(obj.hvp, x.copy()))
+
+
+def lbfgs_operator(store):
+    """The L-BFGS model B, built as ``solve`` builds it."""
+    return SymmetricOperator(store.dim, store.apply)
+
+
 class TestExactOperator:
     def test_identity_hessian(self):
         obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
                         lambda x, v: v.copy())
-        op = model_operator(obj=obj, x=np.zeros(3))
+        op = exact_operator(obj, np.zeros(3))
         v = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(op(v), v)
         assert op.dim == 3
 
     def test_charges_oracle(self):
-        c = OracleCounter()
         obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
-                        lambda x, v: 2.0 * v, counter=c)
-        op = model_operator(obj=obj, x=np.zeros(2))
+                        lambda x, v: 2.0 * v)
+        op = exact_operator(obj, np.zeros(2))
         op(np.ones(2)); op(np.ones(2))
-        assert c.count == 4.0          # two products at cost 2 each
+        assert obj.oracle_count == 4.0          # two products at cost 2 each
 
     def test_dense_is_symmetric_on_toy_sine(self):
         from minresls.problems import build_problem
         obj = build_problem("toy_sine", n=4).make_objective()
         x = np.linspace(0.1, 0.9, 8)
-        H = model_operator(obj=obj, x=x).to_dense()
+        H = exact_operator(obj, x).to_dense()
         assert np.max(np.abs(H - H.T)) <= 1e-12
-
-    def test_evaluation_point_is_frozen(self):
-        obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
-                        lambda x, v: x * v)
-        x = np.array([1.0, 2.0])
-        op = model_operator(obj=obj, x=x)
-        x[:] = 5.0
-        assert np.array_equal(op(np.ones(2)), [1.0, 2.0])
-
 
     def test_product_is_the_oracle_result(self):
         # the operator passes the oracle's result through: its argument v, a
-        # view of it, the frozen x or a read-only array, with v left intact
+        # view of it, the copy of x or a read-only array, with v left intact
         def read_only(x, v):
             out = 2.0 * v
             out.flags.writeable = False
@@ -68,7 +69,7 @@ class TestExactOperator:
                            (lambda x, v: x, None), (read_only, 2.0)):
             obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3), hvp)
             x = np.array([3.0, 4.0, 5.0])
-            op = model_operator(obj=obj, x=x)
+            op = exact_operator(obj, x)
             for _ in range(2):
                 kept = v.copy()
                 out = op(v)
@@ -101,9 +102,9 @@ class TestShiftedSolve:
             assert filled.update(s, A @ s)
         return [
             ("dense", A),
-            ("hvp", model_operator(obj=obj, x=0.1 * rng.standard_normal(n))),
-            ("lbfgs_empty", model_operator(store=LbfgsStore(n))),
-            ("lbfgs_filled", model_operator(store=filled)),
+            ("hvp", exact_operator(obj, 0.1 * rng.standard_normal(n))),
+            ("lbfgs_empty", lbfgs_operator(LbfgsStore(n))),
+            ("lbfgs_filled", lbfgs_operator(filled)),
         ]
 
     @pytest.mark.parametrize("sigma", [1e-12, 0.3, 2.0])
@@ -294,7 +295,7 @@ class TestLbfgsStore:
         e1 = np.array([1.0, 0.0])
         assert st.update(e1, -e1)
         assert st.gamma == -1.0
-        out = minres_npc(model_operator(store=st), np.array([1.0, 1.0]), 1e-8, 20)
+        out = minres_npc(lbfgs_operator(st), np.array([1.0, 1.0]), 1e-8, 20)
         assert out.flag == NPC
 
     def test_operator_is_symmetric(self):
@@ -303,7 +304,7 @@ class TestLbfgsStore:
         for _ in range(4):
             s = rng.standard_normal(5)
             st.update(s, s + 0.1 * rng.standard_normal(5))
-        B = model_operator(store=st).to_dense()
+        B = lbfgs_operator(st).to_dense()
         assert np.max(np.abs(B - B.T)) <= 1e-10
 
     def test_package_import_loads_only_numpy(self):

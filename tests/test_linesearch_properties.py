@@ -47,7 +47,7 @@ def test_warm_start_keeps_the_step(case):
     obj, d_curv, cfg, offset = case
     x, d = np.zeros(1), np.ones(1)
     g_dot_d = float(obj.grad(x) @ d)
-    with obj.counter.paused():
+    with obj.paused():
         # rounding near lam* can break the interval on the grid; keep only
         # rays on which it holds in floating point
         grid = [cfg.max_step * cfg.shrink ** j for j in range(160)]
