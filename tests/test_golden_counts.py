@@ -1,11 +1,14 @@
-"""Deterministic counts of ``demos/example.manifest`` against a committed file.
+"""Deterministic counts of two manifests against committed files.
 
-Each line of ``golden_counts.txt`` is one run at seed 3, 5 or 11: its status,
-outer iterations and oracle count, then one ``flag/inner_iters/step`` token
-per outer iteration. Counts and grid steps do not depend on the last bits of
-the iterates, so the file holds across numpy builds; ``x_final`` is not
+Each line of ``golden_counts.txt`` is one run of ``demos/example.manifest`` at
+seed 3, 5 or 11, and each line of ``golden_gd_counts.txt`` one run of
+``gd_fallbacks.manifest`` at the seeds it names, whose cells take the
+gradient-descent fallback of each direction screen. A line holds the run's
+status, outer iterations and oracle count, then one ``flag/inner_iters/step``
+token per outer iteration. Counts and grid steps do not depend on the last
+bits of the iterates, so the files hold across numpy builds; ``x_final`` is not
 pinned. A change that moves any count fails here and names the first field
-that differs. After a deliberate change, regenerate the file with
+that differs. After a deliberate change, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden_counts.py --write
 
@@ -17,21 +20,23 @@ from pathlib import Path
 
 from minresls.bench import parse_manifest, run_suite
 
-ROOT = Path(__file__).resolve().parents[1]
-MANIFEST = ROOT / "demos" / "example.manifest"
-GOLDEN = Path(__file__).with_name("golden_counts.txt")
-SEEDS = (3, 5, 11)
+HERE = Path(__file__).resolve().parent
+# (manifest, golden file, seeds that replace each cell's own, or None to keep them)
+EXAMPLE = (HERE.parent / "demos" / "example.manifest", HERE / "golden_counts.txt", (3, 5, 11))
+GD_FALLBACKS = (HERE / "gd_fallbacks.manifest", HERE / "golden_gd_counts.txt", None)
 HEADER = ("status", "iters", "oracles")
 RECORD = ("flag", "inner_iters", "step")
 
 
-def count_lines():
-    """One line per run of the example manifest at each of ``SEEDS``."""
-    cells = parse_manifest(MANIFEST.read_text(), base_dir=str(MANIFEST.parent),
-                           origin=str(MANIFEST))
+def count_lines(manifest, seeds):
+    """One line per run of ``manifest``, at each of ``seeds`` when given."""
+    cells = parse_manifest(manifest.read_text(), base_dir=str(manifest.parent),
+                           origin=str(manifest))
+    suites = ([[dataclasses.replace(c, seed=seed) for c in cells] for seed in seeds]
+              if seeds else [cells])
     lines = []
-    for seed in SEEDS:
-        for t in run_suite([dataclasses.replace(c, seed=seed) for c in cells]):
+    for suite in suites:
+        for t in run_suite(suite):
             tokens = [f"{t.problem}/{t.config}/seed={t.seed}/repeat={t.repeat}",
                       t.status, str(t.iters), repr(t.oracles)]
             tokens += [f"{r.flag}/{r.inner_iters}/{r.step!r}" for r in t.records]
@@ -59,10 +64,22 @@ def first_difference(golden, now):
     return None
 
 
-def test_example_manifest_counts_match_golden_file():
-    golden = GOLDEN.read_text().splitlines()
-    diff = first_difference(golden, count_lines())
+def assert_counts_match(manifest, golden, seeds):
+    diff = first_difference(golden.read_text().splitlines(), count_lines(manifest, seeds))
     assert diff is None, diff
+
+
+def test_example_manifest_counts_match_golden_file():
+    assert_counts_match(*EXAMPLE)
+
+
+def test_gd_fallback_counts_match_golden_file():
+    assert_counts_match(*GD_FALLBACKS)
+    manifest, golden, _ = GD_FALLBACKS
+    lines = golden.read_text().splitlines()
+    assert len(lines) == sum(ln.startswith("problem=")
+                             for ln in manifest.read_text().splitlines())
+    assert all(" GD/" in ln for ln in lines), "a pinned run takes no GD step"
 
 
 def test_first_difference_names_the_field():
@@ -77,5 +94,6 @@ def test_first_difference_names_the_field():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_counts.py --write")
-    GOLDEN.write_text("\n".join(count_lines()) + "\n")
-    print(f"wrote {GOLDEN}")
+    for manifest, golden, seeds in (EXAMPLE, GD_FALLBACKS):
+        golden.write_text("\n".join(count_lines(manifest, seeds)) + "\n")
+        print(f"wrote {golden}")
