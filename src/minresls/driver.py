@@ -13,6 +13,7 @@ appears, so the k = 1 values stay positive.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -43,10 +44,6 @@ __all__ = [
     "SolverConfig",
     "IterateRecord",
     "RunTrace",
-    "schedule_eval",
-    "curvature_test_basic",
-    "curvature_test_refined",
-    "curvature_test_npc_cap",
     "solve",
 ]
 
@@ -79,7 +76,7 @@ class ScheduleParams:
     alpha: float = 1.0
     beta: float = 1.0                     # gradient exponent, coupled mode only
     zeta_exp: float = 1.0
-    npc_curvature_cap: float = 1e8        # refined test bound on |d'Bd| / ||d||^2
+    npc_curvature_cap: float = 1e8        # L-BFGS bound on |d'Bd| / ||d||^2
     mode: str = "newton_mr"
     zeta_mult: float = 1.0                # shift-to-tolerance ratio, coupled mode
 
@@ -122,34 +119,6 @@ def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
     return theta, zeta, a_k
 
 
-def curvature_test_basic(ptBp: float, p_sq: float, gnorm: float,
-                         a_k: float, sp: ScheduleParams) -> bool:
-    """Accept a solution-path direction iff p'Bp >= min(floor, a_k ||g||^alpha) ||p||^2."""
-    thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
-    return ptBp >= thresh * p_sq
-
-
-def curvature_test_refined(ptBp: float, p_sq: float, gnorm_sq: float,
-                           a_k: float, sp: ScheduleParams) -> bool:
-    """Sharper solution-path acceptance used with quasi-Newton models.
-
-    The direction must clear the floor against max(||p||^2, ||g||^2);
-    failing demotes the step to plain gradient descent.
-    """
-    gnorm = math.sqrt(gnorm_sq)
-    thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
-    return ptBp >= thresh * max(p_sq, gnorm_sq)
-
-
-def curvature_test_npc_cap(dtBd: float, d_sq: float, sp: ScheduleParams) -> bool:
-    """Certificate screen used with quasi-Newton models.
-
-    The curvature must not be violently negative, |d'Bd| < cap * ||d||^2;
-    failing demotes the step to plain gradient descent.
-    """
-    return abs(dtBd) < sp.npc_curvature_cap * d_sq
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     schedule: ScheduleParams = ScheduleParams()
@@ -164,17 +133,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.hessian not in ("exact", "lbfgs"):
             raise ValueError(f"unknown hessian mode {self.hessian!r}")
+        if not isinstance(self.max_inner, numbers.Integral):
+            raise ValueError(f"max_inner must be an integer, got {self.max_inner!r}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
         if not (self.grad_tol >= 0.0 and self.max_oracles > 0.0):
             raise ValueError("grad_tol must be >= 0 and max_oracles > 0")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be at least 1")
-
-    @property
-    def resolved_curvature_test(self) -> str:
-        """The direction screen of the model: basic for exact, refined for L-BFGS."""
-        return "basic" if self.hessian == "exact" else "refined"
 
 
 @dataclass
@@ -212,11 +178,14 @@ def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
     """``(flag, d, inner_iters, d_curv)`` from (B + zeta I) d = -g solved to ``theta``.
 
     A certificate is NPC with d_curv = d'Bd; a solution, or the iterate at the
-    inner cap, is SOL. A failed screen gives GD (d = -g, d_curv = 0) with the
-    inner iterations kept; a degenerate L-BFGS matrix gives GD with none.
+    inner cap, is SOL when d'Bd >= min(curvature_floor, a_k ||g||^alpha) times
+    ||d||^2, or times max(||d||^2, ||g||^2) under L-BFGS. Under L-BFGS a
+    certificate also needs |d'Bd| < npc_curvature_cap ||d||^2. A failed screen
+    gives GD (d = -g, d_curv = 0) with the inner iterations kept; a degenerate
+    L-BFGS matrix gives GD with none.
     """
     sp = cfg.schedule
-    refined = cfg.resolved_curvature_test == "refined"
+    lbfgs = cfg.hessian == "lbfgs"
     try:
         out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
     except DegenerateMiddleMatrix:
@@ -225,13 +194,12 @@ def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
     d_sq = float(d @ d)
     if out.flag == NPC:
         d_curv = out.curvature - zeta * d_sq
-        if not refined or curvature_test_npc_cap(d_curv, d_sq, sp):
+        if not lbfgs or abs(d_curv) < sp.npc_curvature_cap * d_sq:
             return NPC, d, out.inner_iters, d_curv
-    elif refined:
-        if curvature_test_refined(out.curvature, d_sq, gnorm * gnorm, a_k, sp):
+    else:
+        floor = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
+        if out.curvature >= floor * (max(d_sq, gnorm * gnorm) if lbfgs else d_sq):
             return SOL, d, out.inner_iters, 0.0
-    elif curvature_test_basic(out.curvature, d_sq, gnorm, a_k, sp):
-        return SOL, d, out.inner_iters, 0.0
     return GD, -g, out.inner_iters, 0.0
 
 

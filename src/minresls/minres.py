@@ -30,6 +30,7 @@ nothing else; ``minres_npc`` says how its per-iteration history is observed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     b = as_vector(b, "b")
     if b.size != op.dim:
         raise ValueError(f"rhs has size {b.size}, operator dimension is {op.dim}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (0.0 <= tol < 1.0):
+        raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
+    if not isinstance(max_inner, numbers.Integral):
+        raise ValueError(f"max_inner must be an integer, got {max_inner!r}")
     if max_inner < 1:
         raise ValueError("max_inner must be at least 1")
     if not math.isfinite(shift):

@@ -19,7 +19,9 @@ from minresls.checks import (
     check_npc_certificates,
     check_profile_example,
 )
-from minresls.driver import CONVERGED, ScheduleParams, SolverConfig, solve
+from minresls import driver
+from minresls.core import ensure_operator
+from minresls.driver import CONVERGED, GD, ScheduleParams, SolverConfig, schedule_eval, solve
 from minresls.problems import build_problem
 from minresls.reference import profile_fraction_reference
 
@@ -163,12 +165,18 @@ def test_criterion_07_lbfgs_compact_equivalence():
 
 def test_criterion_08_lbfgs_mr_end_to_end():
     """Chained Rosenbrock n=100 under the quasi-Newton schedule with the
-    refined test: converges to ||g|| <= 1e-10 inside 1e5 oracle calls with
-    monotone objective values."""
+    L-BFGS curvature screen: converges to ||g|| <= 1e-10 inside 1e5 oracle
+    calls with monotone objective values."""
     problem = build_problem("rosenbrock", n=100)
     sp = ScheduleParams(mode="lbfgs_mr")
     cfg = SolverConfig(schedule=sp, hessian="lbfgs", max_oracles=1e5)
-    assert cfg.resolved_curvature_test == "refined"
+    # the screen measures d'Bd against max(||d||^2, ||g||^2): the stiff model's
+    # d'Bd = 1e-13 ||g||^2 fails it
+    g = np.ones(2)
+    gnorm = float(np.linalg.norm(g))
+    stiff = driver._choose_direction(ensure_operator(1e13 * np.eye(2)), g, gnorm,
+                                     *schedule_eval(1, gnorm, sp), cfg)
+    assert stiff[0] == GD
     x0 = problem.start(np.random.default_rng(2718))
     trace = solve(problem.make_objective(), x0, cfg)
     assert trace.status == CONVERGED, trace.status

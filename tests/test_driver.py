@@ -25,9 +25,6 @@ from minresls.driver import (
     IterateRecord,
     ScheduleParams,
     SolverConfig,
-    curvature_test_basic,
-    curvature_test_npc_cap,
-    curvature_test_refined,
     schedule_eval,
     solve,
 )
@@ -105,40 +102,50 @@ class TestSchedule:
         ScheduleParams(shift_cap=math.inf, npc_curvature_cap=math.inf)   # caps may be off
 
 
-class TestCurvatureTests:
-    def test_basic_pass_and_fail(self):
-        sp = ScheduleParams()
-        a_k = 0.5
-        assert curvature_test_basic(1.0, 1.0, 1.0, a_k, sp)       # 1 >= 5e-13
-        assert not curvature_test_basic(0.0, 1.0, 1.0, a_k, sp)   # exactly flat
+class TestCurvatureScreens:
+    """The screens of the direction choice on forged inner-solver outcomes."""
 
-    def test_basic_tie_passes(self):
-        sp = ScheduleParams()
-        a_k = 0.5
-        thresh = min(sp.curvature_floor, a_k * 1.0)
-        assert curvature_test_basic(thresh * 2.0, 2.0, 1.0, a_k, sp)
+    @staticmethod
+    def choose(monkeypatch, flag, d, curvature, g, hessian="exact"):
+        """The choice when MINRES returns ``d`` with d'Bd = ``curvature``, at
+        a_k = 0.5 and zeta = 0 under the default schedule."""
+        d, g = np.asarray(d, dtype=float), np.asarray(g, dtype=float)
 
-    def test_refined_uses_larger_of_p_and_g(self):
-        sp = ScheduleParams()
-        a_k = 0.5
-        thresh = min(sp.curvature_floor, a_k)
-        # passes against ||p||^2 = 0.25 alone but not against gnorm^2 = 1
-        ptBp = thresh * 0.5
-        assert curvature_test_basic(ptBp, 0.25, 1.0, a_k, sp)
-        assert not curvature_test_refined(ptBp, 0.25, 1.0, a_k, sp)
+        def forged(A, b, tol, max_inner, **kwargs):
+            return MinresOutcome(flag, d, b.copy(), 1, curvature,
+                                 float(np.linalg.norm(b)), 0.0)
 
-    def test_refined_npc_cap(self):
-        sp = ScheduleParams()
-        assert not curvature_test_npc_cap(2e8, 1.0, sp)
-        assert not curvature_test_npc_cap(-2e8, 1.0, sp)
-        assert curvature_test_npc_cap(0.0, 1.0, sp)
+        monkeypatch.setattr(driver, "minres_npc", forged)
+        cfg = SolverConfig(hessian=hessian)
+        gnorm = float(np.linalg.norm(g))
+        B = SymmetricOperator(g.size, lambda v: v)
+        return driver._choose_direction(B, g, gnorm, 0.1, 0.0, 0.5, cfg)[0]
+
+    def test_flat_curvature_fails(self, monkeypatch):
+        assert self.choose(monkeypatch, SOL, [1.0, 0.0], 1.0, [1.0, 0.0]) == SOL
+        assert self.choose(monkeypatch, SOL, [1.0, 0.0], 0.0, [1.0, 0.0]) == GD
+
+    def test_tie_passes(self, monkeypatch):
+        thresh = min(ScheduleParams().curvature_floor, 0.5 * 1.0)
+        # ||d||^2 = 2 and ||g|| = 1: d'Bd exactly at the floor times ||d||^2
+        assert self.choose(monkeypatch, SOL, [1.0, 1.0], thresh * 2.0, [1.0, 0.0]) == SOL
+
+    def test_lbfgs_measures_against_larger_of_d_and_g(self, monkeypatch):
+        thresh = min(ScheduleParams().curvature_floor, 0.5)
+        # passes against ||d||^2 = 0.25 alone but not against ||g||^2 = 1
+        d, curvature, g = [0.5, 0.0], thresh * 0.5, [1.0, 0.0]
+        assert self.choose(monkeypatch, SOL, d, curvature, g) == SOL
+        assert self.choose(monkeypatch, SOL, d, curvature, g, hessian="lbfgs") == GD
+
+    def test_lbfgs_certificate_cap(self, monkeypatch):
+        d, g = [1.0, 0.0], [1.0, 0.0]
+        for hessian, want in (("exact", NPC), ("lbfgs", GD)):
+            assert self.choose(monkeypatch, NPC, d, 2e8, g, hessian) == want
+            assert self.choose(monkeypatch, NPC, d, -2e8, g, hessian) == want
+        assert self.choose(monkeypatch, NPC, d, 0.0, g, "lbfgs") == NPC
 
 
 class TestSolverConfig:
-    def test_auto_test_resolution(self):
-        assert SolverConfig().resolved_curvature_test == "basic"
-        assert SolverConfig(hessian="lbfgs").resolved_curvature_test == "refined"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(hessian="sr1")
@@ -155,6 +162,13 @@ class TestSolverConfig:
                 SolverConfig(lbfgs_memory=bad)
         SolverConfig(grad_tol=math.inf, max_oracles=math.inf)   # inf stays allowed
 
+    def test_max_inner_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="max_inner must be an integer, got 2.5"):
+            SolverConfig(max_inner=2.5)
+        obj = spec("quadratic", n=4).make_objective()
+        trace = solve(obj, np.ones(4), SolverConfig(max_inner=np.int64(5)))
+        assert trace.status == CONVERGED
+
 
 class TestChooseDirection:
     """Every outcome of the direction choice, on small dense models."""
@@ -169,7 +183,7 @@ class TestChooseDirection:
 
     def test_violent_certificate_is_npc_exact_and_gd_lbfgs(self):
         # a certificate at t = 1 with |d'Bd| / ||d||^2 about 5e8, above the
-        # refined screen's 1e8 cap
+        # L-BFGS certificate cap of 1e8
         B, g = np.diag([1.0, -1e9]), np.ones(2)
         flag, d, inner, d_curv = self.choose(B, g)
         assert (flag, inner) == (NPC, 1)
@@ -179,8 +193,8 @@ class TestChooseDirection:
         assert np.array_equal(d, -g)
 
     def test_stiff_solution_is_sol_exact_and_gd_lbfgs(self):
-        # p'Bp = 1e-13 ||g||^2 clears the basic floor against ||p||^2 and
-        # fails the refined one against ||g||^2
+        # p'Bp = 1e-13 ||g||^2 clears the floor against ||p||^2 (exact) and
+        # fails it against ||g||^2 (L-BFGS)
         B, g = 1e13 * np.eye(2), np.ones(2)
         flag, d, inner, d_curv = self.choose(B, g)
         assert (flag, inner, d_curv) == (SOL, 1, 0.0)

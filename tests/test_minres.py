@@ -120,6 +120,17 @@ class TestTermination:
         with pytest.raises(ValueError):
             run(np.eye(2), [1.0, 0.0, 0.0], 1e-8)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3, 1.0, np.inf])
+    def test_tol_outside_unit_interval_rejected_by_name(self, tol):
+        with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
+            minres_npc(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4), tol, 50)
+
+    def test_max_inner_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="max_inner must be an integer, got 2.5"):
+            minres_npc(np.eye(2), np.array([1.0, 0.0]), 1e-8, 2.5)
+        out = minres_npc(np.diag([1.0, 2.0]), np.ones(2), 1e-8, np.int64(1))
+        assert (out.flag, out.inner_iters) == (MAXITER, 1)
+
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_nonfinite_shift_rejected_before_any_product(self, shift):
         calls = []
