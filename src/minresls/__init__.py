@@ -8,25 +8,16 @@ and a forward linesearch along negative-curvature directions. A benchmark
 harness with deterministic trace files and performance profiles rides on top.
 """
 from .core import (
-    DegenerateMiddleMatrix,
     NoHessianOracle,
     NotEvaluable,
     NumericalBreakdown,
     Objective,
     OptimizationError,
-    StepsizeStagnation,
     SymmetricOperator,
     ZeroRightHandSide,
-    ensure_operator,
 )
 from .minres import MAXITER, NPC, SOL, MinresOutcome, minres_npc
-from .hessians import LbfgsStore
-from .linesearch import (
-    LinesearchConfig,
-    LinesearchResult,
-    armijo_backtrack,
-    npc_linesearch,
-)
+from .linesearch import LinesearchConfig
 from .driver import (
     BUDGET,
     CONVERGED,
@@ -37,16 +28,16 @@ from .driver import (
     RunTrace,
     ScheduleParams,
     SolverConfig,
-    schedule_eval,
     solve,
 )
-from .problems import REGISTRY, ProblemSpec, build_problem, list_problems
+from .problems import ProblemSpec, build_problem, list_problems
 from .bench import (
+    ParsedTrace,
     ProfileTable,
+    RunCell,
     emit_trace,
     parse_manifest,
     parse_trace,
-    parse_trace_text,
     performance_profile,
     run_suite,
     write_profile_csv,
@@ -54,49 +45,47 @@ from .bench import (
 
 __version__ = "0.1.0"
 
+# the names README's "Public API" section lists, in the same order
 __all__ = [
-    "BUDGET",
-    "CONVERGED",
-    "DIVERGED",
-    "DegenerateMiddleMatrix",
-    "GD",
-    "IterateRecord",
-    "LbfgsStore",
-    "LinesearchConfig",
-    "LinesearchResult",
-    "MAXITER",
-    "MinresOutcome",
-    "NPC",
-    "NoHessianOracle",
-    "NotEvaluable",
-    "NumericalBreakdown",
-    "Objective",
-    "OptimizationError",
-    "ProblemSpec",
-    "ProfileTable",
-    "REGISTRY",
-    "RunTrace",
-    "SOL",
-    "STAGNATED",
-    "ScheduleParams",
-    "SolverConfig",
-    "StepsizeStagnation",
-    "SymmetricOperator",
-    "ZeroRightHandSide",
-    "armijo_backtrack",
-    "build_problem",
-    "emit_trace",
-    "ensure_operator",
-    "list_problems",
-    "minres_npc",
-    "npc_linesearch",
-    "parse_manifest",
-    "parse_trace",
-    "parse_trace_text",
-    "performance_profile",
-    "run_suite",
-    "schedule_eval",
+    # outer loop
     "solve",
+    "SolverConfig",
+    "ScheduleParams",
+    "LinesearchConfig",
+    "RunTrace",
+    "IterateRecord",
+    "GD",
+    "CONVERGED",
+    "STAGNATED",
+    "BUDGET",
+    "DIVERGED",
+    # objectives, operators and problems
+    "Objective",
+    "SymmetricOperator",
+    "build_problem",
+    "list_problems",
+    "ProblemSpec",
+    # inner solver
+    "minres_npc",
+    "MinresOutcome",
+    "SOL",
+    "NPC",
+    "MAXITER",
+    # errors
+    "OptimizationError",
+    "NotEvaluable",
+    "NoHessianOracle",
+    "ZeroRightHandSide",
+    "NumericalBreakdown",
+    # benchmark harness
+    "parse_manifest",
+    "RunCell",
+    "run_suite",
+    "emit_trace",
+    "parse_trace",
+    "ParsedTrace",
+    "performance_profile",
+    "ProfileTable",
     "write_profile_csv",
     "__version__",
 ]

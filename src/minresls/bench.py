@@ -40,30 +40,15 @@ from .linesearch import LinesearchConfig
 from .problems import build_problem
 
 __all__ = [
-    "BUILTIN_CONFIGS",
-    "METRICS",
-    "TRACE_SUFFIX",
     "ProfileTable",
     "ParsedTrace",
     "RunCell",
-    "apply_setting",
-    "builtin_config",
     "emit_trace",
-    "load_trace_dir",
-    "metric_from_summary",
-    "parse_config_text",
     "parse_manifest",
     "parse_trace",
-    "parse_trace_text",
     "performance_profile",
-    "repeat_rng",
-    "resolve_config",
-    "run_cell_repeat",
     "run_suite",
-    "table_from_traces",
-    "trace_filename",
     "write_profile_csv",
-    "write_suite",
 ]
 
 TRACE_SUFFIX = ".trace"
@@ -334,32 +319,42 @@ def run_suite(cells: list[RunCell]) -> list[RunTrace]:
 # trace files
 
 
-_RECORD_FIELDS = ("k", "f", "gnorm", "flag", "lambda", "inner_iters",
-                  "theta_k", "zeta_k", "oracles", "time_ms")
-_SUMMARY_FIELDS = ("problem", "config", "seed", "repeat", "status", "iters",
-                   "oracles", "final_f", "final_gnorm", "time_ms")
-_INT_FIELDS = {"k", "inner_iters", "iters", "seed", "repeat"}
-_STR_FIELDS = {"flag", "status", "problem", "config"}
+# (file key, attribute, type) of every column, in file order, per line kind:
+# a record line per IterateRecord and the summary line of the RunTrace. Floats
+# are written with %.17g; an int or str that is None or empty is "-".
+_COLUMNS = {
+    "record": (
+        ("k", "k", int), ("f", "f", float), ("gnorm", "gnorm", float),
+        ("flag", "flag", str), ("lambda", "step", float),
+        ("inner_iters", "inner_iters", int), ("theta_k", "theta", float),
+        ("zeta_k", "zeta", float), ("oracles", "oracles", float),
+        ("time_ms", "time_ms", float),
+    ),
+    "summary": (
+        ("problem", "problem", str), ("config", "config", str), ("seed", "seed", int),
+        ("repeat", "repeat", int), ("status", "status", str), ("iters", "iters", int),
+        ("oracles", "oracles", float), ("final_f", "f_final", float),
+        ("final_gnorm", "gnorm_final", float), ("time_ms", "time_ms", float),
+    ),
+}
+
+
+def _trace_line(obj, line_kind) -> str:
+    tokens = []
+    for key, attr, kind in _COLUMNS[line_kind]:
+        value = getattr(obj, attr)
+        if kind is float:
+            text = _g17(value)
+        else:
+            text = "-" if value is None or value == "" else str(value)
+        tokens.append(f"{key}={text}")
+    return " ".join(tokens)
 
 
 def emit_trace(trace: RunTrace, path) -> None:
     """Write one record line per iteration plus the final summary line."""
-    lines = []
-    for r in trace.records:
-        lines.append(
-            "k=%d f=%s gnorm=%s flag=%s lambda=%s inner_iters=%d "
-            "theta_k=%s zeta_k=%s oracles=%s time_ms=%s"
-            % (r.k, _g17(r.f), _g17(r.gnorm), r.flag, _g17(r.step),
-               r.inner_iters, _g17(r.theta), _g17(r.zeta), _g17(r.oracles),
-               _g17(r.time_ms)))
-    lines.append(
-        "summary problem=%s config=%s seed=%s repeat=%s status=%s iters=%d "
-        "oracles=%s final_f=%s final_gnorm=%s time_ms=%s"
-        % (trace.problem or "-", trace.config or "-",
-           "-" if trace.seed is None else trace.seed,
-           "-" if trace.repeat is None else trace.repeat,
-           trace.status, trace.iters, _g17(trace.oracles), _g17(trace.f_final),
-           _g17(trace.gnorm_final), _g17(trace.time_ms)))
+    lines = [_trace_line(r, "record") for r in trace.records]
+    lines.append("summary " + _trace_line(trace, "summary"))
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -373,7 +368,10 @@ class ParsedTrace:
     summary: dict
 
 
-def _parse_tokens(toks, origin, ln) -> dict:
+def _parse_tokens(toks, line_kind, origin, ln) -> dict:
+    """Fields of one line by file key; keys outside its columns read as floats."""
+    columns = _COLUMNS[line_kind]
+    kinds = {key: kind for key, _, kind in columns}
     out = {}
     for tok in toks:
         key, sep, value = tok.partition("=")
@@ -381,15 +379,19 @@ def _parse_tokens(toks, origin, ln) -> dict:
             raise ValueError(f"{origin}:{ln}: bad token {tok!r}")
         if key in out:
             raise ValueError(f"{origin}:{ln}: duplicate field {key!r}")
+        kind = kinds.get(key, float)
         try:
-            if key in _STR_FIELDS:
+            if kind is str:
                 out[key] = value
-            elif key in _INT_FIELDS:
+            elif kind is int:
                 out[key] = None if value == "-" else int(value)
             else:
                 out[key] = float(value)
         except ValueError:
             raise ValueError(f"{origin}:{ln}: bad value in {tok!r}") from None
+    missing = [key for key, _, _ in columns if key not in out]
+    if missing:
+        raise ValueError(f"{origin}:{ln}: {line_kind} missing {missing}")
     return out
 
 
@@ -404,16 +406,9 @@ def parse_trace_text(text: str, origin: str = "<trace>") -> ParsedTrace:
             raise ValueError(f"{origin}:{ln}: content after the summary line")
         toks = line.split()
         if toks[0] == "summary":
-            summary = _parse_tokens(toks[1:], origin, ln)
-            missing = [f for f in _SUMMARY_FIELDS if f not in summary]
-            if missing:
-                raise ValueError(f"{origin}:{ln}: summary missing {missing}")
+            summary = _parse_tokens(toks[1:], "summary", origin, ln)
         else:
-            rec = _parse_tokens(toks, origin, ln)
-            missing = [f for f in _RECORD_FIELDS if f not in rec]
-            if missing:
-                raise ValueError(f"{origin}:{ln}: record missing {missing}")
-            records.append(rec)
+            records.append(_parse_tokens(toks, "record", origin, ln))
     if summary is None:
         raise ValueError(f"{origin}: missing summary line")
     return ParsedTrace(records, summary)
@@ -456,16 +451,14 @@ def load_trace_dir(dirpath) -> list[ParsedTrace]:
 # performance profiles
 
 
-def metric_from_summary(summary: dict, metric: str):
-    """(value, solved) for one run; solved means the run converged."""
+def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
+    """Metric table keyed by (solver, instance); instance = problem#seed.repeat.
+
+    Each entry is (value, solved), where solved means the run converged.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    key = {"f": "final_f", "oracles": "oracles", "time": "time_ms"}[metric]
-    return float(summary[key]), summary["status"] == CONVERGED
-
-
-def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
-    """Metric table keyed by (solver, instance); instance = problem#seed.repeat."""
+    field_key = {"f": "final_f", "oracles": "oracles", "time": "time_ms"}[metric]
     table = {}
     for pt in parsed:
         s = pt.summary
@@ -477,7 +470,7 @@ def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
         key = (s["config"], instance)
         if key in table:
             raise ValueError(f"duplicate trace for solver {key[0]!r} on {instance!r}")
-        table[key] = metric_from_summary(s, metric)
+        table[key] = (float(s[field_key]), s["status"] == CONVERGED)
     return table
 
 

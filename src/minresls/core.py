@@ -18,11 +18,7 @@ __all__ = [
     "NoHessianOracle",
     "ZeroRightHandSide",
     "NumericalBreakdown",
-    "StepsizeStagnation",
-    "DegenerateMiddleMatrix",
-    "as_vector",
     "SymmetricOperator",
-    "ensure_operator",
     "Objective",
 ]
 

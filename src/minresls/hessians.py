@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import DegenerateMiddleMatrix
 
-__all__ = ["LbfgsStore"]
+__all__ = []   # the store is internal: solve builds and owns it
 
 # |y's| >= CAUTIOUS_FLOOR * ||s||^2 keeps the pair
 CAUTIOUS_FLOOR = 1e-18

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Objective, StepsizeStagnation
 
-__all__ = ["LinesearchConfig", "LinesearchResult", "armijo_backtrack", "npc_linesearch"]
+__all__ = ["LinesearchConfig"]
 
 # Acceptance is padded by this many ulps of |f(x)|: near a minimizer the true
 # decrease drops below the resolution of f itself, the trial value rounds to

@@ -9,7 +9,8 @@ random point: a central difference of f along a random direction against g'v
 (:func:`fd_grad_check`), and of the gradient along another against the HVP
 (:func:`fd_hvp_check`), each gap scaled so that rounding stays below ``FD_TOL``
 from n = 10 to n = 1e5. ``build_problem`` runs it by default, manifest cells
-included; only the benchmark harness turns it off, to keep it out of setup time.
+included. The benchmark harness turns it off, to keep it out of setup time, and
+so does ``checks.check_problem_derivatives``, which runs a longer one itself.
 """
 from __future__ import annotations
 
@@ -21,18 +22,7 @@ import numpy as np
 
 from .core import NotEvaluable, Objective, as_vector
 
-__all__ = [
-    "fd_grad_check",
-    "fd_hvp_check",
-    "ProblemSpec",
-    "toy_sine",
-    "quartic_saddle",
-    "rosenbrock",
-    "quadratic",
-    "REGISTRY",
-    "build_problem",
-    "list_problems",
-]
+__all__ = ["ProblemSpec", "build_problem", "list_problems"]
 
 FD_STEP = 1e-5   # central-difference step along a probe direction
 FD_TOL = 1e-6    # largest normalized gap a correct derivative may show
@@ -75,7 +65,7 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass
 class ProblemSpec:
-    """Immutable problem description.
+    """Problem description: dimension, oracles, start sampler and optimum.
 
     Every evaluation returns a fresh array (or a float) that the caller owns.
     Rosenbrock's ``hvp`` reuses two work vectors per thread, so objectives of
@@ -285,9 +275,10 @@ def build_problem(name: str, self_test: bool = True, **params) -> ProblemSpec:
     """Instantiate a registered problem; unknown names raise KeyError.
 
     Runs the O(n) derivative self-test (three probe points, see
-    :meth:`ProblemSpec.self_test`) by default, manifest cells included. Only
-    the benchmark harness turns it off, because the check would add to its
-    measured setup time.
+    :meth:`ProblemSpec.self_test`) by default, manifest cells included. The
+    benchmark harness turns it off, because the check would add to its
+    measured setup time, and so does ``checks.check_problem_derivatives``,
+    which runs a longer self-test of its own.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(list_problems())}")

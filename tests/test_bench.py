@@ -13,7 +13,6 @@ from minresls.bench import (
     builtin_config,
     emit_trace,
     load_trace_dir,
-    metric_from_summary,
     parse_config_text,
     parse_manifest,
     parse_trace,
@@ -322,14 +321,14 @@ def mk_summary(solver, problem, status, oracles, seed=None, repeat=None):
 
 class TestMetricTables:
     def test_metric_selection(self):
-        s = mk_summary("a", "p", "CONVERGED", 12.0).summary
-        assert metric_from_summary(s, "oracles") == (12.0, True)
-        assert metric_from_summary(s, "f") == (0.0, True)
-        assert metric_from_summary(s, "time") == (1.0, True)
-        s2 = mk_summary("a", "p", "BUDGET", 12.0).summary
-        assert metric_from_summary(s2, "oracles") == (12.0, False)
+        s = [mk_summary("a", "p", "CONVERGED", 12.0)]
+        assert table_from_traces(s, "oracles")[("a", "p")] == (12.0, True)
+        assert table_from_traces(s, "f")[("a", "p")] == (0.0, True)
+        assert table_from_traces(s, "time")[("a", "p")] == (1.0, True)
+        s2 = [mk_summary("a", "p", "BUDGET", 12.0)]
+        assert table_from_traces(s2, "oracles")[("a", "p")] == (12.0, False)
         with pytest.raises(ValueError, match="unknown metric"):
-            metric_from_summary(s, "iterations")
+            table_from_traces(s, "iterations")
 
     def test_instance_keys_include_seed_and_repeat(self):
         parsed = [mk_summary("a", "p", "CONVERGED", 1.0, seed=7, repeat=0),
