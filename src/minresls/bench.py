@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -337,18 +338,21 @@ _COLUMNS = {
         ("final_gnorm", "gnorm_final", float), ("time_ms", "time_ms", float),
     ),
 }
+# per line kind: its %-format and a getter of the values it formats
+_FORMATS = {
+    line_kind: (" ".join(f"{key}=%.17g" if kind is float else f"{key}=%s"
+                         for key, _, kind in columns),
+                operator.attrgetter(*(attr for _, attr, _ in columns)))
+    for line_kind, columns in _COLUMNS.items()
+}
+# per line kind: file key -> type, for parsing
+_TYPES = {line_kind: {key: kind for key, _, kind in columns}
+          for line_kind, columns in _COLUMNS.items()}
 
 
 def _trace_line(obj, line_kind) -> str:
-    tokens = []
-    for key, attr, kind in _COLUMNS[line_kind]:
-        value = getattr(obj, attr)
-        if kind is float:
-            text = _g17(value)
-        else:
-            text = "-" if value is None or value == "" else str(value)
-        tokens.append(f"{key}={text}")
-    return " ".join(tokens)
+    fmt, values = _FORMATS[line_kind]
+    return fmt % tuple("-" if v is None or v == "" else v for v in values(obj))
 
 
 def emit_trace(trace: RunTrace, path) -> None:
@@ -370,8 +374,7 @@ class ParsedTrace:
 
 def _parse_tokens(toks, line_kind, origin, ln) -> dict:
     """Fields of one line by file key; keys outside its columns read as floats."""
-    columns = _COLUMNS[line_kind]
-    kinds = {key: kind for key, _, kind in columns}
+    types = _TYPES[line_kind]
     out = {}
     for tok in toks:
         key, sep, value = tok.partition("=")
@@ -379,7 +382,7 @@ def _parse_tokens(toks, line_kind, origin, ln) -> dict:
             raise ValueError(f"{origin}:{ln}: bad token {tok!r}")
         if key in out:
             raise ValueError(f"{origin}:{ln}: duplicate field {key!r}")
-        kind = kinds.get(key, float)
+        kind = types.get(key, float)
         try:
             if kind is str:
                 out[key] = value
@@ -389,7 +392,7 @@ def _parse_tokens(toks, line_kind, origin, ln) -> dict:
                 out[key] = float(value)
         except ValueError:
             raise ValueError(f"{origin}:{ln}: bad value in {tok!r}") from None
-    missing = [key for key, _, _ in columns if key not in out]
+    missing = [key for key in types if key not in out]
     if missing:
         raise ValueError(f"{origin}:{ln}: {line_kind} missing {missing}")
     return out

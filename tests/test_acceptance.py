@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from minresls import driver
 from minresls.bench import parse_manifest, run_suite, write_suite
 from minresls.checks import (
     check_lbfgs_cautious_rule,
@@ -19,9 +20,15 @@ from minresls.checks import (
     check_npc_certificates,
     check_profile_example,
 )
-from minresls import driver
 from minresls.core import ensure_operator
-from minresls.driver import CONVERGED, GD, ScheduleParams, SolverConfig, schedule_eval, solve
+from minresls.driver import (
+    CONVERGED,
+    GD,
+    ScheduleParams,
+    SolverConfig,
+    schedule_eval,
+    solve,
+)
 from minresls.problems import build_problem
 from minresls.reference import profile_fraction_reference
 

@@ -22,7 +22,8 @@ from minresls.bench import parse_manifest, run_suite
 
 HERE = Path(__file__).resolve().parent
 # (manifest, golden file, seeds that replace each cell's own, or None to keep them)
-EXAMPLE = (HERE.parent / "demos" / "example.manifest", HERE / "golden_counts.txt", (3, 5, 11))
+EXAMPLE = (HERE.parent / "demos" / "example.manifest", HERE / "golden_counts.txt",
+           (3, 5, 11))
 GD_FALLBACKS = (HERE / "gd_fallbacks.manifest", HERE / "golden_gd_counts.txt", None)
 HEADER = ("status", "iters", "oracles")
 RECORD = ("flag", "inner_iters", "step")
