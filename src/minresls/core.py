@@ -70,6 +70,14 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 array, bitwise that of
+    ``np.linalg.norm(v)``: the same ravel, dot product and square root that
+    numpy takes for this case, without the dispatch around them."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 class SymmetricOperator:
     """Matrix-free symmetric linear map on R^dim."""
 

@@ -29,6 +29,7 @@ from .core import (
     StepsizeStagnation,
     SymmetricOperator,
     as_vector,
+    norm2,
 )
 from .hessians import LbfgsStore
 from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
@@ -139,6 +140,8 @@ class SolverConfig:
             raise ValueError("max_inner must be at least 1")
         if not (self.grad_tol >= 0.0 and self.max_oracles > 0.0):
             raise ValueError("grad_tol must be >= 0 and max_oracles > 0")
+        if not isinstance(self.lbfgs_memory, numbers.Integral):
+            raise ValueError(f"lbfgs_memory must be an integer, got {self.lbfgs_memory!r}")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be at least 1")
 
@@ -255,7 +258,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     while True:
         k += 1
         g = obj.grad(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = norm2(g)
         if not (math.isfinite(f_x) and math.isfinite(gnorm)):
             status = DIVERGED
             break

@@ -30,6 +30,7 @@ they are.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class LbfgsStore:
     """
 
     def __init__(self, dim: int, memory: int = 10):
+        if not isinstance(memory, numbers.Integral):
+            raise ValueError(f"memory must be an integer, got {memory!r}")
         if memory < 1:
             raise ValueError("memory must be at least 1")
         self.dim = int(dim)

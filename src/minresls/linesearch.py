@@ -32,9 +32,11 @@ __all__ = ["LinesearchConfig"]
 # to matter and exactly zero when f(x) = 0.
 _ROUNDING_PAD = 4.0
 
+_EPS = np.finfo(float).eps
+
 
 def _f_pad(f_x: float) -> float:
-    return _ROUNDING_PAD * np.finfo(float).eps * abs(f_x)
+    return _ROUNDING_PAD * _EPS * abs(f_x)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,28 @@ certificate (flag ``NPC``) instead of grinding on, or the usual inexact
 solution (flag ``SOL``) once the residual estimate ``phi_t`` drops below
 ``tol * ||b||``.
 
-Each call allocates its n-vectors once (Lanczos vectors, search directions,
-iterate, residuals and one scratch) and updates them in place, so its
-per-iteration bookkeeping allocates nothing of size n. Each Lanczos step
-writes ``A v + shift*v`` straight into the kernel's own buffer: the operator's
-result is read, never written, and the arrays an outcome returns are not
-touched again by the kernel: they belong to the caller. The kernel records
-nothing else; ``minres_npc`` says how its per-iteration history is observed.
+The iterate update is deferred. For the first ``_WINDOW`` iterations of a
+solve the kernel keeps each Lanczos vector v_t with the scalars of its search
+direction d_t and forms neither d_t nor x_t. A curvature certificate in the
+window drops them, so a certificate never forms x. A solution exit, the
+iteration cap, or reaching iteration ``_WINDOW + 1`` replays the kept updates
+in order, with the numpy operations of the eager update in the same order,
+so every outcome is bitwise that of a loop forming x_t on every iteration;
+from there on the loop does form it on every iteration.
+
+A call holds at most ten n-vectors of its own (Lanczos vectors, search
+directions, iterate, residual and one scratch), plus the direction a
+certificate returns. The residual is updated in place in one buffer, each
+replayed d_j is written into v_j's spent buffer, and the window is sized to
+fit that bound. Past the window the bookkeeping allocates nothing of size n,
+and a call that certifies within it allocates only the vectors it used: the
+Lanczos vectors so far, the Lanczos product, the scratch and the residual.
+
+Each Lanczos step writes ``A v + shift*v`` straight into the kernel's own
+buffer: the operator's result is read, never written, and the arrays an
+outcome returns are not touched again by the kernel: they belong to the
+caller. The kernel records nothing else; ``minres_npc`` says how its
+per-iteration history is observed.
 """
 from __future__ import annotations
 
@@ -41,6 +56,7 @@ from .core import (
     ZeroRightHandSide,
     as_vector,
     ensure_operator,
+    norm2,
 )
 
 __all__ = [
@@ -65,6 +81,15 @@ _BREAKDOWN_FACTOR = 64.0
 # floating-point reading of "terminates at the grade": past it the recurrence
 # only grinds noise (beta stalls near sqrt(eps) instead of collapsing).
 _TOL_FLOOR = 64.0
+
+_EPS = np.finfo(float).eps
+
+# Iterations whose iterate update waits for the solve's exit (see the module
+# docstring); a certificate up to iteration _WINDOW + 1 forms no iterate. At
+# the replay in iteration _WINDOW + 1 the kernel holds the window's Lanczos
+# vectors, v_t, the Lanczos product, the scratch, the residual and the new
+# iterate: _WINDOW + 5 n-vectors, which must stay at most ten.
+_WINDOW = 5
 
 
 @dataclass
@@ -121,7 +146,18 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     stops the same solve after iteration t with x_t, r_t and phi_t as its
     ``direction``, ``residual`` and ``residual_norm`` (unless t certifies).
 
-    The work vectors are allocated once per call and updated in place with
+    Iterations 1 to ``_WINDOW`` (five) keep v_t and the scalars of d_t
+    instead of forming d_t and x_t. A certificate up to iteration
+    ``_WINDOW + 1`` returns without forming either; any other exit, or going
+    on past the certificate test of iteration ``_WINDOW + 1``, first replays
+    them:
+    d_j = (v_j - delta2_j d_{j-1} - eps_j d_{j-2}) / gamma2_j into v_j's
+    buffer, then x accumulates tau_j d_j in order. These are the eager
+    update's numpy operations on the same operands, so the outcome is
+    bitwise that of forming x_t on every iteration, signed zeros included.
+
+    A call holds at most ten n-vectors of its own, plus a certificate's
+    returned direction; after the window it updates them in place with
     ``out=``. The operator's result is only read, as the first operand of the
     sum written into the kernel's own buffer, so an operator may return its
     argument or a buffer it keeps. ``b`` is not modified, and the returned
@@ -140,44 +176,39 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
 
-    beta1 = float(np.linalg.norm(b))
+    beta1 = norm2(b)
     if beta1 == 0.0:
         raise ZeroRightHandSide("zero right-hand side: nothing to solve")
 
-    eps = np.finfo(float).eps
-    stop_tol = max(tol, _TOL_FLOOR * eps)
+    stop_tol = max(tol, _TOL_FLOOR * _EPS)
     n = b.size
-    # work vectors, allocated once and updated in place; the pairs
-    # v/v_prev and r_prev/r_t and the triple d_prev2/d_prev/d_t rotate
     v = b / beta1
-    v_prev = np.zeros(n)
-    p = np.empty(n)
+    v_prev = None       # v_0 = 0 is never formed: beta_1 = 0 multiplies it
+    p = np.empty(n)     # Lanczos product, then beta_{t+1} v_{t+1}
     w = np.empty(n)     # scalar-times-vector scratch
-    d_t = np.empty(n)
-    d_prev = np.zeros(n)
-    d_prev2 = np.zeros(n)
-    x = np.zeros(n)
-    r_prev = b.copy()
-    r_t = np.empty(n)
+    r = b.copy()        # r_{t-1}, overwritten by r_t
+    x = None            # the iterate, formed when the window is replayed
+    window = []         # (v_j, delta2_j, eps_j, gamma2_j, tau_j), deferred
     c_prev = -1.0
     s_prev = 0.0
     delta1 = 0.0        # delta_t^(1), carried into iteration t
     eps_t = 0.0         # epsilon_t, carried into iteration t
     phi_prev = beta1    # phi_{t-1}
-    beta_t = 0.0        # beta_t (zero pairs with v_prev = 0 at t = 1)
+    beta_t = 0.0        # beta_t
     anorm_est = 0.0
 
     for t in range(1, max_inner + 1):
         # Lanczos step on A + shift*I; the operator's result is only read
         np.add(op(v), np.multiply(v, shift, out=w), out=p)
         alpha = float(v @ p)
-        np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
+        if t > 1:       # at t = 1 it would subtract +0, which changes no bit
+            np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
         np.subtract(p, np.multiply(v, alpha, out=w), out=p)
-        beta_next = float(np.linalg.norm(p))
+        beta_next = norm2(p)
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
             raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
         anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)
-        if beta_next <= _BREAKDOWN_FACTOR * eps * anorm_est:
+        if beta_next <= _BREAKDOWN_FACTOR * _EPS * anorm_est:
             # numerically invariant subspace: the grade is reached
             beta_next = 0.0
 
@@ -190,10 +221,9 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         if c_prev * gamma1 >= 0.0:
             # non-positive curvature certificate: return the previous residual,
             # rescaled to the right-hand side norm
-            r_norm = float(np.linalg.norm(r_prev))
-            direction = (beta1 / r_norm) * r_prev
+            direction = (beta1 / norm2(r)) * r
             curvature = -(beta1 * beta1) * (c_prev * gamma1)
-            return MinresOutcome(NPC, direction, r_prev, t, curvature, beta1, phi_prev)
+            return MinresOutcome(NPC, direction, r, t, curvature, beta1, phi_prev)
 
         gamma2 = math.hypot(gamma1, beta_next)
         # gamma1 != 0 on this side of the curvature test, so the rotation exists
@@ -202,37 +232,75 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         s = beta_next / gamma2
         tau = c * phi_prev
         phi = s * phi_prev
+        solved = phi <= stop_tol * beta1
+        last = solved or t == max_inner
 
-        # d_t = (v - delta2 d_prev - eps_t d_prev2) / gamma2;  x += tau d_t
-        np.subtract(v, np.multiply(d_prev, delta2, out=w), out=d_t)
-        np.subtract(d_t, np.multiply(d_prev2, eps_t, out=w), out=d_t)
-        np.divide(d_t, gamma2, out=d_t)
-        np.add(x, np.multiply(d_t, tau, out=w), out=x)
+        if x is None and (t <= _WINDOW or last):
+            # defer d_t and x_t; on the way out, replay the whole window
+            window.append((v, delta2, eps_t, gamma2, tau))
+            if last:
+                x = _replay(window, w)
+            else:
+                v_prev = np.empty(n)    # v_t stays in the window
+        else:
+            if x is None:
+                # iteration _WINDOW + 1: replay, then carry on eagerly with
+                # d_{t-2} and d_{t-1}, and two spent buffers for d_t and v_{t+1}
+                x = _replay(window, w)
+                d_t, v_prev = window[0][0], window[1][0]
+                d_prev2, d_prev = window[-2][0], window[-1][0]
+                window.clear()
+            _direction(d_t, v, d_prev, d_prev2, delta2, eps_t, gamma2, w)
+            np.add(x, np.multiply(d_t, tau, out=w), out=x)
+            d_prev2, d_prev, d_t = d_prev, d_t, d_prev2
 
         if beta_next > 0.0:
-            # v_{t+1} = p / beta_{t+1} into v_prev's buffer, which is spent
-            v_next = np.divide(p, beta_next, out=v_prev)
-            # r_t = s^2 r_prev - phi c v_{t+1}
-            np.multiply(r_prev, s * s, out=r_t)
-            np.subtract(r_t, np.multiply(v_next, phi * c, out=w), out=r_t)
+            # v_{t+1} = p / beta_{t+1}, into a free buffer; r_t = s^2 r_{t-1}
+            # - phi c v_{t+1}
+            v_next = np.divide(p, beta_next, out=p if last else v_prev)
+            np.multiply(r, s * s, out=r)
+            np.subtract(r, np.multiply(v_next, phi * c, out=w), out=r)
         else:
-            r_t.fill(0.0)       # s = 0 makes phi exactly zero here
+            r.fill(0.0)         # s = 0 makes phi exactly zero here
 
-        if phi <= stop_tol * beta1:
-            curvature = float(x @ np.subtract(b, r_t, out=w))
-            return MinresOutcome(SOL, x, r_t, t, curvature, beta1, phi)
+        if solved:
+            curvature = float(x @ np.subtract(b, r, out=w))
+            return MinresOutcome(SOL, x, r, t, curvature, beta1, phi)
 
         # beta_{t+1} = 0 would have zeroed phi and taken the solution exit
         assert beta_next > 0.0
 
         v_prev, v = v, v_next
-        r_prev, r_t = r_t, r_prev
-        d_prev2, d_prev, d_t = d_prev, d_t, d_prev2
         c_prev, s_prev = c, s
         phi_prev = phi
         beta_t = beta_next
         delta1 = delta1_next
         eps_t = eps_next
 
-    curvature = float(x @ np.subtract(b, r_prev, out=w))
-    return MinresOutcome(MAXITER, x, r_prev, max_inner, curvature, beta1, phi_prev)
+    curvature = float(x @ np.subtract(b, r, out=w))
+    return MinresOutcome(MAXITER, x, r, max_inner, curvature, beta1, phi_prev)
+
+
+def _direction(out, v, d_prev, d_prev2, delta2, eps, gamma2, w):
+    """d_t = (v_t - delta2_t d_{t-1} - eps_t d_{t-2}) / gamma2_t into ``out``,
+    which may be v_t's own buffer."""
+    np.subtract(v, np.multiply(d_prev, delta2, out=w), out=out)
+    np.subtract(out, np.multiply(d_prev2, eps, out=w), out=out)
+    np.divide(out, gamma2, out=out)
+
+
+def _replay(window, w):
+    """Form the deferred directions and return the iterate they build.
+
+    Each d_j goes into v_j's buffer, which the Lanczos recurrence has spent;
+    x, still zero until every direction is formed, stands for d_0 = d_{-1} = 0.
+    Then x accumulates tau_j d_j in order.
+    """
+    x = np.zeros(w.size)
+    d_prev = d_prev2 = x
+    for d, delta2, eps, gamma2, _ in window:
+        _direction(d, d, d_prev, d_prev2, delta2, eps, gamma2, w)
+        d_prev2, d_prev = d_prev, d
+    for d, _, _, _, tau in window:
+        np.add(x, np.multiply(d, tau, out=w), out=x)
+    return x

@@ -68,8 +68,8 @@ class ProblemSpec:
     """Problem description: dimension, oracles, start sampler and optimum.
 
     Every evaluation returns a fresh array (or a float) that the caller owns.
-    Rosenbrock's ``hvp`` reuses two work vectors per thread, so objectives of
-    one spec may run in different threads.
+    Rosenbrock's ``f``, ``grad`` and ``hvp`` reuse two work vectors per
+    thread, so objectives of one spec may run in different threads.
     """
 
     name: str
@@ -193,8 +193,8 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     """Chained Rosenbrock: sum of 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    # hvp's two work vectors, made by the first call in each thread, so that
-    # objectives of one spec may still run concurrently
+    # the oracles' two work vectors, made by the first call in each thread,
+    # so that objectives of one spec may still run concurrently
     local = threading.local()
 
     def work():
@@ -203,22 +203,35 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
             pair = local.pair = (np.empty(n - 1), np.empty(n - 1))
         return pair
 
+    # each oracle evaluates the expression in its comments one numpy
+    # operation at a time, in the same order, in the work vectors a and b (or
+    # straight into its result), so its value is bitwise that of the plain
+    # expression
+
     def f(x):
+        # sum(100 (tail - head^2)^2 + (1 - head)^2)
+        a, b = work()
         head, tail = x[:-1], x[1:]
-        return float(np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2))
+        np.subtract(tail, np.square(head, out=a), out=a)
+        np.multiply(np.square(a, out=a), 100.0, out=a)
+        np.square(np.subtract(1.0, head, out=b), out=b)
+        return float(np.sum(np.add(a, b, out=a)))
 
     def grad(x):
+        # gap = tail - head^2; g[:-1] = -400 head gap - 2 (1 - head), then
+        # g[1:] += 200 gap
+        a, b = work()
         g = np.zeros_like(x)
         head, tail = x[:-1], x[1:]
-        gap = tail - head ** 2
-        g[:-1] = -400.0 * head * gap - 2.0 * (1.0 - head)
-        g[1:] += 200.0 * gap
+        lead = g[:-1]
+        gap = np.subtract(tail, np.square(head, out=a), out=a)
+        np.multiply(np.multiply(head, -400.0, out=lead), gap, out=lead)
+        np.multiply(np.subtract(1.0, head, out=b), 2.0, out=b)
+        np.subtract(lead, b, out=lead)
+        g[1:] += np.multiply(gap, 200.0, out=a)
         return g
 
     def hvp(x, v):
-        # each line evaluates the expression in its comment one numpy
-        # operation at a time, in the same order, in the work vectors a and
-        # b, so the result is bitwise that of the plain expression
         a, b = work()
         h = np.zeros_like(x)
         head, tail = x[:-1], x[1:]

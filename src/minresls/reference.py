@@ -5,7 +5,9 @@ least-squares solve, MINRES rotations rebuilt from dense quadratic forms of
 the Lanczos vectors, dense recursive quasi-Newton updates, exhaustive grid
 scans. These are the independent side of every two-route check in the test
 suite and in ``minresls check``; none of them share code with the production
-kernels they validate.
+kernels they validate. The one exception is ``minres_eager``, the MINRES loop
+that forms every iterate as it goes: it pins the production kernel's deferred
+iterate updates to the eager arithmetic bit for bit.
 """
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ import math
 
 import numpy as np
 
-from .core import ZeroRightHandSide, as_vector
+from .core import NumericalBreakdown, ZeroRightHandSide, as_vector, ensure_operator
+from .minres import _BREAKDOWN_FACTOR, _TOL_FLOOR, MAXITER, NPC, SOL, MinresOutcome
 
 __all__ = [
     "krylov_lsq_oracle",
     "minres_rotations",
+    "minres_eager",
     "dense_bfgs_matrix",
     "backtrack_reference",
     "forward_grid_reference",
@@ -81,6 +85,99 @@ def minres_rotations(A: np.ndarray, vs) -> np.ndarray:
             delta1 = -c_prev * beta_next
             c_prev, s_prev = gamma1 / gamma2, beta_next / gamma2
     return np.array(certs)
+
+
+def minres_eager(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> MinresOutcome:
+    """``minres_npc`` as a loop that forms d_t and x_t on every iteration.
+
+    The same Lanczos, rotation and update arithmetic as the production kernel,
+    in the same numpy operations and order, with every work vector in its own
+    buffer (``r_prev`` and ``r_t`` rotate) and no deferred updates, so its
+    outcome must equal the kernel's bit for bit. Arguments are assumed valid.
+    """
+    op = ensure_operator(A)
+    b = as_vector(b, "b")
+    beta1 = float(np.linalg.norm(b))
+    if beta1 == 0.0:
+        raise ZeroRightHandSide("zero right-hand side: nothing to solve")
+
+    eps = np.finfo(float).eps
+    stop_tol = max(tol, _TOL_FLOOR * eps)
+    n = b.size
+    v = b / beta1
+    v_prev = np.zeros(n)
+    p = np.empty(n)
+    w = np.empty(n)
+    d_t = np.empty(n)
+    d_prev = np.zeros(n)
+    d_prev2 = np.zeros(n)
+    x = np.zeros(n)
+    r_prev = b.copy()
+    r_t = np.empty(n)
+    c_prev = -1.0
+    s_prev = 0.0
+    delta1 = 0.0
+    eps_t = 0.0
+    phi_prev = beta1
+    beta_t = 0.0
+    anorm_est = 0.0
+
+    for t in range(1, max_inner + 1):
+        np.add(op(v), np.multiply(v, shift, out=w), out=p)
+        alpha = float(v @ p)
+        np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
+        np.subtract(p, np.multiply(v, alpha, out=w), out=p)
+        beta_next = float(np.linalg.norm(p))
+        if not (math.isfinite(alpha) and math.isfinite(beta_next)):
+            raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
+        anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)
+        if beta_next <= _BREAKDOWN_FACTOR * eps * anorm_est:
+            beta_next = 0.0
+
+        delta2 = c_prev * delta1 + s_prev * alpha
+        gamma1 = s_prev * delta1 - c_prev * alpha
+        eps_next = s_prev * beta_next
+        delta1_next = -c_prev * beta_next
+
+        if c_prev * gamma1 >= 0.0:
+            r_norm = float(np.linalg.norm(r_prev))
+            direction = (beta1 / r_norm) * r_prev
+            curvature = -(beta1 * beta1) * (c_prev * gamma1)
+            return MinresOutcome(NPC, direction, r_prev, t, curvature, beta1, phi_prev)
+
+        gamma2 = math.hypot(gamma1, beta_next)
+        c = gamma1 / gamma2
+        s = beta_next / gamma2
+        tau = c * phi_prev
+        phi = s * phi_prev
+
+        np.subtract(v, np.multiply(d_prev, delta2, out=w), out=d_t)
+        np.subtract(d_t, np.multiply(d_prev2, eps_t, out=w), out=d_t)
+        np.divide(d_t, gamma2, out=d_t)
+        np.add(x, np.multiply(d_t, tau, out=w), out=x)
+
+        if beta_next > 0.0:
+            v_next = np.divide(p, beta_next, out=v_prev)
+            np.multiply(r_prev, s * s, out=r_t)
+            np.subtract(r_t, np.multiply(v_next, phi * c, out=w), out=r_t)
+        else:
+            r_t.fill(0.0)
+
+        if phi <= stop_tol * beta1:
+            curvature = float(x @ np.subtract(b, r_t, out=w))
+            return MinresOutcome(SOL, x, r_t, t, curvature, beta1, phi)
+
+        v_prev, v = v, v_next
+        r_prev, r_t = r_t, r_prev
+        d_prev2, d_prev, d_t = d_prev, d_t, d_prev2
+        c_prev, s_prev = c, s
+        phi_prev = phi
+        beta_t = beta_next
+        delta1 = delta1_next
+        eps_t = eps_next
+
+    curvature = float(x @ np.subtract(b, r_prev, out=w))
+    return MinresOutcome(MAXITER, x, r_prev, max_inner, curvature, beta1, phi_prev)
 
 
 def dense_bfgs_matrix(gamma: float, pairs) -> np.ndarray:

@@ -130,6 +130,10 @@ class TestManifests:
         assert cells[0].cfg.grad_tol == 1e-6
         assert cells[0].cfg.schedule.alpha == 0.5
 
+    def test_lbfgs_memory_override(self):
+        cells = parse_manifest("problem=quadratic config=lbfgs_mr seed=0 lbfgs_memory=3\n")
+        assert cells[0].cfg.lbfgs_memory == 3
+
     @pytest.mark.parametrize("line,fragment", [
         ("problem=quadratic config=newton_mr", "missing required key 'seed'"),
         ("config=newton_mr seed=1", "missing required key 'problem'"),
@@ -171,6 +175,8 @@ class TestManifests:
          "max_oracles > 0"),
         ("problem=quadratic config=lbfgs_mr seed=1 lbfgs_memory=0",
          "lbfgs_memory must be at least 1"),
+        ("problem=quadratic config=lbfgs_mr seed=1 lbfgs_memory=2.5",
+         "bad value '2.5' for config key 'lbfgs_memory'"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
         with pytest.raises(ValueError, match="m:1"):

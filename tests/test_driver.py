@@ -169,6 +169,14 @@ class TestSolverConfig:
         trace = solve(obj, np.ones(4), SolverConfig(max_inner=np.int64(5)))
         assert trace.status == CONVERGED
 
+    def test_lbfgs_memory_must_be_an_integer(self):
+        # a float memory would otherwise be truncated by the store
+        with pytest.raises(ValueError, match="lbfgs_memory must be an integer, got 2.5"):
+            SolverConfig(lbfgs_memory=2.5)
+        obj = spec("quadratic", n=4).make_objective()
+        cfg = SolverConfig(hessian="lbfgs", lbfgs_memory=np.int64(2))
+        assert solve(obj, np.ones(4), cfg).status == CONVERGED
+
 
 class TestChooseDirection:
     """Every outcome of the direction choice, on small dense models."""

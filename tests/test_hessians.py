@@ -325,3 +325,8 @@ class TestLbfgsStore:
             st.update(np.ones(2), np.ones(2))
         with pytest.raises(ValueError):
             LbfgsStore(3, memory=0)
+
+    def test_memory_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="memory must be an integer, got 2.5"):
+            LbfgsStore(3, memory=2.5)
+        assert LbfgsStore(3, memory=np.int64(2)).memory == 2

@@ -1,16 +1,20 @@
 """MINRES kernel: solution and curvature-certificate exits, frozen cases."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from minresls.checks import minres_iterations, random_symmetric_system
 from minresls.core import SymmetricOperator, ZeroRightHandSide
 from minresls.minres import (
+    _WINDOW,
     MAXITER,
     NPC,
     SOL,
     minres_npc,
 )
-from minresls.reference import krylov_lsq_oracle, minres_rotations
+from minresls.reference import krylov_lsq_oracle, minres_eager, minres_rotations
 
 
 def run(A, b, tol, max_inner=50):
@@ -228,6 +232,110 @@ class TestBufferSafety:
         minres_npc(A, b, 0.0, 50)
         assert np.array_equal(first.direction, direction)
         assert np.array_equal(first.residual, residual)
+
+
+def exit_system(flag, t, shift, n):
+    """Diagonal of A and b for a solve that exits with ``flag`` at iteration t
+    (with ``max_inner = t`` for MAXITER) under ``shift``, padded to dimension n
+    with coordinates where b holds -0 and +0, whose signs the kernel keeps."""
+    if flag == NPC:
+        # t - 1 positive eigenvalues are resolved first; a weak negative one
+        # then certifies
+        lam = [*np.arange(1.0, t), -1.0 - shift]
+        rhs = [1.0] * (t - 1) + [1e-3]
+    else:
+        # SOL at the grade t; MAXITER caps a grade of t + 3
+        grade = t if flag == SOL else t + 3
+        lam = list(np.arange(1.0, grade + 1.0))
+        rhs = [1.0] * grade
+    pad = n - len(lam)
+    lam += [5.0, 7.0] * (pad // 2) + [5.0] * (pad % 2)
+    rhs += [-0.0, 0.0] * (pad // 2) + [-0.0] * (pad % 2)
+    return np.array(lam), np.array(rhs)
+
+
+def assert_same_outcome(out, ref):
+    """Every field equal, arrays and floats compared bit for bit."""
+    for field in dataclasses.fields(out):
+        mine, theirs = getattr(out, field.name), getattr(ref, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes(), field.name
+        elif isinstance(mine, float):
+            assert mine.hex() == float(theirs).hex(), field.name
+        else:
+            assert mine == theirs, field.name
+
+
+def diagonal_operator(lam, returns):
+    """A = diag(lam) as an operator returning fresh arrays or a kept buffer."""
+    if returns == "fresh":
+        return SymmetricOperator(lam.size, lambda v: lam * v)
+    kept = np.empty(lam.size)
+    return SymmetricOperator(lam.size, lambda v: np.multiply(lam, v, out=kept))
+
+
+EXIT_ITERATIONS = range(1, _WINDOW + 4)
+
+
+class TestDeferredWindow:
+    """The first _WINDOW iterations defer d_t and x_t and replay them on the
+    way out; every outcome is still bitwise that of the eager loop."""
+
+    @pytest.mark.parametrize("returns", ["fresh", "kept"])
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    @pytest.mark.parametrize("flag", [NPC, SOL, MAXITER])
+    @pytest.mark.parametrize("t", EXIT_ITERATIONS)
+    def test_exit_matches_eager_loop(self, t, flag, shift, returns):
+        lam, b = exit_system(flag, t, shift, t + 8)
+        max_inner = t if flag == MAXITER else 50
+        out = minres_npc(diagonal_operator(lam, returns), b, 0.0, max_inner, shift=shift)
+        assert (out.flag, out.inner_iters) == (flag, t)
+        ref = minres_eager(np.diag(lam), b, 0.0, max_inner, shift=shift)
+        assert_same_outcome(out, ref)
+
+    @pytest.mark.parametrize("shift, flag", [(0.0, SOL), (0.3, SOL), (-2.0, NPC)])
+    def test_operator_returning_its_argument_matches_eager_loop(self, shift, flag):
+        b = np.array([3.0, -0.0, 2.0, 0.0, -1.0])
+        op = SymmetricOperator(5, lambda v: v)
+        out = minres_npc(op, b, 0.0, 50, shift=shift)
+        assert (out.flag, out.inner_iters) == (flag, 1)
+        assert_same_outcome(out, minres_eager(op, b, 0.0, 50, shift=shift))
+
+    @pytest.mark.parametrize("max_inner", EXIT_ITERATIONS)
+    @pytest.mark.parametrize("kind", ["definite", "indefinite"])
+    def test_random_systems_match_eager_loop(self, kind, max_inner):
+        rng = np.random.default_rng(max_inner)
+        for _ in range(40):
+            A, b, _ = random_symmetric_system(rng, n=int(rng.integers(2, 12)), kind=kind)
+            for tol in (0.0, 0.1):
+                assert_same_outcome(minres_npc(A, b, tol, max_inner),
+                                    minres_eager(A, b, tol, max_inner))
+
+    @pytest.mark.parametrize("flag", [NPC, SOL, MAXITER])
+    @pytest.mark.parametrize("t", [2, _WINDOW, _WINDOW + 1, _WINDOW + 3])
+    def test_peak_memory(self, t, flag):
+        # at most ten n-vectors of the kernel's own, plus a certificate's
+        # direction; the operator writes into a buffer made beforehand
+        n = 20_000
+        vec = 8 * n
+        lam, b = exit_system(flag, t, 0.0, n)
+        op = diagonal_operator(lam, "kept")
+        max_inner = t if flag == MAXITER else 50
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = minres_npc(op, b, 0.0, max_inner)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (out.flag, out.inner_iters) == (flag, t)
+        assert peak <= (10 + (flag == NPC)) * vec + 0.25 * vec
+        if flag == NPC and t <= _WINDOW + 1:
+            # a certificate in the window forms neither x nor any d_j: the
+            # call holds the Lanczos product, the scratch, the residual,
+            # v_1..v_t and the direction
+            assert peak <= (t + 4) * vec + 0.25 * vec
 
 
 class TestIterationHistory:
