@@ -9,11 +9,13 @@ separated by whitespace::
 and ``label`` to the config name. ``p.<name>`` tokens are problem parameters
 (``p.spectrum`` takes comma-separated floats). Any dotted or bare solver key
 (``schedule.beta``, ``linesearch.max_step``, ``grad_tol``, ...) overrides the
-named config. The whole manifest is validated before anything runs.
+named config. A key may appear only once in a cell. The whole manifest is
+validated before anything runs.
 
 A config is either a builtin name (``newton_mr``, ``lbfgs_mr``, ``coupled``)
-or a path to a flat ``key = value`` file; an optional leading ``base = <builtin>``
-line picks the starting point. ``#`` starts a comment in both formats.
+or a path to a flat ``key = value`` file, each key at most once; an optional
+leading ``base = <builtin>`` line picks the starting point. ``#`` starts a
+comment in both formats.
 
 Trace files carry one record per outer iteration with fields exactly
 ``k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms`` followed
@@ -130,9 +132,8 @@ def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> SolverConfig:
-    """Parse a flat ``key = value`` config file body."""
-    base = "newton_mr"
-    settings = []
+    """Parse a flat ``key = value`` config file body; each key at most once."""
+    settings = {}       # key -> (line number, value), in file order
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,17 +142,17 @@ def parse_config_text(text: str, origin: str = "<config>") -> SolverConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{origin}:{ln}: expected 'key = value', got {raw.strip()!r}")
-        if key == "base":
-            if settings:
-                raise ValueError(f"{origin}:{ln}: 'base' must come before other keys")
-            base = value
-            continue
-        settings.append((ln, key, value))
+        if key in settings:
+            raise ValueError(f"{origin}:{ln}: duplicate key {key!r}")
+        if key == "base" and settings:
+            raise ValueError(f"{origin}:{ln}: 'base' must come before other keys")
+        settings[key] = (ln, value)
+    base = settings.pop("base", (0, "newton_mr"))[1]
     try:
         cfg = builtin_config(base)
     except ValueError as exc:
         raise ValueError(f"{origin}: {exc}") from None
-    for ln, key, value in settings:
+    for key, (ln, value) in settings.items():
         try:
             cfg = apply_setting(cfg, key, value)
         except ValueError as exc:
@@ -239,7 +240,7 @@ def parse_manifest(text: str, base_dir: str | None = None,
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields, params, overrides = {}, {}, []
+        fields, params, overrides = {}, {}, {}
         for tok in line.split():
             key, sep, value = tok.partition("=")
             if not sep or not key or not value:
@@ -252,12 +253,12 @@ def parse_manifest(text: str, base_dir: str | None = None,
                     params[pname] = _coerce_param(value)
                 except ValueError as exc:
                     raise ValueError(f"{origin}:{ln}: {exc}") from None
+            elif key in fields or key in overrides:
+                raise ValueError(f"{origin}:{ln}: duplicate key {key!r}")
             elif key in ("problem", "config", "seed", "repeats", "label"):
-                if key in fields:
-                    raise ValueError(f"{origin}:{ln}: duplicate key {key!r}")
                 fields[key] = value
             else:
-                overrides.append((key, value))
+                overrides[key] = value
         for req in ("problem", "config", "seed"):
             if req not in fields:
                 raise ValueError(f"{origin}:{ln}: missing required key {req!r}")
@@ -275,7 +276,7 @@ def parse_manifest(text: str, base_dir: str | None = None,
             raise ValueError(f"{origin}:{ln}: {detail}") from None
         try:
             cfg = resolve_config(fields["config"], search_dirs)
-            for key, value in overrides:
+            for key, value in overrides.items():
                 cfg = apply_setting(cfg, key, value)
         except ValueError as exc:
             raise ValueError(f"{origin}:{ln}: {exc}") from None
@@ -433,7 +434,16 @@ def trace_filename(index: int, trace: RunTrace) -> str:
 
 
 def write_suite(traces: list[RunTrace], out_dir) -> list[str]:
-    """Emit every trace into ``out_dir`` under deterministic filenames."""
+    """Emit every trace into ``out_dir`` under deterministic filenames.
+
+    A directory that already holds trace files is refused before anything is
+    written, since a profile over it would count the old runs too.
+    """
+    if os.path.isdir(out_dir):
+        stale = sum(name.endswith(TRACE_SUFFIX) for name in os.listdir(out_dir))
+        if stale:
+            raise FileExistsError(f"{out_dir} already holds {stale} *{TRACE_SUFFIX} "
+                                  "files; write a suite into a fresh directory")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, tr in enumerate(traces):

@@ -25,7 +25,8 @@ as m x m arrays; an accepted pair overwrites the oldest slot and recomputes
 only that slot's row and column of them, O(n m) work. M is assembled in the
 ring's interleaved slot order, which permutes its rows and columns alike and
 so leaves its inverse (permuted the same way) and its condition number as
-they are.
+they are. The count of accepted pairs alone gives the ring's chronological
+order, which the strictly lower triangle L needs.
 """
 from __future__ import annotations
 
@@ -54,8 +55,9 @@ class LbfgsStore:
     order and then wrap, the newest pair overwriting the oldest, so the first
     ``2*n_pairs`` rows are always the live pairs. The ``memory x memory``
     arrays S'S and S'Y are kept in slot order, and an accepted pair refreshes
-    only its own row and column of them. Insertion stamps recover the
-    chronological order that the strictly lower triangle L of M needs.
+    only its own row and column of them. Once the ring is full the oldest
+    slot is the accepted count modulo ``memory``, which orders the strictly
+    lower triangle L of M chronologically.
 
     The middle block is inverted once per accepted update and the inverse
     reused across applies; the store is degenerate, and ``apply`` raises,
@@ -75,7 +77,6 @@ class LbfgsStore:
         self._pairs = np.empty((2 * self.memory, self.dim))   # rows s_0, y_0, s_1, ...
         self._sts = np.zeros((self.memory, self.memory))      # s_i's_j, slot order
         self._sty = np.zeros((self.memory, self.memory))      # s_i'y_j, slot order
-        self._stamp = np.zeros(self.memory, dtype=np.int64)   # insertion number per slot
         self._accepted = 0
         self._K = None          # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
         self._degenerate = False
@@ -102,7 +103,6 @@ class LbfgsStore:
         np.divide(s, s_norm, out=self._pairs[2 * j])
         np.divide(y, s_norm, out=self._pairs[2 * j + 1])
         self._accepted += 1
-        self._stamp[j] = self._accepted
         k = self.n_pairs
         # the new pair against every live row: one row and column of each Gram array
         sj, yj = self._pairs[2 * j:2 * j + 2] @ self._pairs[:2 * k].T
@@ -116,8 +116,9 @@ class LbfgsStore:
     def _refresh(self) -> None:
         k = self.n_pairs
         sty = self._sty[:k, :k]
-        stamp = self._stamp[:k]
-        L = np.where(stamp[:, None] > stamp[None, :], sty, 0.0)
+        # chronological rank of each slot, 0 for the oldest live pair
+        rank = (np.arange(k) - self._accepted) % k
+        L = np.where(rank[:, None] > rank[None, :], sty, 0.0)
         # M = [[gamma*S'S, L], [L', -D]] with its rows and columns in the
         # buffer's interleaved order s_0, y_0, s_1, y_1, ...
         M = np.zeros((2 * k, 2 * k))

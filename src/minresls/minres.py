@@ -19,22 +19,27 @@ certificate (flag ``NPC``) instead of grinding on, or the usual inexact
 solution (flag ``SOL``) once the residual estimate ``phi_t`` drops below
 ``tol * ||b||``.
 
-The iterate update is deferred. For the first ``_WINDOW`` iterations of a
-solve the kernel keeps each Lanczos vector v_t with the scalars of its search
-direction d_t and forms neither d_t nor x_t. A curvature certificate in the
-window drops them, so a certificate never forms x. A solution exit, the
-iteration cap, or reaching iteration ``_WINDOW + 1`` replays the kept updates
-in order, with the numpy operations of the eager update in the same order,
-so every outcome is bitwise that of a loop forming x_t on every iteration;
-from there on the loop does form it on every iteration.
+The iterate update trails the Lanczos recurrence. Every iteration that does
+not certify keeps its Lanczos vector v_t with the scalars of its search
+direction d_t, and a single fold later forms the kept directions in their
+spent Lanczos buffers and adds tau_j d_j to x in order. A solution exit or the
+iteration cap folds every kept update; from iteration ``_WINDOW + 1`` on,
+each iteration folds all but its own, as v_t is still the next iteration's
+v_prev. A curvature certificate drops what is kept: one by iteration
+``_WINDOW + 1`` never forms x, and a later one skips its trailing update.
+The fold runs the eager update's numpy operations on the same operands in
+the same order, so every outcome is bitwise that of a loop forming x_t on
+every iteration.
 
 A call holds at most ten n-vectors of its own (Lanczos vectors, search
 directions, iterate, residual and one scratch), plus the direction a
 certificate returns. The residual is updated in place in one buffer, each
-replayed d_j is written into v_j's spent buffer, and the window is sized to
-fit that bound. Past the window the bookkeeping allocates nothing of size n,
-and a call that certifies within it allocates only the vectors it used: the
-Lanczos vectors so far, the Lanczos product, the scratch and the residual.
+d_j is written into v_j's spent buffer, and the window is sized so that the
+first fold fits that bound. Past the window v_{t+1} goes into the buffer of
+the direction the fold just dropped, so the bookkeeping allocates nothing of
+size n, and a call that certifies within the window allocates only the
+vectors it used: the Lanczos vectors so far, the Lanczos product, the
+scratch and the residual.
 
 Each Lanczos step writes ``A v + shift*v`` straight into the kernel's own
 buffer: the operator's result is read, never written, and the arrays an
@@ -84,11 +89,11 @@ _TOL_FLOOR = 64.0
 
 _EPS = np.finfo(float).eps
 
-# Iterations whose iterate update waits for the solve's exit (see the module
+# Iterations whose updates are kept until the first fold (see the module
 # docstring); a certificate up to iteration _WINDOW + 1 forms no iterate. At
-# the replay in iteration _WINDOW + 1 the kernel holds the window's Lanczos
-# vectors, v_t, the Lanczos product, the scratch, the residual and the new
-# iterate: _WINDOW + 5 n-vectors, which must stay at most ten.
+# the first fold, in iteration _WINDOW + 1, the kernel holds the window's
+# Lanczos vectors, v_t, the Lanczos product, the scratch, the residual and the
+# new iterate: _WINDOW + 5 n-vectors, which must stay at most ten.
 _WINDOW = 5
 
 
@@ -146,21 +151,22 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     stops the same solve after iteration t with x_t, r_t and phi_t as its
     ``direction``, ``residual`` and ``residual_norm`` (unless t certifies).
 
-    Iterations 1 to ``_WINDOW`` (five) keep v_t and the scalars of d_t
-    instead of forming d_t and x_t. A certificate up to iteration
-    ``_WINDOW + 1`` returns without forming either; any other exit, or going
-    on past the certificate test of iteration ``_WINDOW + 1``, first replays
-    them:
+    Each iteration past the certificate test keeps v_t and the scalars of
+    d_t. A solution exit or the cap folds every kept update; from iteration
+    ``_WINDOW + 1`` (six) on, each iteration folds all but its own, one
+    iteration behind. A fold forms
     d_j = (v_j - delta2_j d_{j-1} - eps_j d_{j-2}) / gamma2_j into v_j's
     buffer, then x accumulates tau_j d_j in order. These are the eager
     update's numpy operations on the same operands, so the outcome is
     bitwise that of forming x_t on every iteration, signed zeros included.
+    A certificate returns without folding what is kept, so one by iteration
+    ``_WINDOW + 1`` forms neither d_t nor x_t.
 
     A call holds at most ten n-vectors of its own, plus a certificate's
-    returned direction; after the window it updates them in place with
-    ``out=``. The operator's result is only read, as the first operand of the
-    sum written into the kernel's own buffer, so an operator may return its
-    argument or a buffer it keeps. ``b`` is not modified, and the returned
+    returned direction, and updates them in place with ``out=``. The
+    operator's result is only read, as the first operand of the sum written
+    into the kernel's own buffer, so an operator may return its argument or a
+    buffer it keeps. ``b`` is not modified, and the returned
     ``direction`` and ``residual`` are arrays no later call touches.
     """
     op = ensure_operator(A)
@@ -187,8 +193,9 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     p = np.empty(n)     # Lanczos product, then beta_{t+1} v_{t+1}
     w = np.empty(n)     # scalar-times-vector scratch
     r = b.copy()        # r_{t-1}, overwritten by r_t
-    x = None            # the iterate, formed when the window is replayed
-    window = []         # (v_j, delta2_j, eps_j, gamma2_j, tau_j), deferred
+    x = None            # the iterate, formed at the first fold
+    d = None            # [d_{j-2}, d_{j-1}] of the last folded update
+    kept = []           # (v_j, delta2_j, eps_j, gamma2_j, tau_j), not yet folded
     c_prev = -1.0
     s_prev = 0.0
     delta1 = 0.0        # delta_t^(1), carried into iteration t
@@ -235,29 +242,21 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         solved = phi <= stop_tol * beta1
         last = solved or t == max_inner
 
-        if x is None and (t <= _WINDOW or last):
-            # defer d_t and x_t; on the way out, replay the whole window
-            window.append((v, delta2, eps_t, gamma2, tau))
-            if last:
-                x = _replay(window, w)
-            else:
-                v_prev = np.empty(n)    # v_t stays in the window
-        else:
+        kept.append((v, delta2, eps_t, gamma2, tau))
+        if last or t > _WINDOW:
             if x is None:
-                # iteration _WINDOW + 1: replay, then carry on eagerly with
-                # d_{t-2} and d_{t-1}, and two spent buffers for d_t and v_{t+1}
-                x = _replay(window, w)
-                d_t, v_prev = window[0][0], window[1][0]
-                d_prev2, d_prev = window[-2][0], window[-1][0]
-                window.clear()
-            _direction(d_t, v, d_prev, d_prev2, delta2, eps_t, gamma2, w)
-            np.add(x, np.multiply(d_t, tau, out=w), out=x)
-            d_prev2, d_prev, d_t = d_prev, d_t, d_prev2
+                x = np.zeros(n)     # stands for d_0 = d_{-1} = 0
+                d = [x, x]
+            # fold every kept update on the way out, else all but v_t's:
+            # v_t is the next iteration's v_prev
+            free = _fold(kept, len(kept) - (not last), x, d, w)
+        else:
+            free = np.empty(n)  # v_t stays kept
 
         if beta_next > 0.0:
             # v_{t+1} = p / beta_{t+1}, into a free buffer; r_t = s^2 r_{t-1}
             # - phi c v_{t+1}
-            v_next = np.divide(p, beta_next, out=p if last else v_prev)
+            v_next = np.divide(p, beta_next, out=p if last else free)
             np.multiply(r, s * s, out=r)
             np.subtract(r, np.multiply(v_next, phi * c, out=w), out=r)
         else:
@@ -281,26 +280,23 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     return MinresOutcome(MAXITER, x, r, max_inner, curvature, beta1, phi_prev)
 
 
-def _direction(out, v, d_prev, d_prev2, delta2, eps, gamma2, w):
-    """d_t = (v_t - delta2_t d_{t-1} - eps_t d_{t-2}) / gamma2_t into ``out``,
-    which may be v_t's own buffer."""
-    np.subtract(v, np.multiply(d_prev, delta2, out=w), out=out)
-    np.subtract(out, np.multiply(d_prev2, eps, out=w), out=out)
-    np.divide(out, gamma2, out=out)
-
-
-def _replay(window, w):
-    """Form the deferred directions and return the iterate they build.
+def _fold(kept, count, x, d, w):
+    """Form the first ``count`` kept updates and add them to x in order.
 
     Each d_j goes into v_j's buffer, which the Lanczos recurrence has spent;
-    x, still zero until every direction is formed, stands for d_0 = d_{-1} = 0.
-    Then x accumulates tau_j d_j in order.
+    ``d`` holds [d_{j-2}, d_{j-1}] and moves along in place. At the first fold
+    x is still zero and stands for d_0 = d_{-1} = 0, so x accumulates
+    tau_j d_j only once the directions are formed. Returns the buffer of the
+    direction that left ``d`` last, which no later update reads.
     """
-    x = np.zeros(w.size)
-    d_prev = d_prev2 = x
-    for d, delta2, eps, gamma2, _ in window:
-        _direction(d, d, d_prev, d_prev2, delta2, eps, gamma2, w)
-        d_prev2, d_prev = d_prev, d
-    for d, _, _, _, tau in window:
-        np.add(x, np.multiply(d, tau, out=w), out=x)
-    return x
+    folded = kept[:count]
+    del kept[:count]
+    for v, delta2, eps, gamma2, _ in folded:
+        d_prev2, d_prev = d
+        np.subtract(v, np.multiply(d_prev, delta2, out=w), out=v)
+        np.subtract(v, np.multiply(d_prev2, eps, out=w), out=v)
+        np.divide(v, gamma2, out=v)
+        d[:] = d_prev, v
+    for v, _, _, _, tau in folded:
+        np.add(x, np.multiply(v, tau, out=w), out=x)
+    return d_prev2

@@ -6,8 +6,8 @@ the Lanczos vectors, dense recursive quasi-Newton updates, exhaustive grid
 scans. These are the independent side of every two-route check in the test
 suite and in ``minresls check``; none of them share code with the production
 kernels they validate. The one exception is ``minres_eager``, the MINRES loop
-that forms every iterate as it goes: it pins the production kernel's deferred
-iterate updates to the eager arithmetic bit for bit.
+that forms every iterate as it goes: it pins the production kernel's trailing
+fold of the iterate updates to the eager arithmetic bit for bit.
 """
 from __future__ import annotations
 

@@ -97,6 +97,11 @@ class TestConfigs:
             parse_config_text("grad_tol\n", origin="cfg")
         with pytest.raises(ValueError, match="unknown builtin"):
             parse_config_text("base = mystery\n", origin="cfg")
+        with pytest.raises(ValueError, match=r"cfg:3: duplicate key 'grad_tol'"):
+            parse_config_text("grad_tol = 1e-3\nmax_inner = 5\ngrad_tol = 1e-9\n",
+                              origin="cfg")
+        with pytest.raises(ValueError, match=r"cfg:2: duplicate key 'base'"):
+            parse_config_text("base = coupled\nbase = lbfgs_mr\n", origin="cfg")
 
     def test_resolve_config_file(self, tmp_path):
         path = tmp_path / "tight.cfg"
@@ -148,6 +153,10 @@ class TestManifests:
         ("problem=quadratic problem=toy_sine config=newton_mr seed=1", "duplicate key"),
         ("problem=quadratic p.n=4 p.n=5 config=newton_mr seed=1",
          "bad or duplicate parameter"),
+        ("problem=quadratic p.n=4 config=newton_mr seed=1 grad_tol=1e-3 grad_tol=1e-9",
+         "duplicate key 'grad_tol'"),
+        ("problem=quadratic config=newton_mr seed=1 schedule.beta=0.5 schedule.beta=0.5",
+         "duplicate key 'schedule.beta'"),
         ("problem=quadratic config=newton_mr seed=1 junk", "not key=value"),
         ("problem=quadratic p.m=4 config=newton_mr seed=1", "unexpected keyword"),
         ("problem=quadratic p.spectrum=1,nan config=newton_mr seed=1",
@@ -312,6 +321,20 @@ class TestTraceFiles:
         with pytest.raises(OSError, match="cannot write trace"):
             emit_trace(trace, target)
 
+    def test_write_suite_refuses_a_directory_holding_traces(self, tmp_path, suite_traces):
+        _, traces = suite_traces
+        out = tmp_path / "traces"
+        assert len(write_suite(traces, out)) == 3
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(FileExistsError, match=r"traces already holds 3 \*\.trace files"):
+            write_suite(traces[:1], out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # other files do not count
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "notes.txt").write_text("kept\n")
+        assert len(write_suite(traces, other)) == 3
+
     def test_load_trace_dir_requires_traces(self, tmp_path):
         with pytest.raises(ValueError, match="no .*files"):
             load_trace_dir(tmp_path)
@@ -445,6 +468,20 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) > 1
+
+    def test_run_into_a_directory_holding_traces_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "suite.manifest"
+        manifest.write_text("problem=quadratic p.n=5 config=newton_mr seed=1 repeats=2\n")
+        out = tmp_path / "traces"
+        argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{out} already holds 2 *.trace files" in captured.err
+        assert "wrote" not in captured.out
+        assert len(list(out.glob("*.trace"))) == 2
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "bad.manifest"

@@ -337,6 +337,20 @@ class TestDeferredWindow:
             # v_1..v_t and the direction
             assert peak <= (t + 4) * vec + 0.25 * vec
 
+    def test_lanczos_buffers_reused_past_window(self):
+        # an operator that keeps every argument sees v_t in the same buffers
+        # however long the solve runs: past the window v_{t+1} goes into a
+        # spent buffer rather than a fresh one
+        def distinct_arguments(t):
+            lam, b = exit_system(MAXITER, t, 0.0, t + 8)
+            seen = []
+            op = SymmetricOperator(lam.size, lambda v: seen.append(v) or lam * v)
+            out = minres_npc(op, b, 0.0, t)
+            assert (out.flag, out.inner_iters, len(seen)) == (MAXITER, t, t)
+            return {v.ctypes.data for v in seen}
+
+        assert len(distinct_arguments(25)) == len(distinct_arguments(_WINDOW + 1)) == 6
+
 
 class TestIterationHistory:
     """The history the checks rebuild outside the kernel: recorded Lanczos
