@@ -6,16 +6,14 @@ separated by whitespace::
     problem=toy_sine config=newton_mr seed=0 repeats=3 p.n=200 label=newton
 
 ``problem``, ``config`` and ``seed`` are required; ``repeats`` defaults to 1
-and ``label`` to the config name. ``p.<name>`` tokens are problem parameters
+and ``label`` to the config name. ``config`` names a builtin (``newton_mr``,
+``lbfgs_mr``, ``coupled``). ``p.<name>`` tokens are problem parameters
 (``p.spectrum`` takes comma-separated floats). Any dotted or bare solver key
-(``schedule.beta``, ``linesearch.max_step``, ``grad_tol``, ...) overrides the
-named config. A key may appear only once in a cell. The whole manifest is
-validated before anything runs.
-
-A config is either a builtin name (``newton_mr``, ``lbfgs_mr``, ``coupled``)
-or a path to a flat ``key = value`` file, each key at most once; an optional
-leading ``base = <builtin>`` line picks the starting point. ``#`` starts a
-comment in both formats.
+(``schedule.beta``, ``linesearch.max_step``, ``grad_tol``, ...) overrides a
+field of that builtin. A key may appear only once in a cell, and no two cells
+may share label, problem and seed, since their traces would collide in a
+profile. ``#`` starts a comment. The whole manifest is validated before
+anything runs.
 
 Trace files carry one record per outer iteration with fields exactly
 ``k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms`` followed
@@ -56,7 +54,6 @@ __all__ = [
 
 TRACE_SUFFIX = ".trace"
 METRICS = ("f", "oracles", "time")
-BUILTIN_CONFIGS = ("newton_mr", "lbfgs_mr", "coupled")
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
@@ -70,16 +67,20 @@ def _g17(x) -> str:
 # solver configs
 
 
+BUILTIN_CONFIGS = {
+    "newton_mr": SolverConfig(schedule=ScheduleParams(mode="newton_mr"), hessian="exact"),
+    "lbfgs_mr": SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), hessian="lbfgs"),
+    "coupled": SolverConfig(schedule=ScheduleParams(mode="coupled"), hessian="exact"),
+}
+
+
 def builtin_config(name: str) -> SolverConfig:
     """The named preset: schedule mode plus the matching Hessian model."""
-    if name == "newton_mr":
-        return SolverConfig(schedule=ScheduleParams(mode="newton_mr"), hessian="exact")
-    if name == "lbfgs_mr":
-        return SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), hessian="lbfgs")
-    if name == "coupled":
-        return SolverConfig(schedule=ScheduleParams(mode="coupled"), hessian="exact")
-    raise ValueError(
-        f"unknown builtin config {name!r}; builtins: {', '.join(BUILTIN_CONFIGS)}")
+    try:
+        return BUILTIN_CONFIGS[name]
+    except KeyError:
+        raise ValueError(f"unknown config {name!r}; builtins: "
+                         f"{', '.join(BUILTIN_CONFIGS)}") from None
 
 
 def _typed_fields(cls):
@@ -131,52 +132,6 @@ def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
         cfg, **{key: _coerce_setting(value, _TOP_FIELDS[key], key)})
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> SolverConfig:
-    """Parse a flat ``key = value`` config file body; each key at most once."""
-    settings = {}       # key -> (line number, value), in file order
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{origin}:{ln}: expected 'key = value', got {raw.strip()!r}")
-        if key in settings:
-            raise ValueError(f"{origin}:{ln}: duplicate key {key!r}")
-        if key == "base" and settings:
-            raise ValueError(f"{origin}:{ln}: 'base' must come before other keys")
-        settings[key] = (ln, value)
-    base = settings.pop("base", (0, "newton_mr"))[1]
-    try:
-        cfg = builtin_config(base)
-    except ValueError as exc:
-        raise ValueError(f"{origin}: {exc}") from None
-    for key, (ln, value) in settings.items():
-        try:
-            cfg = apply_setting(cfg, key, value)
-        except ValueError as exc:
-            raise ValueError(f"{origin}:{ln}: {exc}") from None
-    return cfg
-
-
-def resolve_config(token: str, search_dirs=()) -> SolverConfig:
-    """Builtin name, or a config file looked up relative to ``search_dirs``."""
-    if token in BUILTIN_CONFIGS:
-        return builtin_config(token)
-    if os.path.isabs(token):
-        candidates = [token]
-    else:
-        candidates = [os.path.join(d, token) for d in search_dirs] + [token]
-    for cand in candidates:
-        if os.path.isfile(cand):
-            with open(cand) as fh:
-                return parse_config_text(fh.read(), origin=cand)
-    raise ValueError(
-        f"unknown config {token!r}: not a builtin ({', '.join(BUILTIN_CONFIGS)}) "
-        "and no such file")
-
-
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -221,21 +176,16 @@ def _coerce_param(value: str):
     return value
 
 
-def _default_label(config_token: str) -> str:
-    stem = os.path.splitext(os.path.basename(config_token))[0]
-    return stem if stem else config_token
-
-
-def parse_manifest(text: str, base_dir: str | None = None,
-                   origin: str = "<manifest>") -> list[RunCell]:
+def parse_manifest(text: str, origin: str = "<manifest>") -> list[RunCell]:
     """Parse and fully validate a manifest; raises before any cell could run.
 
-    Unknown problems, unknown configs, bad parameter or override values and
-    a failed derivative self-test all surface as ValueError tagged with the
-    manifest line number.
+    Unknown problems, configs that are not builtins, bad parameter or
+    override values, a failed derivative self-test and a second cell with the
+    label, problem and seed of an earlier one all surface as ValueError
+    tagged with the manifest line number.
     """
-    search_dirs = [base_dir] if base_dir else []
     cells = []
+    first_line = {}     # (label, problem_id, seed) -> line of its first cell
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -275,17 +225,24 @@ def parse_manifest(text: str, base_dir: str | None = None,
             detail = exc.args[0] if exc.args else exc
             raise ValueError(f"{origin}:{ln}: {detail}") from None
         try:
-            cfg = resolve_config(fields["config"], search_dirs)
+            cfg = builtin_config(fields["config"])
             for key, value in overrides.items():
                 cfg = apply_setting(cfg, key, value)
         except ValueError as exc:
             raise ValueError(f"{origin}:{ln}: {exc}") from None
-        label = fields.get("label", _default_label(fields["config"]))
+        label = fields.get("label", fields["config"])
         if not _LABEL_RE.match(label):
             raise ValueError(f"{origin}:{ln}: label {label!r} has characters outside "
                              "[A-Za-z0-9_.+-]")
-        cells.append(RunCell(problem=fields["problem"], params=params, label=label,
-                             cfg=cfg, seed=seed, repeats=repeats, spec=spec))
+        cell = RunCell(problem=fields["problem"], params=params, label=label,
+                       cfg=cfg, seed=seed, repeats=repeats, spec=spec)
+        key = (label, cell.problem_id, seed)
+        if key in first_line:
+            raise ValueError(f"{origin}:{ln}: same label {label!r}, problem {key[1]!r} "
+                             f"and seed {seed} as line {first_line[key]}; their traces "
+                             "would collide, so give one of the two its own label=")
+        first_line[key] = ln
+        cells.append(cell)
     if not cells:
         raise ValueError(f"{origin}: no runnable cells")
     return cells
@@ -433,17 +390,25 @@ def trace_filename(index: int, trace: RunTrace) -> str:
             f"s{trace.seed}r{trace.repeat}{TRACE_SUFFIX}")
 
 
-def write_suite(traces: list[RunTrace], out_dir) -> list[str]:
-    """Emit every trace into ``out_dir`` under deterministic filenames.
+def refuse_stale_traces(out_dir) -> None:
+    """Raise FileExistsError if ``out_dir`` already holds trace files.
 
-    A directory that already holds trace files is refused before anything is
-    written, since a profile over it would count the old runs too.
+    A profile over such a directory would count the old runs too.
     """
     if os.path.isdir(out_dir):
         stale = sum(name.endswith(TRACE_SUFFIX) for name in os.listdir(out_dir))
         if stale:
             raise FileExistsError(f"{out_dir} already holds {stale} *{TRACE_SUFFIX} "
                                   "files; write a suite into a fresh directory")
+
+
+def write_suite(traces: list[RunTrace], out_dir) -> list[str]:
+    """Emit every trace into ``out_dir`` under deterministic filenames.
+
+    A directory that already holds trace files is refused before anything is
+    written (:func:`refuse_stale_traces`).
+    """
+    refuse_stale_traces(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, tr in enumerate(traces):

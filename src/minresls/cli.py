@@ -6,7 +6,8 @@ import os
 import sys
 
 from .bench import (METRICS, load_trace_dir, parse_manifest, performance_profile,
-                    run_suite, table_from_traces, write_profile_csv, write_suite)
+                    refuse_stale_traces, run_suite, table_from_traces,
+                    write_profile_csv, write_suite)
 from .checks import run_all_checks
 
 __all__ = ["main"]
@@ -44,8 +45,8 @@ def _cmd_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read manifest: {exc}") from None
-    base_dir = os.path.dirname(os.path.abspath(args.manifest))
-    cells = parse_manifest(text, base_dir=base_dir, origin=args.manifest)
+    refuse_stale_traces(args.out)
+    cells = parse_manifest(text, origin=args.manifest)
     traces = run_suite(cells)
     paths = write_suite(traces, args.out)
     for tr, path in zip(traces, paths):

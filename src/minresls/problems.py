@@ -8,9 +8,11 @@ caller-supplied generator.
 random point: a central difference of f along a random direction against g'v
 (:func:`fd_grad_check`), and of the gradient along another against the HVP
 (:func:`fd_hvp_check`), each gap scaled so that rounding stays below ``FD_TOL``
-from n = 10 to n = 1e5. ``build_problem`` runs it by default, manifest cells
-included. The benchmark harness turns it off, to keep it out of setup time, and
-so does ``checks.check_problem_derivatives``, which runs a longer one itself.
+from n = 10 to n = 1e5. ``build_problem`` runs it by default, so every
+manifest cell is checked. The benchmark workloads that build one large problem
+directly (``newton_large``, ``lbfgs_mid``) turn it off, to keep it out of
+their setup time, and so does ``checks.check_problem_derivatives``, which runs
+a longer one itself.
 """
 from __future__ import annotations
 
@@ -148,15 +150,27 @@ def toy_sine(n: int = 200) -> ProblemSpec:
     return ProblemSpec("toy_sine", dim, f, grad, hvp, _uniform_start(dim), f_opt=0.0)
 
 
-def quartic_saddle(n: int = 10, spectrum=None) -> ProblemSpec:
+def _default_n(n, spectrum) -> int:
+    """Dimension of a default spectrum: ``n``, or 10 when not given.
+
+    A given spectrum sets the dimension itself, so ``n`` may not come with it.
+    """
+    if spectrum is not None and n is not None:
+        raise ValueError("n and spectrum exclude each other: the spectrum sets the dimension")
+    return 10 if n is None else n
+
+
+def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
     """f(x) = 0.5 x'Ax + 0.25 ||x||^4 with diagonal A holding a strict saddle.
 
-    Default spectrum is (1, -1, 1, ..., 1). The origin is a strict saddle
-    (gradient zero, smallest Hessian eigenvalue = min spectrum < 0); the
-    global minima sit on the most negative eigendirection at radius
-    sqrt(-a_min) with value -a_min^2 / 4. Default starts are tiny random
+    Default spectrum is (1, -1, 1, ..., 1), of length ``n`` (10 if not
+    given); a given spectrum sets the dimension instead. The origin is a
+    strict saddle (gradient zero, smallest Hessian eigenvalue = min spectrum
+    < 0); the global minima sit on the most negative eigendirection at
+    radius sqrt(-a_min) with value -a_min^2 / 4. Default starts are tiny random
     perturbations of the saddle, which is the interesting regime.
     """
+    n = _default_n(n, spectrum)
     if spectrum is None:
         a = np.ones(n)
         if n < 2:
@@ -252,8 +266,13 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     return ProblemSpec("rosenbrock", n, f, grad, hvp, _uniform_start(n), f_opt=0.0)
 
 
-def quadratic(spectrum=None, n: int = 10) -> ProblemSpec:
-    """Diagonal quadratic f(x) = 0.5 sum lam_i x_i^2; all ones by default."""
+def quadratic(spectrum=None, n: int | None = None) -> ProblemSpec:
+    """Diagonal quadratic f(x) = 0.5 sum lam_i x_i^2.
+
+    The spectrum is all ones of length ``n`` (10 if not given) by default; a
+    given spectrum sets the dimension instead.
+    """
+    n = _default_n(n, spectrum)
     if spectrum is None and n < 1:
         raise ValueError("n must be positive")
     lam = np.ones(n) if spectrum is None else as_vector(spectrum, "spectrum")
@@ -288,10 +307,11 @@ def build_problem(name: str, self_test: bool = True, **params) -> ProblemSpec:
     """Instantiate a registered problem; unknown names raise KeyError.
 
     Runs the O(n) derivative self-test (three probe points, see
-    :meth:`ProblemSpec.self_test`) by default, manifest cells included. The
-    benchmark harness turns it off, because the check would add to its
-    measured setup time, and so does ``checks.check_problem_derivatives``,
-    which runs a longer self-test of its own.
+    :meth:`ProblemSpec.self_test`) by default, so every manifest cell is
+    checked. The benchmark workloads that build one large problem directly
+    pass ``self_test=False``, because the check would add to their measured
+    setup time, and so does ``checks.check_problem_derivatives``, which runs
+    a longer self-test of its own.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; available: {', '.join(list_problems())}")

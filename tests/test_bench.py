@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from minresls import checks, cli
+from minresls import bench, checks, cli
 from minresls.bench import (
     BUILTIN_CONFIGS,
     ParsedTrace,
@@ -13,13 +13,11 @@ from minresls.bench import (
     builtin_config,
     emit_trace,
     load_trace_dir,
-    parse_config_text,
     parse_manifest,
     parse_trace,
     parse_trace_text,
     performance_profile,
     repeat_rng,
-    resolve_config,
     run_suite,
     table_from_traces,
     trace_filename,
@@ -51,7 +49,8 @@ class TestConfigs:
             assert cfg.schedule.mode == name
         assert builtin_config("lbfgs_mr").hessian == "lbfgs"
         assert builtin_config("coupled").hessian == "exact"
-        with pytest.raises(ValueError, match="unknown builtin"):
+        with pytest.raises(ValueError,
+                           match="unknown config 'bfgs'; builtins: newton_mr, lbfgs_mr"):
             builtin_config("bfgs")
 
     def test_apply_setting_levels(self):
@@ -78,38 +77,6 @@ class TestConfigs:
             apply_setting(cfg, "schedule.gamma", "1.0")
         with pytest.raises(ValueError, match="bad value"):
             apply_setting(cfg, "max_inner", "many")
-
-    def test_parse_config_text(self):
-        cfg = parse_config_text(
-            "base = lbfgs_mr\n"
-            "\n"
-            "# tighter run\n"
-            "grad_tol = 1e-8\n"
-            "schedule.tol_cap = 0.05   # inline comment\n")
-        assert cfg.schedule.mode == "lbfgs_mr"
-        assert cfg.grad_tol == 1e-8
-        assert cfg.schedule.tol_cap == 0.05
-
-    def test_parse_config_error_lines(self):
-        with pytest.raises(ValueError, match=r"cfg:2.*'base' must come before"):
-            parse_config_text("grad_tol = 1e-8\nbase = coupled\n", origin="cfg")
-        with pytest.raises(ValueError, match=r"cfg:1.*key = value"):
-            parse_config_text("grad_tol\n", origin="cfg")
-        with pytest.raises(ValueError, match="unknown builtin"):
-            parse_config_text("base = mystery\n", origin="cfg")
-        with pytest.raises(ValueError, match=r"cfg:3: duplicate key 'grad_tol'"):
-            parse_config_text("grad_tol = 1e-3\nmax_inner = 5\ngrad_tol = 1e-9\n",
-                              origin="cfg")
-        with pytest.raises(ValueError, match=r"cfg:2: duplicate key 'base'"):
-            parse_config_text("base = coupled\nbase = lbfgs_mr\n", origin="cfg")
-
-    def test_resolve_config_file(self, tmp_path):
-        path = tmp_path / "tight.cfg"
-        path.write_text("base = coupled\nschedule.beta = 0.5\n")
-        cfg = resolve_config("tight.cfg", search_dirs=[str(tmp_path)])
-        assert cfg.schedule.mode == "coupled" and cfg.schedule.beta == 0.5
-        with pytest.raises(ValueError, match="unknown config"):
-            resolve_config("missing.cfg", search_dirs=[str(tmp_path)])
 
 
 class TestManifests:
@@ -148,6 +115,8 @@ class TestManifests:
         ("problem=quadratic config=newton_mr seed=1 repeats=0", "repeats >= 1"),
         ("problem=nope config=newton_mr seed=1", "unknown problem"),
         ("problem=quadratic config=nope seed=1", "unknown config"),
+        ("problem=quadratic config=tight.cfg seed=1",
+         "unknown config 'tight.cfg'; builtins: newton_mr, lbfgs_mr, coupled"),
         ("problem=quadratic config=newton_mr seed=1 max_inner=soon", "bad value"),
         ("problem=quadratic config=newton_mr seed=1 label=a/b", "characters outside"),
         ("problem=quadratic problem=toy_sine config=newton_mr seed=1", "duplicate key"),
@@ -166,6 +135,8 @@ class TestManifests:
         ("problem=quartic_saddle p.spectrum=1,nan,-1 config=newton_mr seed=1",
          "spectrum contains non-finite entries"),
         ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be positive"),
+        ("problem=quadratic p.spectrum=1,2,3 p.n=5 config=newton_mr seed=1",
+         "n and spectrum exclude each other"),
         ("problem=quadratic p.spectrum=1e308,1e308,1e308,1e308 config=newton_mr seed=1",
          "gradient norm overflows"),
         ("problem=quadratic config=newton_mr seed=1 schedule.shift_cap=nan",
@@ -213,12 +184,18 @@ class TestManifests:
         with pytest.raises(ValueError, match="no runnable cells"):
             parse_manifest("# nothing here\n")
 
-    def test_config_file_via_base_dir(self, tmp_path):
-        (tmp_path / "slow.cfg").write_text("base = newton_mr\ngrad_tol = 1e-4\n")
-        cells = parse_manifest("problem=quadratic config=slow.cfg seed=0\n",
-                               base_dir=str(tmp_path))
-        assert cells[0].cfg.grad_tol == 1e-4
-        assert cells[0].label == "slow"
+    def test_rejects_cells_whose_traces_would_collide(self):
+        line = "problem=quadratic p.n=4 config=newton_mr seed=1"
+        with pytest.raises(ValueError) as exc:
+            parse_manifest(f"{line}\n# tighter\n{line} grad_tol=1e-3\n", origin="m")
+        assert str(exc.value).startswith(
+            "m:3: same label 'newton_mr', problem 'quadratic(n=4)' and seed 1 as line 1;")
+        assert "label=" in str(exc.value)
+        # a label, another seed or other parameters keep the traces apart
+        cells = parse_manifest(f"{line}\n{line} grad_tol=1e-3 label=loose\n"
+                               f"{line.replace('seed=1', 'seed=2')}\n"
+                               f"{line.replace('p.n=4', 'p.n=5')}\n")
+        assert [c.label for c in cells] == ["newton_mr", "loose", "newton_mr", "newton_mr"]
 
 
 class TestExecution:
@@ -482,6 +459,33 @@ class TestCli:
         assert f"{out} already holds 2 *.trace files" in captured.err
         assert "wrote" not in captured.out
         assert len(list(out.glob("*.trace"))) == 2
+
+    def test_run_refuses_a_directory_holding_traces_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "suite.manifest"
+        manifest.write_text("problem=quadratic p.n=5 config=newton_mr seed=1\n")
+        out = tmp_path / "traces"
+        out.mkdir()
+        (out / "old.trace").write_text("")
+        calls = []
+
+        def no_solve(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(bench, "solve", no_solve)
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"{out} already holds 1 *.trace files" in capsys.readouterr().err
+        assert calls == []
+
+    def test_config_file_token_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "suite.manifest"
+        manifest.write_text("problem=quadratic config=tight.cfg seed=1\n")
+        (tmp_path / "tight.cfg").write_text("grad_tol = 1e-9\n")
+        assert cli.main(["run", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "suite.manifest:1: unknown config 'tight.cfg'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "bad.manifest"

@@ -31,8 +31,7 @@ RECORD = ("flag", "inner_iters", "step")
 
 def count_lines(manifest, seeds):
     """One line per run of ``manifest``, at each of ``seeds`` when given."""
-    cells = parse_manifest(manifest.read_text(), base_dir=str(manifest.parent),
-                           origin=str(manifest))
+    cells = parse_manifest(manifest.read_text(), origin=str(manifest))
     suites = ([[dataclasses.replace(c, seed=seed) for c in cells] for seed in seeds]
               if seeds else [cells])
     lines = []

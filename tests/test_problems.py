@@ -80,6 +80,9 @@ class TestQuarticSaddle:
             quartic_saddle(n=1)
         with pytest.raises(ValueError, match="spectrum contains non-finite"):
             quartic_saddle(spectrum=(1.0, np.nan, -1.0))
+        with pytest.raises(ValueError, match="n and spectrum exclude each other"):
+            quartic_saddle(n=3, spectrum=(1.0, -1.0))
+        assert quartic_saddle().dim == 10
 
 
 class TestRosenbrock:
@@ -210,6 +213,9 @@ class TestQuadratic:
             quadratic(spectrum=())
         with pytest.raises(ValueError, match="spectrum contains non-finite"):
             quadratic(spectrum=(1.0, np.inf))
+        with pytest.raises(ValueError, match="n and spectrum exclude each other"):
+            quadratic(spectrum=(1.0, 2.0, 3.0), n=5)
+        assert quadratic().dim == 10
 
 
 class TestRegistry:
