@@ -13,8 +13,8 @@ spec = build_problem("rosenbrock", n=100)
 obj = spec.make_objective()
 x0 = spec.start(np.random.default_rng(2718))
 
+# the lbfgs_mr schedule mode also selects the L-BFGS model
 cfg = SolverConfig(
-    hessian="lbfgs",
     schedule=ScheduleParams(mode="lbfgs_mr"),
     grad_tol=1e-10,
     max_oracles=1e5,

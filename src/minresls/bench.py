@@ -7,8 +7,9 @@ separated by whitespace::
 
 ``problem``, ``config`` and ``seed`` are required; ``repeats`` defaults to 1
 and ``label`` to the config name. ``config`` names a builtin (``newton_mr``,
-``lbfgs_mr``, ``coupled``). ``p.<name>`` tokens are problem parameters
-(``p.spectrum`` takes comma-separated floats). Any dotted or bare solver key
+``lbfgs_mr``, ``coupled``), whose schedule mode also picks the Hessian model.
+``p.<name>`` tokens are problem parameters (``p.spectrum`` takes
+comma-separated floats, none of them empty). Any dotted or bare solver key
 (``schedule.beta``, ``linesearch.max_step``, ``grad_tol``, ...) overrides a
 field of that builtin. A key may appear only once in a cell, and no two cells
 may share label, problem and seed, since their traces would collide in a
@@ -16,12 +17,16 @@ profile. ``#`` starts a comment. The whole manifest is validated before
 anything runs.
 
 Trace files carry one record per outer iteration with fields exactly
-``k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms`` followed
-by a single ``summary`` line; floats are serialized with 17 significant digits
-so parsing reproduces them bit-for-bit. Everything except the ``time_ms``
+``k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms``, in that
+order, followed by a single ``summary`` line; floats are serialized with 17
+significant digits so parsing reproduces them bit-for-bit. The reader expects
+every field in the order the writer puts it. Everything except the ``time_ms``
 columns is deterministic for a fixed manifest. Convergence-plot data is a
 field filter away: the ``k`` and ``gnorm`` columns give the curve, and lines
 with ``flag=NPC`` mark the negative-curvature steps.
+
+Performance profiles rank the solvers of a trace directory by oracle count or
+wall time, the positive costs that performance ratios are defined on.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 TRACE_SUFFIX = ".trace"
-METRICS = ("f", "oracles", "time")
+METRICS = ("oracles", "time")
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
@@ -68,14 +73,13 @@ def _g17(x) -> str:
 
 
 BUILTIN_CONFIGS = {
-    "newton_mr": SolverConfig(schedule=ScheduleParams(mode="newton_mr"), hessian="exact"),
-    "lbfgs_mr": SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), hessian="lbfgs"),
-    "coupled": SolverConfig(schedule=ScheduleParams(mode="coupled"), hessian="exact"),
+    mode: SolverConfig(schedule=ScheduleParams(mode=mode))
+    for mode in ("newton_mr", "lbfgs_mr", "coupled")
 }
 
 
 def builtin_config(name: str) -> SolverConfig:
-    """The named preset: schedule mode plus the matching Hessian model."""
+    """The named preset: a schedule mode, which also picks the Hessian model."""
     try:
         return BUILTIN_CONFIGS[name]
     except KeyError:
@@ -165,7 +169,7 @@ def _fmt_param(v) -> str:
 def _coerce_param(value: str):
     if "," in value:
         try:
-            return tuple(float(tok) for tok in value.split(",") if tok)
+            return tuple(float(tok) for tok in value.split(","))
         except ValueError:
             raise ValueError(f"bad numeric list {value!r}") from None
     for conv in (int, float):
@@ -303,9 +307,6 @@ _FORMATS = {
                 operator.attrgetter(*(attr for _, attr, _ in columns)))
     for line_kind, columns in _COLUMNS.items()
 }
-# per line kind: file key -> type, for parsing
-_TYPES = {line_kind: {key: kind for key, _, kind in columns}
-          for line_kind, columns in _COLUMNS.items()}
 
 
 def _trace_line(obj, line_kind) -> str:
@@ -331,16 +332,16 @@ class ParsedTrace:
 
 
 def _parse_tokens(toks, line_kind, origin, ln) -> dict:
-    """Fields of one line by file key; keys outside its columns read as floats."""
-    types = _TYPES[line_kind]
+    """Fields of one line by file key, in the order :func:`emit_trace` writes them."""
+    columns = _COLUMNS[line_kind]
+    if len(toks) != len(columns):
+        raise ValueError(f"{origin}:{ln}: {line_kind} has {len(toks)} fields, expected "
+                         f"{len(columns)}: {' '.join(key for key, _, _ in columns)}")
     out = {}
-    for tok in toks:
-        key, sep, value = tok.partition("=")
-        if not sep or not key:
-            raise ValueError(f"{origin}:{ln}: bad token {tok!r}")
-        if key in out:
-            raise ValueError(f"{origin}:{ln}: duplicate field {key!r}")
-        kind = types.get(key, float)
+    for tok, (key, _, kind) in zip(toks, columns):
+        name, sep, value = tok.partition("=")
+        if name != key or not sep:
+            raise ValueError(f"{origin}:{ln}: {line_kind} field {tok!r} where {key}= belongs")
         try:
             if kind is str:
                 out[key] = value
@@ -350,9 +351,6 @@ def _parse_tokens(toks, line_kind, origin, ln) -> dict:
                 out[key] = float(value)
         except ValueError:
             raise ValueError(f"{origin}:{ln}: bad value in {tok!r}") from None
-    missing = [key for key in types if key not in out]
-    if missing:
-        raise ValueError(f"{origin}:{ln}: {line_kind} missing {missing}")
     return out
 
 
@@ -391,15 +389,19 @@ def trace_filename(index: int, trace: RunTrace) -> str:
 
 
 def refuse_stale_traces(out_dir) -> None:
-    """Raise FileExistsError if ``out_dir`` already holds trace files.
+    """Raise FileExistsError if ``out_dir`` exists but is no directory, or holds traces.
 
-    A profile over such a directory would count the old runs too.
+    A suite cannot be written into the first, and a profile over the second
+    would count the old runs too.
     """
     if os.path.isdir(out_dir):
         stale = sum(name.endswith(TRACE_SUFFIX) for name in os.listdir(out_dir))
         if stale:
             raise FileExistsError(f"{out_dir} already holds {stale} *{TRACE_SUFFIX} "
                                   "files; write a suite into a fresh directory")
+    elif os.path.exists(out_dir):
+        raise FileExistsError(f"{out_dir} exists and is not a directory; write a "
+                              "suite into a fresh directory")
 
 
 def write_suite(traces: list[RunTrace], out_dir) -> list[str]:
@@ -436,7 +438,7 @@ def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    field_key = {"f": "final_f", "oracles": "oracles", "time": "time_ms"}[metric]
+    field_key = {"oracles": "oracles", "time": "time_ms"}[metric]
     table = {}
     for pt in parsed:
         s = pt.summary
@@ -469,8 +471,8 @@ def performance_profile(table: dict) -> ProfileTable:
     it; each solved cell gets ratio metric/baseline and each unsolved or
     missing cell +inf. Problems nobody solves contribute no ratios but stay
     in every denominator, so a profile's limit at large tau is the fraction
-    of problems that solver actually solved. Ratios assume positive metrics
-    (oracle counts, times); exact ties get ratio 1.0 without division.
+    of problems that solver actually solved. Ratios assume positive metrics,
+    as oracle counts and times are; exact ties get ratio 1.0 without division.
     """
     if not table:
         raise ValueError("empty metric table")

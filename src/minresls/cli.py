@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--traces", required=True, metavar="DIR",
                         help="directory of *.trace files from a run")
     p_prof.add_argument("--metric", required=True, choices=METRICS,
-                        help="ranking metric: final f, oracle calls, or wall time")
+                        help="ranking metric: oracle calls or wall time")
     p_prof.add_argument("--out", required=True, metavar="PATH",
                         help="output CSV (header solver,tau,fraction)")
 

@@ -6,6 +6,8 @@ evaluates and tests the gradient; :func:`_choose_direction` solves
 the solution (SOL) or certificate (NPC), else falls back to -g_k (GD); the
 search matching the flag picks the step, and a record is kept. Tolerance and
 shift shrink with the gradient norm, which is what produces the superlinear tail.
+The schedule mode also picks the model B_k: ``lbfgs_mr`` runs on the L-BFGS
+store, ``newton_mr`` and ``coupled`` on the objective's Hessian-vector oracle.
 
 Schedules use natural log of (k + 1) wherever a log of the iteration counter
 appears, so the k = 1 values stay positive.
@@ -61,7 +63,8 @@ _SCHEDULE_MODES = ("newton_mr", "lbfgs_mr", "coupled")
 class ScheduleParams:
     """Per-iteration rules for the inner tolerance, shift, and curvature floor.
 
-    Modes:
+    Modes, each with its model B_k: ``lbfgs_mr`` the L-BFGS store, the other
+    two the exact Hessian:
       * ``newton_mr``: theta_k = min(tol_cap, sqrt(||g||))
       * ``lbfgs_mr``:  theta_k = min(tol_cap, ln(k+1) * sqrt(k ||g||))
       * ``coupled``:   theta_k = min(tol_cap, ||g||^beta), zeta_k = zeta_mult * theta_k
@@ -127,13 +130,10 @@ class SolverConfig:
     max_inner: int = 1000
     grad_tol: float = 1e-10
     max_oracles: float = 1e5
-    hessian: str = "exact"                # "exact" | "lbfgs"
-    lbfgs_memory: int = 10
+    lbfgs_memory: int = 10               # read by schedule mode lbfgs_mr only
     check_invariants: bool = False       # assert model symmetry, direction contracts
 
     def __post_init__(self):
-        if self.hessian not in ("exact", "lbfgs"):
-            raise ValueError(f"unknown hessian mode {self.hessian!r}")
         if not isinstance(self.max_inner, numbers.Integral):
             raise ValueError(f"max_inner must be an integer, got {self.max_inner!r}")
         if self.max_inner < 1:
@@ -180,15 +180,17 @@ class RunTrace:
 def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
     """``(flag, d, inner_iters, d_curv)`` from (B + zeta I) d = -g solved to ``theta``.
 
-    A certificate is NPC with d_curv = d'Bd; a solution, or the iterate at the
-    inner cap, is SOL when d'Bd >= min(curvature_floor, a_k ||g||^alpha) times
-    ||d||^2, or times max(||d||^2, ||g||^2) under L-BFGS. Under L-BFGS a
-    certificate also needs |d'Bd| < npc_curvature_cap ||d||^2. A failed screen
-    gives GD (d = -g, d_curv = 0) with the inner iterations kept; a degenerate
-    L-BFGS matrix gives GD with none.
+    MINRES reports the curvature d'(B + zeta I)d of the shifted system. A
+    certificate is NPC with d_curv = d'Bd, the shift's zeta ||d||^2 taken off;
+    under L-BFGS it also needs |d'Bd| < npc_curvature_cap ||d||^2. A solution,
+    or the iterate at the inner cap, is SOL when the shifted d'(B + zeta I)d >=
+    min(curvature_floor, a_k ||g||^alpha) times ||d||^2, or times
+    max(||d||^2, ||g||^2) under L-BFGS. A failed screen gives GD (d = -g,
+    d_curv = 0) with the inner iterations kept; a degenerate L-BFGS matrix
+    gives GD with none.
     """
     sp = cfg.schedule
-    lbfgs = cfg.hessian == "lbfgs"
+    lbfgs = sp.mode == "lbfgs_mr"
     try:
         out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
     except DegenerateMiddleMatrix:
@@ -214,8 +216,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     reaches ``max_oracles``, and DIVERGED when the objective or gradient
     stops being finite. A curvature certificate with g'd >= 0 raises
     :class:`OptimizationError`: in exact arithmetic only a nonsymmetric model
-    operator, such as a wrong Hessian-vector oracle, produces one, and in
-    exact mode the message says so.
+    operator, such as a wrong Hessian-vector oracle, produces one, and on the
+    exact Hessian the message says so.
 
     Each curvature search after the first starts at
     min(previous accepted curvature step, ``initial_step``), a point of the
@@ -236,15 +238,17 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     x = as_vector(x0, "x0")
     if x.size != obj.dim:
         raise ValueError(f"x0 has size {x.size}, objective dimension is {obj.dim}")
-    if cfg.hessian == "exact" and not obj.has_hvp:
-        raise NoHessianOracle("exact mode needs a Hessian-vector oracle")
+    sp = cfg.schedule
+    lbfgs = sp.mode == "lbfgs_mr"
+    if not lbfgs and not obj.has_hvp:
+        raise NoHessianOracle(f"schedule mode {sp.mode!r} needs a Hessian-vector "
+                              "oracle; lbfgs_mr needs none")
 
     if cfg.check_invariants:
         from . import checks    # test-only instruments, not loaded otherwise
 
-    sp = cfg.schedule
     ls = cfg.linesearch
-    store = LbfgsStore(obj.dim, cfg.lbfgs_memory) if cfg.hessian == "lbfgs" else None
+    store = LbfgsStore(obj.dim, cfg.lbfgs_memory) if lbfgs else None
 
     t0 = time.perf_counter()
     records: list[IterateRecord] = []

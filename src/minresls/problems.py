@@ -2,7 +2,8 @@
 
 Each builder returns a :class:`ProblemSpec` that can mint fresh objectives
 (one oracle tally per run) and sample a deterministic starting point from a
-caller-supplied generator.
+caller-supplied generator. Objectives of one spec run one at a time:
+Rosenbrock's oracles share two work vectors that the spec owns.
 
 ``ProblemSpec.self_test`` checks the analytic derivatives with O(n) work per
 random point: a central difference of f along a random direction against g'v
@@ -16,7 +17,6 @@ a longer one itself.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,8 +70,8 @@ class ProblemSpec:
     """Problem description: dimension, oracles, start sampler and optimum.
 
     Every evaluation returns a fresh array (or a float) that the caller owns.
-    Rosenbrock's ``f``, ``grad`` and ``hvp`` reuse two work vectors per
-    thread, so objectives of one spec may run in different threads.
+    Rosenbrock's ``f``, ``grad`` and ``hvp`` reuse two work vectors of their
+    spec, so objectives of one spec must not run in concurrent threads.
     """
 
     name: str
@@ -207,15 +207,8 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     """Chained Rosenbrock: sum of 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    # the oracles' two work vectors, made by the first call in each thread,
-    # so that objectives of one spec may still run concurrently
-    local = threading.local()
-
-    def work():
-        pair = getattr(local, "pair", None)
-        if pair is None:
-            pair = local.pair = (np.empty(n - 1), np.empty(n - 1))
-        return pair
+    # the oracles' two work vectors, shared by every objective of this spec
+    a, b = np.empty(n - 1), np.empty(n - 1)
 
     # each oracle evaluates the expression in its comments one numpy
     # operation at a time, in the same order, in the work vectors a and b (or
@@ -224,7 +217,6 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
 
     def f(x):
         # sum(100 (tail - head^2)^2 + (1 - head)^2)
-        a, b = work()
         head, tail = x[:-1], x[1:]
         np.subtract(tail, np.square(head, out=a), out=a)
         np.multiply(np.square(a, out=a), 100.0, out=a)
@@ -234,7 +226,6 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
     def grad(x):
         # gap = tail - head^2; g[:-1] = -400 head gap - 2 (1 - head), then
         # g[1:] += 200 gap
-        a, b = work()
         g = np.zeros_like(x)
         head, tail = x[:-1], x[1:]
         lead = g[:-1]
@@ -246,7 +237,6 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
         return g
 
     def hvp(x, v):
-        a, b = work()
         h = np.zeros_like(x)
         head, tail = x[:-1], x[1:]
         vh, vt = v[:-1], v[1:]

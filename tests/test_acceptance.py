@@ -49,7 +49,7 @@ def coupled_sweep_runs():
     for i, (cap, beta, zmult) in enumerate(SWEEP_COMBOS):
         sp = ScheduleParams(mode="coupled", tol_cap=cap, beta=beta,
                             zeta_mult=zmult)
-        cfg = SolverConfig(schedule=sp, hessian="exact", check_invariants=True)
+        cfg = SolverConfig(schedule=sp, check_invariants=True)
         x0 = problem.start(np.random.default_rng([41, i]))
         trace = solve(problem.make_objective(), x0, cfg)
         runs.append(((cap, beta, zmult), trace))
@@ -176,7 +176,7 @@ def test_criterion_08_lbfgs_mr_end_to_end():
     calls with monotone objective values."""
     problem = build_problem("rosenbrock", n=100)
     sp = ScheduleParams(mode="lbfgs_mr")
-    cfg = SolverConfig(schedule=sp, hessian="lbfgs", max_oracles=1e5)
+    cfg = SolverConfig(schedule=sp, max_oracles=1e5)
     # the screen measures d'Bd against max(||d||^2, ||g||^2): the stiff model's
     # d'Bd = 1e-13 ||g||^2 fails it
     g = np.ones(2)

@@ -24,7 +24,7 @@ from minresls.bench import (
     write_profile_csv,
     write_suite,
 )
-from minresls.driver import CONVERGED, RunTrace
+from minresls.driver import CONVERGED, RunTrace, ScheduleParams, SolverConfig
 from minresls.problems import REGISTRY, ProblemSpec, quadratic
 from minresls.reference import profile_fraction_reference
 
@@ -45,10 +45,8 @@ def suite_traces():
 class TestConfigs:
     def test_builtins(self):
         for name in BUILTIN_CONFIGS:
-            cfg = builtin_config(name)
-            assert cfg.schedule.mode == name
-        assert builtin_config("lbfgs_mr").hessian == "lbfgs"
-        assert builtin_config("coupled").hessian == "exact"
+            # a builtin is its schedule mode, which also picks the model
+            assert builtin_config(name) == SolverConfig(schedule=ScheduleParams(mode=name))
         with pytest.raises(ValueError,
                            match="unknown config 'bfgs'; builtins: newton_mr, lbfgs_mr"):
             builtin_config("bfgs")
@@ -118,6 +116,8 @@ class TestManifests:
         ("problem=quadratic config=tight.cfg seed=1",
          "unknown config 'tight.cfg'; builtins: newton_mr, lbfgs_mr, coupled"),
         ("problem=quadratic config=newton_mr seed=1 max_inner=soon", "bad value"),
+        ("problem=quadratic config=newton_mr seed=1 hessian=lbfgs",
+         "unknown config key 'hessian'"),
         ("problem=quadratic config=newton_mr seed=1 label=a/b", "characters outside"),
         ("problem=quadratic problem=toy_sine config=newton_mr seed=1", "duplicate key"),
         ("problem=quadratic p.n=4 p.n=5 config=newton_mr seed=1",
@@ -128,6 +128,10 @@ class TestManifests:
          "duplicate key 'schedule.beta'"),
         ("problem=quadratic config=newton_mr seed=1 junk", "not key=value"),
         ("problem=quadratic p.m=4 config=newton_mr seed=1", "unexpected keyword"),
+        ("problem=quadratic p.spectrum=1,,2 config=newton_mr seed=1",
+         "bad numeric list '1,,2'"),
+        ("problem=quadratic p.spectrum=3,1, config=newton_mr seed=1",
+         "bad numeric list '3,1,'"),
         ("problem=quadratic p.spectrum=1,nan config=newton_mr seed=1",
          "spectrum contains non-finite entries"),
         ("problem=quadratic p.spectrum=1,inf config=newton_mr seed=1",
@@ -273,22 +277,39 @@ class TestTraceFiles:
         assert all(isinstance(k, int) for k, _, _ in points)
 
     def test_parse_errors(self):
+        # the reader takes every field in the order emit_trace writes it
+        record = ("k=1 f=0 gnorm=1 flag=SOL lambda=1 inner_iters=2 theta_k=0.1 "
+                  "zeta_k=0 oracles=5 time_ms=1\n")
         good = "summary problem=p config=c seed=- repeat=- status=CONVERGED " \
-               "iters=0 oracles=1 final_f=0 final_gnorm=0 time_ms=1\n"
+               "iters=1 oracles=5 final_f=0 final_gnorm=0 time_ms=1\n"
+        assert parse_trace_text(record + good).records[0]["inner_iters"] == 2
         with pytest.raises(ValueError, match="missing summary"):
             parse_trace_text("", origin="t")
         with pytest.raises(ValueError, match="t:2.*content after the summary"):
-            parse_trace_text(good + "k=1\n", origin="t")
-        with pytest.raises(ValueError, match=r"t:1.*record missing.*\bgnorm\b"):
-            parse_trace_text("k=1 f=0\n" + good, origin="t")
-        with pytest.raises(ValueError, match="t:1.*summary missing"):
+            parse_trace_text(good + record, origin="t")
+        bad_records = [
+            # reordered
+            (record.replace("f=0 gnorm=1", "gnorm=1 f=0"), "'gnorm=1' where f= belongs"),
+            # unknown key in place of a column
+            (record.replace("flag=SOL", "step=SOL"), "'step=SOL' where flag= belongs"),
+            # missing, and duplicated in place of the missing one
+            (record.replace("gnorm=1 ", ""), "record has 9 fields, expected 10: k f gnorm"),
+            (record.replace("gnorm=1", "f=0"), "'f=0' where gnorm= belongs"),
+            # duplicated on top of the ten
+            (record.replace("k=1", "k=1 k=1"), "record has 11 fields, expected 10"),
+            (record.replace("k=1", "k"), "'k' where k= belongs"),
+        ]
+        for line, fragment in bad_records:
+            with pytest.raises(ValueError) as exc:
+                parse_trace_text(line + good, origin="t")
+            assert str(exc.value).startswith("t:1: ") and fragment in str(exc.value)
+        with pytest.raises(ValueError, match="t:1: summary has 1 fields, expected 10"):
             parse_trace_text("summary status=CONVERGED\n", origin="t")
-        with pytest.raises(ValueError, match="duplicate field"):
-            parse_trace_text("summary status=A status=B\n", origin="t")
+        reordered = good.replace("config=c seed=-", "seed=- config=c")
+        with pytest.raises(ValueError, match="t:2: summary field 'seed=-' where config="):
+            parse_trace_text(record + reordered, origin="t")
         with pytest.raises(ValueError, match="bad value"):
-            parse_trace_text(good.replace("iters=0", "iters=zero"), origin="t")
-        with pytest.raises(ValueError, match="bad token"):
-            parse_trace_text("summary junk\n", origin="t")
+            parse_trace_text(good.replace("iters=1", "iters=one"), origin="t")
 
     def test_write_error_carries_path(self, tmp_path):
         trace = RunTrace(status=CONVERGED, records=[], f_final=0.0,
@@ -329,12 +350,12 @@ class TestMetricTables:
     def test_metric_selection(self):
         s = [mk_summary("a", "p", "CONVERGED", 12.0)]
         assert table_from_traces(s, "oracles")[("a", "p")] == (12.0, True)
-        assert table_from_traces(s, "f")[("a", "p")] == (0.0, True)
         assert table_from_traces(s, "time")[("a", "p")] == (1.0, True)
         s2 = [mk_summary("a", "p", "BUDGET", 12.0)]
         assert table_from_traces(s2, "oracles")[("a", "p")] == (12.0, False)
-        with pytest.raises(ValueError, match="unknown metric"):
-            table_from_traces(s, "iterations")
+        for metric in ("iterations", "f"):
+            with pytest.raises(ValueError, match="unknown metric"):
+                table_from_traces(s, metric)
 
     def test_instance_keys_include_seed_and_repeat(self):
         parsed = [mk_summary("a", "p", "CONVERGED", 1.0, seed=7, repeat=0),
@@ -478,6 +499,24 @@ class TestCli:
         assert f"{out} already holds 1 *.trace files" in capsys.readouterr().err
         assert calls == []
 
+    def test_run_refuses_an_out_that_is_a_file_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "suite.manifest"
+        manifest.write_text("problem=quadratic p.n=5 config=newton_mr seed=1\n")
+        out = tmp_path / "traces"
+        out.write_text("kept\n")
+        calls = []
+
+        def no_solve(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(bench, "solve", no_solve)
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"error: {out} exists and is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert out.read_text() == "kept\n"
+
     def test_config_file_token_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.manifest"
         manifest.write_text("problem=quadratic config=tight.cfg seed=1\n")
@@ -500,9 +539,18 @@ class TestCli:
         assert "cannot read manifest" in capsys.readouterr().err
 
     def test_profile_on_empty_dir_exits_2(self, tmp_path, capsys):
-        assert cli.main(["profile", "--traces", str(tmp_path), "--metric", "f",
+        assert cli.main(["profile", "--traces", str(tmp_path), "--metric", "oracles",
                          "--out", str(tmp_path / "p.csv")]) == 2
-        capsys.readouterr()
+        assert "no *.trace files" in capsys.readouterr().err
+
+    def test_profile_metric_f_is_refused(self, tmp_path, capsys):
+        # performance ratios need positive costs, and final f values need not be
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["profile", "--traces", str(tmp_path), "--metric", "f",
+                      "--out", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'f'" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_check_reports_and_exit_codes(self, monkeypatch, capsys):
         fake = [types.SimpleNamespace(name="alpha", passed=True, detail="ok"),

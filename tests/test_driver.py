@@ -106,9 +106,9 @@ class TestCurvatureScreens:
     """The screens of the direction choice on forged inner-solver outcomes."""
 
     @staticmethod
-    def choose(monkeypatch, flag, d, curvature, g, hessian="exact"):
-        """The choice when MINRES returns ``d`` with d'Bd = ``curvature``, at
-        a_k = 0.5 and zeta = 0 under the default schedule."""
+    def choose(monkeypatch, flag, d, curvature, g, mode="newton_mr", zeta=0.0):
+        """The choice when MINRES returns ``d`` with d'(B + zeta I)d =
+        ``curvature``, at a_k = 0.5 under the default schedule of ``mode``."""
         d, g = np.asarray(d, dtype=float), np.asarray(g, dtype=float)
 
         def forged(A, b, tol, max_inner, **kwargs):
@@ -116,10 +116,10 @@ class TestCurvatureScreens:
                                  float(np.linalg.norm(b)), 0.0)
 
         monkeypatch.setattr(driver, "minres_npc", forged)
-        cfg = SolverConfig(hessian=hessian)
+        cfg = SolverConfig(schedule=ScheduleParams(mode=mode))
         gnorm = float(np.linalg.norm(g))
         B = SymmetricOperator(g.size, lambda v: v)
-        return driver._choose_direction(B, g, gnorm, 0.1, 0.0, 0.5, cfg)[0]
+        return driver._choose_direction(B, g, gnorm, 0.1, zeta, 0.5, cfg)[0]
 
     def test_flat_curvature_fails(self, monkeypatch):
         assert self.choose(monkeypatch, SOL, [1.0, 0.0], 1.0, [1.0, 0.0]) == SOL
@@ -135,20 +135,30 @@ class TestCurvatureScreens:
         # passes against ||d||^2 = 0.25 alone but not against ||g||^2 = 1
         d, curvature, g = [0.5, 0.0], thresh * 0.5, [1.0, 0.0]
         assert self.choose(monkeypatch, SOL, d, curvature, g) == SOL
-        assert self.choose(monkeypatch, SOL, d, curvature, g, hessian="lbfgs") == GD
+        assert self.choose(monkeypatch, SOL, d, curvature, g, "lbfgs_mr") == GD
 
     def test_lbfgs_certificate_cap(self, monkeypatch):
         d, g = [1.0, 0.0], [1.0, 0.0]
-        for hessian, want in (("exact", NPC), ("lbfgs", GD)):
-            assert self.choose(monkeypatch, NPC, d, 2e8, g, hessian) == want
-            assert self.choose(monkeypatch, NPC, d, -2e8, g, hessian) == want
-        assert self.choose(monkeypatch, NPC, d, 0.0, g, "lbfgs") == NPC
+        for mode, want in (("newton_mr", NPC), ("lbfgs_mr", GD)):
+            assert self.choose(monkeypatch, NPC, d, 2e8, g, mode) == want
+            assert self.choose(monkeypatch, NPC, d, -2e8, g, mode) == want
+        assert self.choose(monkeypatch, NPC, d, 0.0, g, "lbfgs_mr") == NPC
+
+    def test_shift_leaves_certificates_only(self, monkeypatch):
+        # MINRES reports d'(B + zeta I)d. A certificate's screen takes
+        # zeta ||d||^2 off; a solution's screen keeps it.
+        d, g = [1.0, 0.0], [1.0, 0.0]
+        # the shifted 0.5 clears the floor; the unshifted -0.5 would not
+        assert self.choose(monkeypatch, SOL, d, 0.5, g, zeta=1.0) == SOL
+        assert self.choose(monkeypatch, SOL, d, -0.5, g) == GD
+        # unshifted, 1e8 - 0.5 lies inside the L-BFGS cap of 1e8; shifted,
+        # 1e8 + 0.5 would not
+        for zeta, want in ((1.0, NPC), (0.0, GD)):
+            assert self.choose(monkeypatch, NPC, d, 1e8 + 0.5, g, "lbfgs_mr", zeta) == want
 
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(hessian="sr1")
         with pytest.raises(ValueError):
             SolverConfig(max_inner=0)
         with pytest.raises(ValueError):
@@ -174,7 +184,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="lbfgs_memory must be an integer, got 2.5"):
             SolverConfig(lbfgs_memory=2.5)
         obj = spec("quadratic", n=4).make_objective()
-        cfg = SolverConfig(hessian="lbfgs", lbfgs_memory=np.int64(2))
+        cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), lbfgs_memory=np.int64(2))
         assert solve(obj, np.ones(4), cfg).status == CONVERGED
 
 
@@ -182,8 +192,8 @@ class TestChooseDirection:
     """Every outcome of the direction choice, on small dense models."""
 
     @staticmethod
-    def choose(B, g, **cfg_fields):
-        cfg = SolverConfig(**cfg_fields)
+    def choose(B, g, mode="newton_mr", **cfg_fields):
+        cfg = SolverConfig(schedule=ScheduleParams(mode=mode), **cfg_fields)
         gnorm = float(np.linalg.norm(g))
         theta, zeta, a_k = schedule_eval(1, gnorm, cfg.schedule)
         return driver._choose_direction(ensure_operator(B), g, gnorm, theta, zeta,
@@ -196,7 +206,7 @@ class TestChooseDirection:
         flag, d, inner, d_curv = self.choose(B, g)
         assert (flag, inner) == (NPC, 1)
         assert d_curv / float(d @ d) == pytest.approx((1.0 - 1e9) / 2.0, rel=1e-12)
-        flag, d, inner, d_curv = self.choose(B, g, hessian="lbfgs")
+        flag, d, inner, d_curv = self.choose(B, g, "lbfgs_mr")
         assert (flag, inner, d_curv) == (GD, 1, 0.0)
         assert np.array_equal(d, -g)
 
@@ -207,15 +217,15 @@ class TestChooseDirection:
         flag, d, inner, d_curv = self.choose(B, g)
         assert (flag, inner, d_curv) == (SOL, 1, 0.0)
         assert np.allclose(d, -g / 1e13, rtol=1e-14)
-        flag, d, inner, _ = self.choose(B, g, hessian="lbfgs")
+        flag, d, inner, _ = self.choose(B, g, "lbfgs_mr")
         assert (flag, inner) == (GD, 1)
         assert np.array_equal(d, -g)
 
-    @pytest.mark.parametrize("hessian", ["exact", "lbfgs"])
-    def test_inner_cap_is_flagged_sol(self, hessian):
+    @pytest.mark.parametrize("mode", ["newton_mr", "lbfgs_mr"])
+    def test_inner_cap_is_flagged_sol(self, mode):
         B, g = np.diag([1.0, 2.0, 3.0, 10.0]), np.ones(4)
         assert minres_npc(B, -g, 0.1, 1).flag == MAXITER
-        flag, d, inner, _ = self.choose(B, g, max_inner=1, hessian=hessian)
+        flag, d, inner, _ = self.choose(B, g, mode, max_inner=1)
         assert (flag, inner) == (SOL, 1)
         assert np.allclose(d, minres_npc(B, -g, 0.1, 1).direction, rtol=1e-10)
 
@@ -227,7 +237,7 @@ class TestChooseDirection:
 
         g = np.array([1.0, -2.0])
         flag, d, inner, d_curv = self.choose(SymmetricOperator(2, degenerate), g,
-                                             hessian="lbfgs")
+                                             "lbfgs_mr")
         assert (flag, inner, d_curv) == (GD, 0, 0.0)
         assert np.array_equal(d, -g)
 
@@ -283,9 +293,13 @@ class TestSolveBasics:
             solve(obj, np.ones(3))
 
     def test_exact_mode_needs_hvp(self):
+        # the schedule mode picks the model: only lbfgs_mr runs without an HVP
         obj = Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
-        with pytest.raises(NoHessianOracle):
-            solve(obj, np.ones(2))
+        for mode in ("newton_mr", "coupled"):
+            with pytest.raises(NoHessianOracle, match=f"schedule mode '{mode}' needs"):
+                solve(obj, np.ones(2), SolverConfig(schedule=ScheduleParams(mode=mode)))
+        lbfgs = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"))
+        assert solve(obj, np.ones(2), lbfgs).status == CONVERGED
 
 
 class TestTerminationStatuses:
@@ -370,7 +384,7 @@ class TestDirectionDispatch:
 
         monkeypatch.setattr(LbfgsStore, "apply", broken_apply)
         obj = spec("quadratic", n=4).make_objective()
-        trace = solve(obj, np.ones(4), SolverConfig(hessian="lbfgs"))
+        trace = solve(obj, np.ones(4), SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr")))
         assert trace.status == CONVERGED
         assert all(r.flag == GD for r in trace.records)
         assert all(r.inner_iters == 0 for r in trace.records)
@@ -436,7 +450,7 @@ class TestDirectionDispatch:
     def test_lbfgs_inner_iterations_bounded_by_memory(self):
         memory = 10
         obj = spec("rosenbrock", n=20).make_objective()
-        cfg = SolverConfig(hessian="lbfgs", lbfgs_memory=memory,
+        cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), lbfgs_memory=memory,
                            max_oracles=1e5, grad_tol=1e-9)
         trace = solve(obj, np.full(20, 0.5), cfg)
         assert trace.status == CONVERGED
@@ -467,18 +481,18 @@ class TestDirectionDispatch:
         assert len(calls) == sum(r.inner_iters for r in trace.records)
 
     def test_invariants_hold_across_modes(self):
-        for name, kwargs, hessian in [
-            ("toy_sine", {"n": 8}, "exact"),
-            ("rosenbrock", {"n": 8}, "exact"),
-            ("toy_sine", {"n": 8}, "lbfgs"),
+        for name, kwargs, mode in [
+            ("toy_sine", {"n": 8}, "newton_mr"),
+            ("rosenbrock", {"n": 8}, "newton_mr"),
+            ("toy_sine", {"n": 8}, "lbfgs_mr"),
         ]:
             problem = spec(name, **kwargs)
             obj = problem.make_objective()
             x0 = problem.start(np.random.default_rng(3))
-            cfg = SolverConfig(hessian=hessian, check_invariants=True,
-                               max_oracles=1e5)
+            cfg = SolverConfig(schedule=ScheduleParams(mode=mode),
+                               check_invariants=True, max_oracles=1e5)
             trace = solve(obj, x0, cfg)
-            assert trace.status in (CONVERGED, BUDGET), (name, hessian)
+            assert trace.status in (CONVERGED, BUDGET), (name, mode)
 
     def test_invariant_checks_do_not_bill_oracles(self):
         problem = spec("toy_sine", n=6)
@@ -524,7 +538,7 @@ class TestDirectionDispatch:
         self.forced_certificate(monkeypatch, lambda b: -b)
         obj = spec("quadratic", n=4).make_objective()
         with pytest.raises(OptimizationError, match="not a descent direction") as err:
-            solve(obj, np.ones(4), SolverConfig(hessian="lbfgs"))
+            solve(obj, np.ones(4), SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr")))
         assert "symmetric" not in str(err.value)
 
     def test_nan_certificate_reaches_the_curvature_search(self, monkeypatch):

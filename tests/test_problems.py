@@ -1,5 +1,4 @@
 """Benchmark problem definitions: frozen facts and derivative hygiene."""
-import threading
 import time
 import tracemalloc
 
@@ -152,8 +151,8 @@ class TestRosenbrock:
 
     @pytest.mark.parametrize("oracle, vectors", [("f", 0), ("grad", 1), ("hvp", 1)])
     def test_oracle_allocates_only_its_result(self, oracle, vectors):
-        # after the first call, which makes the thread's work vectors; the
-        # plain expressions peak at about 4 vectors
+        # after a first call; the spec owns the work vectors, and the plain
+        # expressions peak at about 4 vectors
         n = 10_000
         obj = rosenbrock(n).make_objective()
         rng = np.random.default_rng(1)
@@ -169,28 +168,6 @@ class TestRosenbrock:
         finally:
             tracemalloc.stop()
         assert peak - start < (vectors + 0.5) * 8 * n
-
-    def test_objectives_of_one_spec_run_concurrently(self):
-        # each thread has its own work vectors, so concurrent products agree
-        # with the plain expression
-        n = 20_000
-        spec = rosenbrock(n)
-        results = {}
-
-        def products(seed):
-            obj = spec.make_objective()
-            rng = np.random.default_rng(seed)
-            x, v = rng.uniform(-2.0, 2.0, n), rng.standard_normal(n)
-            h_ref = self.reference(x, v)[2]
-            results[seed] = all(np.array_equal(obj.hvp(x, v), h_ref)
-                                for _ in range(200))
-
-        threads = [threading.Thread(target=products, args=(seed,)) for seed in (1, 2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == {1: True, 2: True}
 
 
 class TestQuadratic:
