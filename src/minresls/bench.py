@@ -46,14 +46,14 @@ from .linesearch import LinesearchConfig
 from .problems import build_problem
 
 __all__ = [
-    "ProfileTable",
-    "ParsedTrace",
-    "RunCell",
-    "emit_trace",
     "parse_manifest",
-    "parse_trace",
-    "performance_profile",
+    "RunCell",
     "run_suite",
+    "emit_trace",
+    "parse_trace",
+    "ParsedTrace",
+    "performance_profile",
+    "ProfileTable",
     "write_profile_csv",
 ]
 
@@ -88,10 +88,9 @@ def builtin_config(name: str) -> SolverConfig:
 
 
 def _typed_fields(cls):
-    out = {}
-    for f in dataclasses.fields(cls):
-        out[f.name] = f.type if isinstance(f.type, str) else f.type.__name__
-    return out
+    # the config dataclasses are defined under ``from __future__ import
+    # annotations``, so each field's type is its annotation string
+    return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
 _TOP_FIELDS = _typed_fields(SolverConfig)
@@ -108,11 +107,10 @@ def _coerce_setting(value: str, type_name: str, key: str):
             return int(value)
         if type_name == "bool":
             return _BOOLS[value.lower()]
-        if type_name == "str":
-            return value
     except (ValueError, KeyError):
         raise ValueError(f"bad value {value!r} for config key {key!r}") from None
-    raise ValueError(f"config key {key!r} is not settable from text")
+    raise ValueError(f"config key {key!r} is not settable from text; "
+                     "config= names the builtin that sets it")
 
 
 def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:

@@ -375,7 +375,7 @@ def check_linesearch_grid(seed=71) -> str:
 
     Backtracking is compared against the smallest-exponent scan and the
     forward curvature search against the largest-accepted scan, from
-    ``initial_step`` and warm-started further down the grid, including a run
+    exponent 0 and warm-started further down the grid, including a run
     on a concave quadratic that must ride out to the cap.
     """
     cfg = LinesearchConfig()
@@ -415,10 +415,11 @@ def check_linesearch_grid(seed=71) -> str:
     assert res2.step == ref2 and res2.capped == capped2
     assert res2.step > cfg.initial_step, "forward search failed to grow"
 
-    # the same search warm-started six grid points below initial_step
-    start = cfg.initial_step * cfg.shrink ** 6
-    res_w = npc_linesearch(obj2, x2, d2, g_dot_d, d_curv, f_x2, cfg, start=start)
-    ref_w, capped_w = forward_grid_reference(phi_ok, start, cfg.shrink, cfg.max_step)
+    # the same search warm-started at grid exponent 6; the reference scan
+    # divides by shrink, which retraces that grid exactly as 0.5 is a power of two
+    res_w = npc_linesearch(obj2, x2, d2, g_dot_d, d_curv, f_x2, cfg, start=6)
+    ref_w, capped_w = forward_grid_reference(phi_ok, cfg.initial_step * cfg.shrink ** 6,
+                                             cfg.shrink, cfg.max_step)
     assert res_w.step == ref_w and res_w.capped == capped_w
     assert res_w.step == res2.step, "warm start moved the accepted step"
     assert res_w.n_evals == res2.n_evals + 6

@@ -3,7 +3,7 @@
 Everything downstream works on plain 1-D float64 numpy arrays. An operator is
 matrix-free (only its action ``v -> A v`` is available), an objective bundles
 callbacks for the function value, the gradient and, optionally, a
-Hessian-vector product, together with a running tally of oracle work.
+Hessian-vector product, together with a count of the calls of each.
 """
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ import math
 import numpy as np
 
 __all__ = [
+    "Objective",
+    "SymmetricOperator",
     "OptimizationError",
     "NotEvaluable",
     "NoHessianOracle",
     "ZeroRightHandSide",
     "NumericalBreakdown",
-    "SymmetricOperator",
-    "Objective",
 ]
 
 
@@ -117,11 +117,10 @@ def ensure_operator(A) -> SymmetricOperator:
 class Objective:
     """Smooth objective with oracle accounting.
 
-    ``oracle_count`` tallies oracle work in units of one function evaluation:
-    every call of ``f``, ``grad`` or ``hvp`` adds that oracle's cost. Costs
-    default to one unit per function value, one per gradient and two per
-    Hessian-vector product, mirroring the usual reverse-mode arithmetic
-    estimates; each is configurable and must be finite and nonnegative.
+    ``f_calls``, ``grad_calls`` and ``hvp_calls`` count the calls of each
+    oracle. ``oracle_count`` weighs them in units of one function value: one
+    per function value, one per gradient and two per Hessian-vector product,
+    the usual reverse-mode arithmetic estimates.
 
     MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
     returns, so an oracle must not keep a reference to its arguments. The
@@ -129,33 +128,33 @@ class Objective:
     read-only array, or a buffer it keeps and refills on the next call.
     """
 
-    def __init__(self, dim, f, grad, hvp=None, *,
-                 f_cost=1.0, grad_cost=1.0, hvp_cost=2.0):
+    def __init__(self, dim, f, grad, hvp=None):
         self.dim = int(dim)
         self._f = f
         self._grad = grad
         self._hvp = hvp
-        self.oracle_count = 0.0
-        self.f_cost = _cost("f_cost", f_cost)
-        self.grad_cost = _cost("grad_cost", grad_cost)
-        self.hvp_cost = _cost("hvp_cost", hvp_cost)
+        self.f_calls = self.grad_calls = self.hvp_calls = 0
 
     @property
     def has_hvp(self) -> bool:
         return self._hvp is not None
 
+    @property
+    def oracle_count(self) -> float:
+        return float(self.f_calls + self.grad_calls + 2 * self.hvp_calls)
+
     @contextlib.contextmanager
     def paused(self):
-        """Restore ``oracle_count`` on exit, e.g. after instrumentation has
+        """Restore the call counts on exit, e.g. after instrumentation has
         re-evaluated the model; pauses nest."""
-        saved = self.oracle_count
+        saved = self.f_calls, self.grad_calls, self.hvp_calls
         try:
             yield self
         finally:
-            self.oracle_count = saved
+            self.f_calls, self.grad_calls, self.hvp_calls = saved
 
     def f(self, x: np.ndarray) -> float:
-        self.oracle_count += self.f_cost
+        self.f_calls += 1
         out = self._f(x)
         if not isinstance(out, float) and np.shape(out) != ():
             raise ValueError(f"function oracle returned shape {np.shape(out)}, "
@@ -163,13 +162,13 @@ class Objective:
         return float(out)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        self.oracle_count += self.grad_cost
+        self.grad_calls += 1
         return self._checked("gradient", self._grad(x))
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hvp is None:
             raise NoHessianOracle("no Hessian oracle attached to this objective")
-        self.oracle_count += self.hvp_cost
+        self.hvp_calls += 1
         return self._checked("Hessian-vector", self._hvp(x, v))
 
     def _checked(self, oracle: str, out) -> np.ndarray:
@@ -178,10 +177,3 @@ class Objective:
             raise ValueError(f"{oracle} oracle returned shape {out.shape}, "
                              f"expected ({self.dim},)")
         return out
-
-
-def _cost(name: str, value) -> float:
-    cost = float(value)
-    if not (math.isfinite(cost) and cost >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {cost!r}")
-    return cost

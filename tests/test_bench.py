@@ -161,6 +161,9 @@ class TestManifests:
          "lbfgs_memory must be at least 1"),
         ("problem=quadratic config=lbfgs_mr seed=1 lbfgs_memory=2.5",
          "bad value '2.5' for config key 'lbfgs_memory'"),
+        # config= names the mode; an override would run another model under its label
+        ("problem=quartic_saddle p.n=10 config=newton_mr seed=1 schedule.mode=lbfgs_mr",
+         "config key 'schedule.mode' is not settable from text; config= names"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
         with pytest.raises(ValueError, match="m:1"):

@@ -38,12 +38,21 @@ def spec(name, **params):
     return build_problem(name, **params)
 
 
+def record_fields(trace):
+    """A run's records without the fields that depend on oracle work or time."""
+    return [dataclasses.replace(r, oracles=0.0, time_ms=0.0) for r in trace.records]
+
+
+def lowest_grid_exponent(ls):
+    """The largest exponent j whose step initial_step * shrink^j is at least min_step."""
+    return math.floor(math.log(ls.min_step / ls.initial_step) / math.log(ls.shrink))
+
+
 def linesearch_eval_cap(ls):
     """L of solve's budget bound: the most evaluations one linesearch makes,
-    backtracking from ``initial_step`` or walking forward from ``min_step``."""
-    backward = math.floor(math.log(ls.min_step / ls.initial_step) / math.log(ls.shrink))
-    forward = math.ceil(math.log(ls.max_step / ls.min_step) / math.log(1.0 / ls.shrink))
-    return 1 + max(backward, forward)
+    backtracking from exponent 0 or walking forward from the lowest exponent."""
+    forward = math.ceil(math.log(ls.max_step / ls.initial_step) / math.log(1.0 / ls.shrink))
+    return 1 + lowest_grid_exponent(ls) + forward
 
 
 class TestSchedule:
@@ -313,7 +322,7 @@ class TestTerminationStatuses:
 
     def test_budget_overshoot_bound(self):
         # the bound stated in solve's docstring, over a sweep of budgets
-        assert linesearch_eval_cap(LinesearchConfig()) == 95
+        assert linesearch_eval_cap(LinesearchConfig()) == 94
         ls = LinesearchConfig(min_step=2.0 ** -10, max_step=8.0)
         max_evals = linesearch_eval_cap(ls)
         assert max_evals == 14
@@ -324,18 +333,19 @@ class TestTerminationStatuses:
             cfg = SolverConfig(linesearch=ls, max_inner=6, max_oracles=max_oracles)
             trace = solve(obj, x0, cfg)
             assert trace.status == BUDGET, max_oracles
-            bound = (max_oracles + cfg.max_inner * obj.hvp_cost
-                     + max_evals * obj.f_cost + obj.grad_cost)
+            bound = max_oracles + 2 * cfg.max_inner + max_evals + 1
             assert max_oracles <= trace.oracles < bound, (max_oracles, trace.oracles)
 
     def test_warm_started_search_reaches_the_bound(self):
-        # a curvature search warm-started at min_step on a descending ray
-        # walks forward to max_step: past the 60 evaluations of a search
-        # started at initial_step, and exactly onto L
+        # a curvature search warm-started at the lowest grid exponent (59:
+        # 2^-59 >= 1e-18 > 2^-60) on a descending ray walks forward to
+        # max_step: past the 60 evaluations of a search backtracking from
+        # exponent 0, and exactly onto L
         ls = LinesearchConfig()
         obj = Objective(1, lambda x: -x[0], lambda x: -np.ones(1))
+        assert lowest_grid_exponent(ls) == 59
         res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, ls,
-                             start=ls.min_step)
+                             start=59)
         assert res.capped and res.step == ls.max_step
         assert 60 < res.n_evals == linesearch_eval_cap(ls)
 
@@ -418,9 +428,9 @@ class TestDirectionDispatch:
     ])
     def test_curvature_search_is_warm_started(self, monkeypatch, name, params, seed):
         # each curvature search after the first starts at the previous
-        # accepted one, capped at initial_step; the steps are the same as
-        # with every search started at initial_step, in fewer evaluations
-        # when a search starts lower
+        # accepted exponent, raised to 0; the steps are the same as with
+        # every search started at exponent 0, in fewer evaluations when a
+        # search starts lower
         problem = spec(name, **params)
         x0 = problem.start(np.random.default_rng(seed))
         cfg = builtin_config("newton_mr")
@@ -428,24 +438,40 @@ class TestDirectionDispatch:
 
         def recorded(*args, start):
             res = npc_linesearch(*args, start=start)
-            searches.append((start, res.step))
+            searches.append((start, res.exponent))
             return res
 
         monkeypatch.setattr(driver, "npc_linesearch", recorded)
         warm = solve(problem.make_objective(), x0, cfg)
-        monkeypatch.setattr(driver, "npc_linesearch",
-                            lambda *args, start: npc_linesearch(*args))
-        cold = solve(problem.make_objective(), x0, cfg)
+        cold = self.cold_solve(problem, x0, cfg)
 
-        initial = cfg.linesearch.initial_step
         starts = [start for start, _ in searches]
         assert len(starts) > 1
-        assert starts == [initial] + [min(step, initial) for _, step in searches[:-1]]
-        fields = lambda t: [dataclasses.replace(r, oracles=0.0, time_ms=0.0)
-                            for r in t.records]
-        assert fields(warm) == fields(cold)
+        assert starts == [0] + [max(j, 0) for _, j in searches[:-1]]
+        assert record_fields(warm) == record_fields(cold)
         assert np.array_equal(warm.x_final, cold.x_final)
-        assert (warm.oracles < cold.oracles) == (min(starts) < initial)
+        assert (warm.oracles < cold.oracles) == (max(starts) > 0)
+
+    @staticmethod
+    def cold_solve(problem, x0, cfg):
+        """``solve`` with every curvature search started at exponent 0."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driver, "npc_linesearch", lambda *args, start: npc_linesearch(*args))
+            return solve(problem.make_objective(), x0, cfg)
+
+    @pytest.mark.parametrize("shrink", [0.7, 0.1])
+    def test_warm_start_keeps_the_steps_at_any_shrink(self, shrink):
+        # the warm start tries points of the cold search's grid also when
+        # shrink is not a power of two, so every step stays the same
+        problem = spec("rosenbrock", n=50)
+        cfg = dataclasses.replace(builtin_config("newton_mr"),
+                                  linesearch=LinesearchConfig(shrink=shrink))
+        for seed in range(5):
+            x0 = problem.start(np.random.default_rng(seed))
+            warm = solve(problem.make_objective(), x0, cfg)
+            cold = self.cold_solve(problem, x0, cfg)
+            assert any(r.flag == NPC for r in warm.records), seed
+            assert record_fields(warm) == record_fields(cold), seed
 
     def test_lbfgs_inner_iterations_bounded_by_memory(self):
         memory = 10

@@ -18,6 +18,45 @@ def quad_obj():
                      lambda x, v: v.copy())
 
 
+class TestOneGrid:
+    # every trial step of either search is min(initial_step * shrink^j,
+    # max_step) for an integer j, also when shrink is not a power of two
+    cfg = LinesearchConfig(shrink=0.7, min_step=1e-3, max_step=3.0)
+
+    @staticmethod
+    def ray(value):
+        """Objective of constant slope ``value`` along x[0], and its trial steps."""
+        trials = []
+        def f(x):
+            trials.append(float(x[0]))
+            return value * float(x[0])
+        return Objective(1, f, lambda x: np.full(1, value)), trials
+
+    def grid(self, exponents):
+        return [min(self.cfg.initial_step * self.cfg.shrink ** j, self.cfg.max_step)
+                for j in exponents]
+
+    def test_backtracking_walks_down_the_grid(self):
+        # f = 0 never decreases: 0.7^19 > 1e-3 > 0.7^20
+        obj, trials = self.ray(0.0)
+        with pytest.raises(StepsizeStagnation):
+            armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0, self.cfg)
+        assert trials == self.grid(range(20))
+        trials.clear()
+        with pytest.raises(StepsizeStagnation):
+            npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, self.cfg,
+                           start=3)
+        assert trials == self.grid(range(3, 20))
+
+    def test_forward_walk_climbs_the_same_grid(self):
+        # f decreases without bound: 0.7^-3 < 3 < 0.7^-4
+        obj, trials = self.ray(-1.0)
+        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, self.cfg,
+                             start=5)
+        assert trials == self.grid(range(5, -5, -1))
+        assert res.capped and res.step == 3.0 and res.exponent == -4
+
+
 class TestArmijo:
     def test_full_step_one_eval(self):
         obj = quad_obj()
@@ -37,6 +76,7 @@ class TestArmijo:
         res = armijo_backtrack(obj, x, d, -3.0, f_x)
         assert res.step == 0.5
         assert res.n_evals == 2
+        assert res.exponent == 1
 
     def test_matches_grid_reference(self):
         rng = np.random.default_rng(8)
@@ -189,7 +229,7 @@ class TestCurvatureSearch:
         obj = Objective(1, lambda x: -x[0], lambda x: -np.ones(1))
         cfg = LinesearchConfig(max_step=4.0)
         res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, cfg)
-        assert res.capped and res.step == 4.0
+        assert res.capped and res.step == 4.0 and res.exponent == -2
 
     def test_eval_count(self):
         calls = [0]
@@ -215,7 +255,8 @@ class TestCurvatureSearch:
             # claimed slope/curvature say decrease is possible; f refuses
             npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, -1.0, 0.0, cfg)
 
-    @pytest.mark.parametrize("start", [0.5e-6, 0.0, -1.0, 4.5, np.inf, np.nan])
+    # steps 2^-start; the range [1e-6, 4] holds exponents -2 to 19
+    @pytest.mark.parametrize("start", [20, -3, -100, 0.5, 1.0, np.nan])
     def test_start_outside_step_range(self, start):
         calls = [0]
         def f(x):
@@ -228,7 +269,7 @@ class TestCurvatureSearch:
                            start=start)
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("start", [1e-6, 4.0])
+    @pytest.mark.parametrize("start", [19, -2])
     def test_start_at_step_range_ends(self, start):
         obj = Objective(1, lambda x: -x[0], lambda x: -np.ones(1))
         cfg = LinesearchConfig(min_step=1e-6, max_step=4.0)

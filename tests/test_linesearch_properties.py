@@ -1,6 +1,7 @@
 """Property test of the warm-started curvature search: on a ray whose passing
-steps form an interval [0, lam*], a search started at any grid point below
-``initial_step`` accepts the same step as one started at ``initial_step``."""
+steps form an interval [0, lam*], a search started at any grid exponent
+above 0 accepts the same step as one started at exponent 0, whatever the
+shrink factor."""
 import numpy as np
 import pytest
 
@@ -23,15 +24,14 @@ def interval_ray(draw):
     q = draw(st.floats(1e-3, 1e3))
     p = draw(st.sampled_from((2, 3, 4)))
     d_curv = -draw(st.floats(0.0, 10.0))
-    shrink = draw(st.sampled_from((0.5, 0.25)))
+    shrink = draw(st.sampled_from((0.5, 0.25, 0.7, 0.3, 0.1)))
     initial = draw(st.sampled_from((1.0, 0.375, 8.0)))
     max_step = initial / shrink ** draw(st.sampled_from((3, 10, 40)))
     cfg = LinesearchConfig(initial_step=initial, shrink=shrink, max_step=max_step,
                            min_step=initial * shrink ** 60)
     offset = draw(st.integers(-4, 12))      # grid steps from the accepted step to the warm start
     obj = Objective(1, lambda x: -c * x[0] + q * abs(x[0]) ** p,
-                    lambda x: np.array([-c + p * q * abs(x[0]) ** (p - 1)]),
-                    f_cost=draw(st.sampled_from((1.0, 2.5))))
+                    lambda x: np.array([-c + p * q * abs(x[0]) ** (p - 1)]))
     return obj, d_curv, cfg, offset
 
 
@@ -50,19 +50,21 @@ def test_warm_start_keeps_the_step(case):
     with obj.paused():
         # rounding near lam* can break the interval on the grid; keep only
         # rays on which it holds in floating point
-        grid = [cfg.max_step * cfg.shrink ** j for j in range(160)]
+        grid = [min(cfg.initial_step * cfg.shrink ** j, cfg.max_step)
+                for j in range(-41, 61)]
         passing = [_passes(obj, g_dot_d, d_curv, cfg, lam)
                    for lam in grid if lam >= cfg.min_step]
     assume(passing == sorted(passing))          # False* then True*, top down
     assume(any(passing))
 
     def search(**start):
-        before = obj.oracle_count
+        before = obj.f_calls
         res = npc_linesearch(obj, x, d, g_dot_d, d_curv, 0.0, cfg, **start)
-        assert res.n_evals == (obj.oracle_count - before) / obj.f_cost
+        assert res.n_evals == obj.f_calls - before
         return res
 
     cold = search()
-    # a grid point no larger than initial_step, near the accepted step
-    warm = search(start=min(cfg.initial_step, cold.step * cfg.shrink ** offset))
-    assert (warm.step, warm.f_new, warm.capped) == (cold.step, cold.f_new, cold.capped)
+    # a grid exponent no smaller than 0, near the accepted one
+    warm = search(start=max(cold.exponent + offset, 0))
+    assert ((warm.step, warm.f_new, warm.capped, warm.exponent)
+            == (cold.step, cold.f_new, cold.capped, cold.exponent))
