@@ -16,14 +16,20 @@ may share label, problem and seed, since their traces would collide in a
 profile. ``#`` starts a comment. The whole manifest is validated before
 anything runs.
 
-Trace files carry one record per outer iteration with fields exactly
-``k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms``, in that
-order, followed by a single ``summary`` line; floats are serialized with 17
-significant digits so parsing reproduces them bit-for-bit. The reader expects
-every field in the order the writer puts it. Everything except the ``time_ms``
-columns is deterministic for a fixed manifest. Convergence-plot data is a
-field filter away: the ``k`` and ``gnorm`` columns give the curve, and lines
-with ``flag=NPC`` mark the negative-curvature steps.
+A trace file opens with two header lines that name the columns of each line
+kind once, in file order::
+
+    # record k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms
+    # summary problem config seed repeat status iters oracles final_f final_gnorm time_ms
+
+Then come one record line per outer iteration and a single ``summary`` line,
+each carrying its bare values in that order; floats are serialized with 17
+significant digits so parsing reproduces them bit-for-bit, and a missing seed
+or repeat is ``-``. The reader refuses a file whose header differs from the
+writer's. Everything except the ``time_ms`` columns, the last of each line, is
+deterministic for a fixed manifest. Convergence-plot data is a column filter
+away: the first and third columns give the curve, and record lines whose
+fourth column is ``NPC`` mark the negative-curvature steps.
 
 Performance profiles rank the solvers of a trace directory by oracle count or
 wall time, the positive costs that performance ratios are defined on.
@@ -280,7 +286,7 @@ def run_suite(cells: list[RunCell]) -> list[RunTrace]:
 # trace files
 
 
-# (file key, attribute, type) of every column, in file order, per line kind:
+# (header name, attribute, type) of every column, in file order, per line kind:
 # a record line per IterateRecord and the summary line of the RunTrace. Floats
 # are written with %.17g; an int or str that is None or empty is "-".
 _COLUMNS = {
@@ -298,13 +304,15 @@ _COLUMNS = {
         ("final_gnorm", "gnorm_final", float), ("time_ms", "time_ms", float),
     ),
 }
+_HEADER = [f"# {line_kind} " + " ".join(key for key, _, _ in columns)
+           for line_kind, columns in _COLUMNS.items()]
 # per line kind: its %-format and a getter of the values it formats
 _FORMATS = {
-    line_kind: (" ".join(f"{key}=%.17g" if kind is float else f"{key}=%s"
-                         for key, _, kind in columns),
+    line_kind: (" ".join("%.17g" if kind is float else "%s" for _, _, kind in columns),
                 operator.attrgetter(*(attr for _, attr, _ in columns)))
     for line_kind, columns in _COLUMNS.items()
 }
+_READERS = {str: str, float: float, int: lambda v: None if v == "-" else int(v)}
 
 
 def _trace_line(obj, line_kind) -> str:
@@ -313,9 +321,9 @@ def _trace_line(obj, line_kind) -> str:
 
 
 def emit_trace(trace: RunTrace, path) -> None:
-    """Write one record line per iteration plus the final summary line."""
-    lines = [_trace_line(r, "record") for r in trace.records]
-    lines.append("summary " + _trace_line(trace, "summary"))
+    """Write the header, one record line per iteration and the summary line."""
+    lines = [*_HEADER, *(_trace_line(r, "record") for r in trace.records),
+             "summary " + _trace_line(trace, "summary")]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -329,43 +337,38 @@ class ParsedTrace:
     summary: dict
 
 
-def _parse_tokens(toks, line_kind, origin, ln) -> dict:
-    """Fields of one line by file key, in the order :func:`emit_trace` writes them."""
+def _parse_values(values, line_kind, origin, ln) -> dict:
+    """One line's values by file key, converted by their position in the header."""
     columns = _COLUMNS[line_kind]
-    if len(toks) != len(columns):
-        raise ValueError(f"{origin}:{ln}: {line_kind} has {len(toks)} fields, expected "
-                         f"{len(columns)}: {' '.join(key for key, _, _ in columns)}")
+    if len(values) != len(columns):
+        raise ValueError(f"{origin}:{ln}: {line_kind} has {len(values)} fields, "
+                         f"expected {len(columns)}: {' '.join(k for k, _, _ in columns)}")
     out = {}
-    for tok, (key, _, kind) in zip(toks, columns):
-        name, sep, value = tok.partition("=")
-        if name != key or not sep:
-            raise ValueError(f"{origin}:{ln}: {line_kind} field {tok!r} where {key}= belongs")
+    for value, (key, _, kind) in zip(values, columns):
         try:
-            if kind is str:
-                out[key] = value
-            elif kind is int:
-                out[key] = None if value == "-" else int(value)
-            else:
-                out[key] = float(value)
+            out[key] = _READERS[kind](value)
         except ValueError:
-            raise ValueError(f"{origin}:{ln}: bad value in {tok!r}") from None
+            raise ValueError(f"{origin}:{ln}: bad {key} value {value!r}") from None
     return out
 
 
 def parse_trace_text(text: str, origin: str = "<trace>") -> ParsedTrace:
     """Inverse of emit_trace; numeric fields round-trip exactly."""
+    lines = text.splitlines()
+    for ln, want in enumerate(_HEADER, 1):
+        if ln > len(lines) or lines[ln - 1].strip() != want:
+            raise ValueError(f"{origin}:{ln}: expected the header line {want!r}")
     records, summary = [], None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+    for ln, raw in enumerate(lines[len(_HEADER):], len(_HEADER) + 1):
+        values = raw.split()
+        if not values:
             continue
         if summary is not None:
             raise ValueError(f"{origin}:{ln}: content after the summary line")
-        toks = line.split()
-        if toks[0] == "summary":
-            summary = _parse_tokens(toks[1:], "summary", origin, ln)
+        if values[0] == "summary":
+            summary = _parse_values(values[1:], "summary", origin, ln)
         else:
-            records.append(_parse_tokens(toks, "record", origin, ln))
+            records.append(_parse_values(values, "record", origin, ln))
     if summary is None:
         raise ValueError(f"{origin}: missing summary line")
     return ParsedTrace(records, summary)

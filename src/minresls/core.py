@@ -114,6 +114,10 @@ def ensure_operator(A) -> SymmetricOperator:
     return SymmetricOperator(M.shape[0], lambda v: M @ v)
 
 
+# numpy dtype kinds an oracle may return: bool, signed, unsigned, float
+_REAL_KINDS = "biuf"
+
+
 class Objective:
     """Smooth objective with oracle accounting.
 
@@ -121,6 +125,10 @@ class Objective:
     oracle. ``oracle_count`` weighs them in units of one function value: one
     per function value, one per gradient and two per Hessian-vector product,
     the usual reverse-mode arithmetic estimates.
+
+    ``f`` must return a real scalar, ``grad`` and ``hvp`` a real vector of
+    length ``dim``; a wrong shape or a complex, ``None`` or other non-numeric
+    value raises ValueError naming the oracle.
 
     MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
     returns, so an oracle must not keep a reference to its arguments. The
@@ -156,10 +164,15 @@ class Objective:
     def f(self, x: np.ndarray) -> float:
         self.f_calls += 1
         out = self._f(x)
-        if not isinstance(out, float) and np.shape(out) != ():
-            raise ValueError(f"function oracle returned shape {np.shape(out)}, "
+        if isinstance(out, float):
+            return float(out)
+        value = np.asarray(out)
+        if value.shape != ():
+            raise ValueError(f"function oracle returned shape {value.shape}, "
                              "expected a scalar")
-        return float(out)
+        if value.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"function oracle returned {out!r}, expected a real number")
+        return float(value)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_calls += 1
@@ -172,7 +185,12 @@ class Objective:
         return self._checked("Hessian-vector", self._hvp(x, v))
 
     def _checked(self, oracle: str, out) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(out)
+        if out.dtype != np.float64:
+            if out.dtype.kind not in _REAL_KINDS:
+                raise ValueError(f"{oracle} oracle returned {out.dtype} values, "
+                                 "expected real numbers")
+            out = out.astype(float)
         if out.shape != (self.dim,):
             raise ValueError(f"{oracle} oracle returned shape {out.shape}, "
                              f"expected ({self.dim},)")

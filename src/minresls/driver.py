@@ -118,7 +118,8 @@ def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
         theta = min(sp.tol_cap, math.log(k + 1.0) * math.sqrt(k * gnorm))
         zeta = min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp)
     else:   # coupled
-        theta = min(sp.tol_cap, gnorm ** sp.beta)
+        # tol_cap < 1 <= gnorm**beta for gnorm >= 1, where a large beta overflows
+        theta = sp.tol_cap if gnorm >= 1.0 else min(sp.tol_cap, gnorm ** sp.beta)
         zeta = sp.zeta_mult * theta
     return theta, zeta, a_k
 
@@ -212,7 +213,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     """Minimize ``obj`` from ``x0``; returns the full run trace.
 
     Terminates CONVERGED when the gradient norm reaches ``grad_tol``,
-    STAGNATED when a linesearch collapses, BUDGET when the oracle tally
+    STAGNATED when a linesearch collapses or accepts a step that leaves x
+    bitwise unchanged, BUDGET when the oracle tally
     reaches ``max_oracles``, and DIVERGED when the objective or gradient
     stops being finite. A curvature certificate with g'd >= 0 raises
     :class:`OptimizationError`: in exact arithmetic only a nonsymmetric model
@@ -319,7 +321,11 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             status = STAGNATED
             break
 
-        x = x + res.step * d
+        x_new = x + res.step * d
+        if res.f_new == f_x and np.array_equal(x_new, x):
+            status = STAGNATED      # the step rounded away: a rerun would repeat it
+            break
+        x = x_new
         if store is not None:
             pending = (res.step * d, g)
         records.append(IterateRecord(

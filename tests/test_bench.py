@@ -36,6 +36,12 @@ problem=quartic_saddle p.n=4 config=coupled seed=5 label=co
 """
 
 
+# the two header lines every trace file opens with
+HEADER = ["# record k f gnorm flag lambda inner_iters theta_k zeta_k oracles time_ms",
+          "# summary problem config seed repeat status iters oracles final_f "
+          "final_gnorm time_ms"]
+
+
 @pytest.fixture(scope="module")
 def suite_traces():
     cells = parse_manifest(MANIFEST)
@@ -215,6 +221,13 @@ class TestExecution:
         assert [t.repeat for t in traces] == [0, 1, 0]
         assert all(t.status == CONVERGED for t in traces)
 
+    def test_huge_coupled_exponent_runs_to_a_status(self):
+        # schedule.beta=1e300 passes validation; gnorm ** beta must not overflow
+        [trace] = run_suite(parse_manifest(
+            "problem=toy_sine p.n=3 config=coupled seed=0 schedule.beta=1e300"))
+        assert trace.status == CONVERGED
+        assert trace.records[0].theta == 0.1 and trace.records[0].gnorm > 1.0
+
     def test_repeats_draw_distinct_starts(self):
         a = repeat_rng(3, 0).uniform(0.0, 1.0, 6)
         b = repeat_rng(3, 1).uniform(0.0, 1.0, 6)
@@ -260,10 +273,12 @@ class TestTraceFiles:
         path = tmp_path / "empty.trace"
         emit_trace(trace, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("summary ")
+        assert lines == [HEADER[0], HEADER[1],
+                         "summary - - - - CONVERGED 0 2 0.25 0 0.10000000000000001"]
         parsed = parse_trace(path)
         assert parsed.records == []
         assert parsed.summary["seed"] is None and parsed.summary["repeat"] is None
+        assert parsed.summary["problem"] == "-" and parsed.summary["final_f"] == 0.25
 
     def test_plot_columns_via_flag_filter(self, tmp_path, suite_traces):
         # Figure-style data: k vs log10 gnorm, certificate steps marked by flag
@@ -280,39 +295,56 @@ class TestTraceFiles:
         assert all(isinstance(k, int) for k, _, _ in points)
 
     def test_parse_errors(self):
-        # the reader takes every field in the order emit_trace writes it
-        record = ("k=1 f=0 gnorm=1 flag=SOL lambda=1 inner_iters=2 theta_k=0.1 "
-                  "zeta_k=0 oracles=5 time_ms=1\n")
-        good = "summary problem=p config=c seed=- repeat=- status=CONVERGED " \
-               "iters=1 oracles=5 final_f=0 final_gnorm=0 time_ms=1\n"
-        assert parse_trace_text(record + good).records[0]["inner_iters"] == 2
-        with pytest.raises(ValueError, match="missing summary"):
-            parse_trace_text("", origin="t")
-        with pytest.raises(ValueError, match="t:2.*content after the summary"):
-            parse_trace_text(good + record, origin="t")
-        bad_records = [
-            # reordered
-            (record.replace("f=0 gnorm=1", "gnorm=1 f=0"), "'gnorm=1' where f= belongs"),
-            # unknown key in place of a column
-            (record.replace("flag=SOL", "step=SOL"), "'step=SOL' where flag= belongs"),
-            # missing, and duplicated in place of the missing one
-            (record.replace("gnorm=1 ", ""), "record has 9 fields, expected 10: k f gnorm"),
-            (record.replace("gnorm=1", "f=0"), "'f=0' where gnorm= belongs"),
-            # duplicated on top of the ten
-            (record.replace("k=1", "k=1 k=1"), "record has 11 fields, expected 10"),
-            (record.replace("k=1", "k"), "'k' where k= belongs"),
+        # two header lines name the columns; each line holds bare values in that order
+        record = "1 0 1 SOL 1 2 0.1 0 5 1\n"
+        good = "summary p c - - CONVERGED 1 5 0 0 1\n"
+        head = "\n".join(HEADER) + "\n"
+        parsed = parse_trace_text(head + record + good)
+        assert parsed.records[0]["inner_iters"] == 2 and parsed.records[0]["lambda"] == 1.0
+        assert parsed.summary["seed"] is None and parsed.summary["final_gnorm"] == 0.0
+        with pytest.raises(ValueError, match="t: missing summary"):
+            parse_trace_text(head, origin="t")
+        with pytest.raises(ValueError, match="t:4: content after the summary"):
+            parse_trace_text(head + good + record, origin="t")
+        old_layout = ("k=1 f=0 gnorm=1 flag=SOL lambda=1 inner_iters=2 theta_k=0.1 "
+                      "zeta_k=0 oracles=5 time_ms=1\n"
+                      "summary problem=p config=c seed=- repeat=- status=CONVERGED "
+                      "iters=1 oracles=5 final_f=0 final_gnorm=0 time_ms=1\n")
+        bad_files = [
+            # no header, an old-layout file, and a header naming other columns
+            ("", f"t:1: expected the header line {HEADER[0]!r}"),
+            (old_layout, f"t:1: expected the header line {HEADER[0]!r}"),
+            (HEADER[0] + "\n" + record + good, f"t:2: expected the header line {HEADER[1]!r}"),
+            (head.replace(" f gnorm", " gnorm f") + record + good, "t:1: expected the header"),
+            (head.replace(" time_ms", "", 1) + record + good, "t:1: expected the header"),
+            # a missing or an extra value, on a record and on the summary line
+            (head + "1 0 SOL 1 2 0.1 0 5 1\n" + good,
+             "t:3: record has 9 fields, expected 10: k f gnorm flag lambda"),
+            (head + "1 " + record + good, "t:3: record has 11 fields, expected 10"),
+            (head + record + "summary CONVERGED\n", "t:4: summary has 1 fields, expected 10"),
+            # a value its column cannot hold, named by column
+            (head + record.replace("1 0 1 SOL 1 2", "1 0 1 SOL 1 two") + good,
+             "t:3: bad inner_iters value 'two'"),
+            (head + record.replace("0.1", "tenth") + good, "t:3: bad theta_k value 'tenth'"),
+            (head + record + good.replace("CONVERGED 1", "CONVERGED one"),
+             "t:4: bad iters value 'one'"),
+            (head + record + good.replace(" 5 0 0", " - 0 0"), "t:4: bad oracles value '-'"),
         ]
-        for line, fragment in bad_records:
+        for text, fragment in bad_files:
             with pytest.raises(ValueError) as exc:
-                parse_trace_text(line + good, origin="t")
-            assert str(exc.value).startswith("t:1: ") and fragment in str(exc.value)
-        with pytest.raises(ValueError, match="t:1: summary has 1 fields, expected 10"):
-            parse_trace_text("summary status=CONVERGED\n", origin="t")
-        reordered = good.replace("config=c seed=-", "seed=- config=c")
-        with pytest.raises(ValueError, match="t:2: summary field 'seed=-' where config="):
-            parse_trace_text(record + reordered, origin="t")
-        with pytest.raises(ValueError, match="bad value"):
-            parse_trace_text(good.replace("iters=1", "iters=one"), origin="t")
+                parse_trace_text(text, origin="t")
+            assert str(exc.value).startswith(fragment), (str(exc.value), fragment)
+
+    def test_header_is_written_from_the_column_table(self, tmp_path, suite_traces):
+        _, traces = suite_traces
+        path = tmp_path / "t.trace"
+        emit_trace(traces[0], path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == HEADER
+        # record lines hold bare values: no column name is repeated
+        assert len(lines) == 3 + traces[0].iters
+        assert all("=" not in line for line in lines[2:-1])
+        assert lines[-1].startswith("summary quadratic(n=6) newton_mr 3 0 CONVERGED ")
 
     def test_write_error_carries_path(self, tmp_path):
         trace = RunTrace(status=CONVERGED, records=[], f_final=0.0,

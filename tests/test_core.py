@@ -112,6 +112,48 @@ class TestObjective:
                                              r"\(3, 1\), expected \(3,\)"):
             obj.hvp(np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("value", [None, 1j, np.complex128(2.0), "1.5"])
+    def test_function_value_must_be_real(self, value):
+        obj = Objective(2, lambda x: value, lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match=r"function oracle returned .*, "
+                                             r"expected a real number"):
+            obj.f(np.zeros(2))
+
+    def test_real_scalars_are_accepted(self):
+        for value in (3, np.float32(0.5), np.array(2.5), np.int64(-1), True):
+            obj = Objective(1, lambda x: value, lambda x: np.zeros(1))
+            out = obj.f(np.zeros(1))
+            assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.ones(2, dtype=complex), "complex128"),
+        (None, "object"),
+        ([1.0, None], "object"),
+    ])
+    def test_gradient_and_hvp_values_must_be_real(self, value, dtype):
+        obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x, v: value)
+        with pytest.raises(ValueError, match=f"gradient oracle returned {dtype} values, "
+                                             "expected real numbers"):
+            obj.grad(np.zeros(2))
+        with pytest.raises(ValueError, match=f"Hessian-vector oracle returned {dtype} "
+                                             "values, expected real numbers"):
+            obj.hvp(np.zeros(2), np.ones(2))
+
+    def test_real_vectors_are_converted_to_float(self):
+        for value in ([1, 2], np.array([1, 2], dtype=np.int32), np.ones(2, np.float32)):
+            obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x, v: value)
+            for out in (obj.grad(np.zeros(2)), obj.hvp(np.zeros(2), np.ones(2))):
+                assert out.dtype == np.float64 and out.tolist() == list(map(float, value))
+        kept = np.ones(2)
+        obj = Objective(2, lambda x: 0.0, lambda x: kept)
+        assert obj.grad(np.zeros(2)) is kept           # float64 passes through uncopied
+
+    def test_complex_oracle_surfaces_from_solve(self):
+        bad = Objective(3, lambda x: float(x @ x), lambda x: 2.0 * x + 0j,
+                        lambda x, v: 2.0 * v)
+        with pytest.raises(ValueError, match="gradient oracle returned complex128"):
+            solve(bad, np.ones(3))
+
     def test_bad_oracle_shape_surfaces_from_solve(self):
         bad_grad = Objective(3, lambda x: float(x @ x), lambda x: np.ones(4),
                              lambda x, v: v.copy())

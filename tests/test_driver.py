@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minresls import driver
+from minresls import checks, driver
 from minresls.bench import builtin_config
 from minresls.checks import InvariantViolation
 from minresls.core import (
@@ -79,6 +79,19 @@ class TestSchedule:
         th, ze, _ = schedule_eval(1, 0.1, sp)
         assert th == pytest.approx(0.01, rel=1e-15)
         assert ze == pytest.approx(0.005, rel=1e-15)
+
+    def test_coupled_tolerance_of_a_huge_exponent(self):
+        # gnorm ** 1e300 overflows for gnorm > 1; there tol_cap < 1 <= gnorm ** beta
+        sp = ScheduleParams(mode="coupled", beta=1e300)
+        assert schedule_eval(1, 2.0, sp)[:2] == (0.1, 0.1)
+        assert schedule_eval(1, 1.0, sp)[:2] == (0.1, 0.1)
+        assert schedule_eval(1, 0.5, sp)[:2] == (0.0, 0.0)
+        # the same bits as min(tol_cap, gnorm ** beta) wherever that is finite
+        for beta in (0.5, 1.0, 2.0, 7.0):
+            sp = ScheduleParams(mode="coupled", beta=beta, zeta_mult=0.3)
+            for gnorm in (1e-9, 0.3, 0.99, 1.0, 1.5, 3.0, 1e6):
+                theta = min(sp.tol_cap, gnorm ** beta)
+                assert schedule_eval(4, gnorm, sp)[:2] == (theta, 0.3 * theta)
 
     def test_lbfgs_tolerance_loosens_with_k(self):
         sp = ScheduleParams(mode="lbfgs_mr")
@@ -358,6 +371,31 @@ class TestTerminationStatuses:
         assert trace.status == STAGNATED
         assert trace.iters == 0
 
+    @pytest.mark.parametrize("name, n, iters", [("toy_sine", 100, 21), ("rosenbrock", 50, 247)])
+    def test_stagnated_at_the_first_step_that_leaves_x_unchanged(self, monkeypatch, name, n,
+                                                                  iters):
+        # at grad_tol=0 these runs reach accepted Armijo steps that round away
+        # (x + lambda d == x), which would repeat until the budget is spent
+        problem = spec(name, n=n)
+        x0 = problem.start(np.random.default_rng(3))
+        cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"), grad_tol=0.0,
+                           max_oracles=2e4)
+        steps = []      # (x, step, d) of every accepted step
+        armijo = driver.armijo_backtrack
+
+        def spy(obj, x, d, *args):
+            res = armijo(obj, x, d, *args)
+            steps.append((x, res.step, d))
+            return res
+
+        monkeypatch.setattr(driver, "armijo_backtrack", spy)
+        trace = solve(problem.make_objective(), x0, cfg)
+        assert trace.status == STAGNATED
+        assert trace.iters == iters and trace.oracles < 1000
+        unchanged = [np.array_equal(x + step * d, x) for x, step, d in steps]
+        assert unchanged == [False] * iters + [True]
+        assert np.array_equal(trace.x_final, steps[-1][0])
+
     def test_diverged_on_nonfinite_gradient(self):
         calls = [0]
         def grad(x):
@@ -519,6 +557,14 @@ class TestDirectionDispatch:
                                check_invariants=True, max_oracles=1e5)
             trace = solve(obj, x0, cfg)
             assert trace.status in (CONVERGED, BUDGET), (name, mode)
+
+    def test_gd_invariant_is_the_negative_gradient(self):
+        # the GD branch reads only d and g; the golden GD runs take it on -g
+        g = np.array([1.0, -2.0])
+        args = (1.0, 0.1, 0.0, 1.0, ScheduleParams(), None, None)
+        checks.assert_direction_properties(GD, -g, g, *args)
+        with pytest.raises(InvariantViolation, match="not the negative gradient"):
+            checks.assert_direction_properties(GD, -0.5 * g, g, *args)
 
     def test_invariant_checks_do_not_bill_oracles(self):
         problem = spec("toy_sine", n=6)

@@ -18,6 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from minresls import checks
 from minresls.bench import parse_manifest, run_suite
 
 HERE = Path(__file__).resolve().parent
@@ -29,9 +30,11 @@ HEADER = ("status", "iters", "oracles")
 RECORD = ("flag", "inner_iters", "step")
 
 
-def count_lines(manifest, seeds):
-    """One line per run of ``manifest``, at each of ``seeds`` when given."""
-    cells = parse_manifest(manifest.read_text(), origin=str(manifest))
+def count_lines(manifest, seeds, **overrides):
+    """One line per run of ``manifest``, at each of ``seeds`` when given, with
+    ``overrides`` replacing fields of every cell's solver config."""
+    cells = [dataclasses.replace(c, cfg=dataclasses.replace(c.cfg, **overrides))
+             for c in parse_manifest(manifest.read_text(), origin=str(manifest))]
     suites = ([[dataclasses.replace(c, seed=seed) for c in cells] for seed in seeds]
               if seeds else [cells])
     lines = []
@@ -64,8 +67,9 @@ def first_difference(golden, now):
     return None
 
 
-def assert_counts_match(manifest, golden, seeds):
-    diff = first_difference(golden.read_text().splitlines(), count_lines(manifest, seeds))
+def assert_counts_match(manifest, golden, seeds, **overrides):
+    diff = first_difference(golden.read_text().splitlines(),
+                            count_lines(manifest, seeds, **overrides))
     assert diff is None, diff
 
 
@@ -80,6 +84,17 @@ def test_gd_fallback_counts_match_golden_file():
     assert len(lines) == sum(ln.startswith("problem=")
                              for ln in manifest.read_text().splitlines())
     assert all(" GD/" in ln for ln in lines), "a pinned run takes no GD step"
+
+
+def test_gd_fallback_runs_keep_the_direction_invariants(monkeypatch):
+    # check_invariants asserts each direction's contract, the GD branch
+    # included, without billing oracles, so the counts stay the golden ones
+    seen = []
+    check = checks.assert_direction_properties
+    monkeypatch.setattr(checks, "assert_direction_properties",
+                        lambda flag, *args: seen.append(flag) or check(flag, *args))
+    assert_counts_match(*GD_FALLBACKS, check_invariants=True)
+    assert "GD" in seen and "SOL" in seen
 
 
 def test_first_difference_names_the_field():
