@@ -42,13 +42,13 @@ import math
 import operator
 import os
 import re
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import NotEvaluable
 from .driver import CONVERGED, RunTrace, ScheduleParams, SolverConfig, solve
-from .linesearch import LinesearchConfig
 from .problems import build_problem
 
 __all__ = [
@@ -93,51 +93,42 @@ def builtin_config(name: str) -> SolverConfig:
                          f"{', '.join(BUILTIN_CONFIGS)}") from None
 
 
-def _typed_fields(cls):
-    # the config dataclasses are defined under ``from __future__ import
-    # annotations``, so each field's type is its annotation string
-    return {f.name: f.type for f in dataclasses.fields(cls)}
-
-
-_TOP_FIELDS = _typed_fields(SolverConfig)
-_NESTED_FIELDS = {"schedule": _typed_fields(ScheduleParams),
-                  "linesearch": _typed_fields(LinesearchConfig)}
 _BOOLS = {"true": True, "false": False}
-
-
-def _coerce_setting(value: str, type_name: str, key: str):
-    try:
-        if type_name == "float":
-            return float(value)
-        if type_name == "int":
-            return int(value)
-        if type_name == "bool":
-            return _BOOLS[value.lower()]
-    except (ValueError, KeyError):
-        raise ValueError(f"bad value {value!r} for config key {key!r}") from None
-    raise ValueError(f"config key {key!r} is not settable from text; "
-                     "config= names the builtin that sets it")
+# one text reader per declared field type; a field of any other type (the
+# schedule mode, a nested block) is set by the builtin that config= names
+_TEXT_READERS = {float: float, int: int, bool: lambda text: _BOOLS[text.lower()]}
 
 
 def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
     """One ``key=value`` assignment on an immutable config.
 
-    ``schedule.<field>`` and ``linesearch.<field>`` reach into the nested
-    dataclasses; bare keys hit the top level. Replacement reruns the dataclass
-    validation, so out-of-range values fail here, before any run starts.
+    A dotted key walks down the nested dataclasses (``schedule.beta``,
+    ``linesearch.shrink``); a bare key names a top-level field. The text is
+    read by the field's declared type, from ``typing.get_type_hints``: float,
+    int or bool (``true``/``false``, any case). A key that names no field is
+    unknown, and a field of any other type, such as ``schedule.mode``, is not
+    settable from text. Replacement reruns the dataclass validation, so
+    out-of-range values fail here, before any run starts.
     """
-    block, dot, name = key.partition(".")
-    if dot and block in _NESTED_FIELDS:
-        fields = _NESTED_FIELDS[block]
-        if name not in fields:
-            raise ValueError(f"unknown config key {key!r}")
-        sub = dataclasses.replace(
-            getattr(cfg, block), **{name: _coerce_setting(value, fields[name], key)})
-        return dataclasses.replace(cfg, **{block: sub})
-    if key in _NESTED_FIELDS or key not in _TOP_FIELDS:
+    return _replaced(cfg, key.split("."), value, key)
+
+
+def _replaced(block, names, value: str, key: str):
+    name, *rest = names
+    field_type = typing.get_type_hints(type(block)).get(name)
+    if field_type is None or (rest and not dataclasses.is_dataclass(field_type)):
         raise ValueError(f"unknown config key {key!r}")
-    return dataclasses.replace(
-        cfg, **{key: _coerce_setting(value, _TOP_FIELDS[key], key)})
+    if rest:
+        new = _replaced(getattr(block, name), rest, value, key)
+    elif field_type in _TEXT_READERS:
+        try:
+            new = _TEXT_READERS[field_type](value)
+        except (ValueError, KeyError):
+            raise ValueError(f"bad value {value!r} for config key {key!r}") from None
+    else:
+        raise ValueError(f"config key {key!r} is not settable from text; "
+                         "config= names the builtin that sets it")
+    return dataclasses.replace(block, **{name: new})
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,25 @@ class DegenerateMiddleMatrix(OptimizationError):
     """The small middle block of the compact quasi-Newton form is singular."""
 
 
+# numpy dtype kinds of real numbers: bool, signed, unsigned, float
+_REAL_KINDS = "biuf"
+
+
+def _real_array(a, source: str) -> np.ndarray:
+    """``a`` as a float64 array: real kinds are cast, uncopied when already
+    float64, and any other kind (complex, object, string) raises ValueError
+    that starts with ``source``, e.g. ``"x0 has"`` or ``"operator returned"``."""
+    a = np.asarray(a)
+    if a.dtype != np.float64:
+        if a.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"{source} {a.dtype} values, expected real numbers")
+        a = a.astype(float)
+    return a
+
+
 def as_vector(x, name: str = "x") -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float64 array, validating on the way in."""
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x, f"{name} has")
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size == 0:
@@ -88,7 +104,7 @@ class SymmetricOperator:
         self._apply = apply_fn
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._apply(v), dtype=float)
+        out = _real_array(self._apply(v), "operator returned")
         if out.shape != (self.dim,):
             raise ValueError(f"operator returned shape {out.shape}, expected ({self.dim},)")
         return out
@@ -108,14 +124,10 @@ def ensure_operator(A) -> SymmetricOperator:
     """Wrap a dense symmetric ndarray as an operator; pass operators through."""
     if isinstance(A, SymmetricOperator):
         return A
-    M = np.asarray(A, dtype=float)
+    M = _real_array(A, "A has")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return SymmetricOperator(M.shape[0], lambda v: M @ v)
-
-
-# numpy dtype kinds an oracle may return: bool, signed, unsigned, float
-_REAL_KINDS = "biuf"
 
 
 class Objective:
@@ -176,22 +188,16 @@ class Objective:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_calls += 1
-        return self._checked("gradient", self._grad(x))
+        return self._checked(self._grad(x), "gradient oracle returned")
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._hvp is None:
             raise NoHessianOracle("no Hessian oracle attached to this objective")
         self.hvp_calls += 1
-        return self._checked("Hessian-vector", self._hvp(x, v))
+        return self._checked(self._hvp(x, v), "Hessian-vector oracle returned")
 
-    def _checked(self, oracle: str, out) -> np.ndarray:
-        out = np.asarray(out)
-        if out.dtype != np.float64:
-            if out.dtype.kind not in _REAL_KINDS:
-                raise ValueError(f"{oracle} oracle returned {out.dtype} values, "
-                                 "expected real numbers")
-            out = out.astype(float)
+    def _checked(self, out, source: str) -> np.ndarray:
+        out = _real_array(out, source)
         if out.shape != (self.dim,):
-            raise ValueError(f"{oracle} oracle returned shape {out.shape}, "
-                             f"expected ({self.dim},)")
+            raise ValueError(f"{source} shape {out.shape}, expected ({self.dim},)")
         return out

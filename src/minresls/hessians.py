@@ -31,7 +31,6 @@ order, which the strictly lower triangle L needs.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -63,14 +62,15 @@ class LbfgsStore:
     reused across applies; the store is degenerate, and ``apply`` raises,
     when the inverse does not exist or the 1-norm condition number of M
     reaches ``MAX_MIDDLE_CONDITION``. A degenerate pair leaves the store once
-    ``memory`` later pairs have been accepted.
+    ``memory`` later pairs have been accepted. The empty store takes the same
+    product over no rows with gamma = 1, which returns v bitwise.
+
+    The store trusts its one caller: ``memory`` is a positive integer, as
+    :class:`~minresls.driver.SolverConfig` checks, and ``solve`` offers pairs
+    and vectors as float64 arrays of length ``dim``.
     """
 
     def __init__(self, dim: int, memory: int = 10):
-        if not isinstance(memory, numbers.Integral):
-            raise ValueError(f"memory must be an integer, got {memory!r}")
-        if memory < 1:
-            raise ValueError("memory must be at least 1")
         self.dim = int(dim)
         self.memory = int(memory)
         self.gamma = 1.0
@@ -78,7 +78,7 @@ class LbfgsStore:
         self._sts = np.zeros((self.memory, self.memory))      # s_i's_j, slot order
         self._sty = np.zeros((self.memory, self.memory))      # s_i'y_j, slot order
         self._accepted = 0
-        self._K = None          # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
+        self._K = np.zeros((0, 0))      # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
         self._degenerate = False
 
     @property
@@ -90,10 +90,6 @@ class LbfgsStore:
 
         Rejection leaves the store, including ``gamma``, untouched.
         """
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if s.shape != (self.dim,) or y.shape != (self.dim,):
-            raise ValueError("pair dimensions do not match the store")
         s_sq = float(s @ s)
         ys = float(y @ s)
         if s_sq == 0.0 or not np.isfinite(ys) or abs(ys) < CAUTIOUS_FLOOR * s_sq:
@@ -141,9 +137,6 @@ class LbfgsStore:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Product B v = gamma*v - W'(K (W v)) over the live rows W, in
         O(dim * memory) flops; no oracle calls."""
-        v = np.asarray(v, dtype=float)
-        if self._accepted == 0:
-            return v.copy()             # empty store acts as the identity
         if self._degenerate:
             raise DegenerateMiddleMatrix("degenerate L-BFGS middle matrix")
         live = self._pairs[:2 * self.n_pairs]

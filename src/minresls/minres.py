@@ -147,6 +147,13 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     ``phi_t = 0`` and therefore the solution exit; both facts are asserted
     rather than branched on.
 
+    ``b`` and a dense ``A`` must hold real numbers; complex, object or string
+    values raise ValueError naming the argument, as does such an operator
+    output. A non-finite or overflowing product raises
+    :class:`NumericalBreakdown` in the iteration that forms it, with no
+    RuntimeWarning from the kernel's own arithmetic; a warning the operator
+    raises itself still reaches the caller.
+
     Iteration t calls the operator exactly once, on v_t, and ``max_inner = t``
     stops the same solve after iteration t with x_t, r_t and phi_t as its
     ``direction``, ``residual`` and ``residual_norm`` (unless t certifies).
@@ -206,12 +213,21 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
 
     for t in range(1, max_inner + 1):
         # Lanczos step on A + shift*I; the operator's result is only read
-        np.add(op(v), np.multiply(v, shift, out=w), out=p)
-        alpha = float(v @ p)
-        if t > 1:       # at t = 1 it would subtract +0, which changes no bit
-            np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
-        np.subtract(p, np.multiply(v, alpha, out=w), out=p)
-        beta_next = norm2(p)
+        Av = op(v)
+        # a non-finite or overflowing product ends the solve below, by the
+        # test of alpha and beta, not with a warning from this arithmetic;
+        # the operator's own warnings are raised outside the block
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(Av, np.multiply(v, shift, out=w), out=p)
+            # released at once, as a temporary would be: held until the next
+            # product, it tripled the minor page faults of lbfgs_mid's first
+            # solves in a process
+            del Av
+            alpha = float(v @ p)
+            if t > 1:   # at t = 1 it would subtract +0, which changes no bit
+                np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
+            np.subtract(p, np.multiply(v, alpha, out=w), out=p)
+            beta_next = norm2(p)
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
             raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
         anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)

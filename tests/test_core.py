@@ -1,4 +1,6 @@
 """Vector coercion, oracle accounting, operators, derivative checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from minresls.core import (
     ensure_operator,
 )
 from minresls.driver import solve
+from minresls.minres import minres_npc
 from minresls.problems import build_problem, fd_grad_check, fd_hvp_check
 
 
@@ -36,6 +39,61 @@ class TestAsVector:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             as_vector([1.0, np.nan])
+
+
+# a length-3 array of each refused dtype kind, with the dtype a message names
+NON_REAL = [
+    pytest.param(np.ones(3, dtype=complex), "complex128", id="complex"),
+    pytest.param(np.array([1.0, 2.0, 3.0], dtype=object), "object", id="object"),
+    pytest.param(np.array(["1", "2", "3"]), "<U1", id="string"),
+]
+
+
+def refused(source, dtype):
+    return pytest.raises(ValueError, match=re.escape(
+        f"{source} {dtype} values, expected real numbers"))
+
+
+class TestRealArrays:
+    """One dtype rule at every array boundary: real kinds become float64,
+    anything else is refused by a message that names the input."""
+
+    @pytest.mark.parametrize("value, dtype", NON_REAL)
+    def test_start_point(self, value, dtype):
+        with refused("x0 has", dtype):
+            solve(quadratic_objective(), value[:2])
+
+    @pytest.mark.parametrize("value, dtype", NON_REAL)
+    def test_right_hand_side(self, value, dtype):
+        with refused("b has", dtype):
+            minres_npc(np.eye(3), value, 0.1, 10)
+
+    @pytest.mark.parametrize("value, dtype", NON_REAL)
+    def test_dense_matrix(self, value, dtype):
+        with refused("A has", dtype):
+            minres_npc(np.diag(value), np.ones(3), 0.1, 10)
+
+    @pytest.mark.parametrize("value, dtype", NON_REAL)
+    def test_spectrum(self, value, dtype):
+        for problem in ("quadratic", "quartic_saddle"):
+            with refused("spectrum has", dtype):
+                build_problem(problem, spectrum=value)
+
+    @pytest.mark.parametrize("value, dtype", NON_REAL)
+    def test_operator_output(self, value, dtype):
+        op = SymmetricOperator(3, lambda v: value)
+        with refused("operator returned", dtype):
+            op(np.ones(3))
+        with refused("operator returned", dtype):
+            minres_npc(op, np.ones(3), 0.1, 10)
+
+    def test_real_kinds_become_float64(self):
+        for value in ([1, 0, 2], np.array([True, False, True]), np.ones(3, np.float32)):
+            assert as_vector(value).dtype == np.float64
+            out = SymmetricOperator(3, lambda v: value)(np.ones(3))
+            assert out.dtype == np.float64 and out.tolist() == list(map(float, value))
+        kept = np.ones(3)
+        assert SymmetricOperator(3, lambda v: kept)(np.ones(3)) is kept
 
 
 class TestOracleTally:

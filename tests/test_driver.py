@@ -422,6 +422,18 @@ class TestTerminationStatuses:
         trace = solve(obj, np.ones(2))
         assert trace.status == DIVERGED
 
+    @pytest.mark.parametrize("product", [
+        pytest.param(lambda v: np.full(v.size, np.inf), id="+inf"),
+        pytest.param(lambda v: np.full(v.size, -np.inf), id="-inf"),
+        pytest.param(lambda v: np.where(v == 0.0, np.inf, v), id="inf-where-v-is-0"),
+        pytest.param(lambda v: np.full(v.size, 1e308), id="1e308"),
+    ])
+    def test_nonfinite_hvp_is_divergence_without_a_warning(self, product):
+        obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
+                        lambda x, v: product(v))
+        trace = solve(obj, np.array([0.0, 1.0, -2.0]))
+        assert (trace.status, trace.iters) == (DIVERGED, 0)
+
 
 class TestDirectionDispatch:
     def test_gd_fallback_on_degenerate_model(self, monkeypatch):

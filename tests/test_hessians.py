@@ -319,14 +319,8 @@ class TestLbfgsStore:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["minresls", "numpy"]
 
-    def test_dimension_mismatch(self):
-        st = LbfgsStore(3)
-        with pytest.raises(ValueError):
-            st.update(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            LbfgsStore(3, memory=0)
-
-    def test_memory_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="memory must be an integer, got 2.5"):
-            LbfgsStore(3, memory=2.5)
-        assert LbfgsStore(3, memory=np.int64(2)).memory == 2
+    def test_empty_store_returns_its_argument_bitwise(self):
+        v = np.array([-0.0, 0.0, 1.5, -2.0, np.inf])
+        out = LbfgsStore(5).apply(v)
+        assert np.array_equal(out, v) and out is not v
+        assert np.array_equal(np.signbit(out), np.signbit(v))

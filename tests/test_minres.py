@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minresls.checks import minres_iterations, random_symmetric_system
-from minresls.core import SymmetricOperator, ZeroRightHandSide
+from minresls.core import NumericalBreakdown, SymmetricOperator, ZeroRightHandSide
 from minresls.minres import (
     _WINDOW,
     MAXITER,
@@ -142,6 +142,23 @@ class TestTermination:
         with pytest.raises(ValueError, match="shift"):
             minres_npc(op, np.array([1.0, 0.0]), 1e-8, 10, shift=shift)
         assert calls == []
+
+    @pytest.mark.parametrize("product", [
+        pytest.param(lambda v: np.full(v.size, np.inf), id="+inf"),
+        pytest.param(lambda v: np.full(v.size, -np.inf), id="-inf"),
+        pytest.param(lambda v: np.where(v == 0.0, np.inf, v), id="inf-where-v-is-0"),
+        pytest.param(lambda v: np.full(v.size, 1e308), id="1e308"),
+    ])
+    def test_nonfinite_product_breaks_down_without_a_warning(self, product):
+        # the tier-1 filter turns any RuntimeWarning of the kernel into an error
+        op = SymmetricOperator(4, product)
+        with pytest.raises(NumericalBreakdown, match="inner iteration 1"):
+            minres_npc(op, np.array([0.0, -2.0, 0.5, 3.0]), 0.1, 10)
+
+    def test_operator_warnings_are_not_silenced(self):
+        op = SymmetricOperator(2, lambda v: v * (np.array([1e308]) * 10.0))
+        with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+            minres_npc(op, np.array([1.0, 2.0]), 0.1, 10)
 
     def test_negative_shift_accepted(self):
         # diag(3, 0.5) - 1 I = diag(2, -0.5): the shift makes it indefinite

@@ -1,6 +1,8 @@
 """The package's public names: the package exports each library module's
-``__all__`` in order and nothing else, and README lists them all."""
+``__all__`` in order and nothing else, and README lists them all. Also the
+code-line counter in ``tools/``."""
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -35,3 +37,23 @@ def test_readme_public_api_lists_the_package_all():
     bullets = re.findall(r"^\* (.*(?:\n  .*)*)", section, re.M)
     listed = [name for b in bullets for name in re.findall(r"`(\w+)`", b)]
     assert listed == minresls.__all__
+
+
+def test_code_lines_count_code_tokens_outside_docstrings():
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = ('"""Module docstring."""\n'
+              'import os  # a trailing comment\n'
+              '\n'
+              '# a comment line\n'
+              'def f(x):\n'
+              '    """Function docstring,\n'
+              '    two lines."""\n'
+              '    s = """a string,\n'
+              '    not a docstring"""\n'
+              '    return (x +\n'
+              '            1)\n')
+    # import, def, both lines of s and both lines of the return
+    assert tool.code_lines(source) == 6
