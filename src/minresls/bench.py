@@ -11,9 +11,9 @@ and ``label`` to the config name. ``config`` names a builtin (``newton_mr``,
 ``p.<name>`` tokens are problem parameters (``p.spectrum`` takes
 comma-separated floats, none of them empty). Any dotted or bare solver key
 (``schedule.beta``, ``linesearch.max_step``, ``grad_tol``, ...) overrides a
-field of that builtin. A key may appear only once in a cell, and no two cells
-may share label, problem and seed, since their traces would collide in a
-profile. ``#`` starts a comment. The whole manifest is validated before
+field of that builtin, unless its schedule mode never reads the field. A key
+may appear only once in a cell, and no two cells may share label, problem and
+seed, since their traces would collide in a profile. ``#`` starts a comment. The whole manifest is validated before
 anything runs.
 
 A trace file opens with two header lines that name the columns of each line
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NotEvaluable
-from .driver import CONVERGED, RunTrace, ScheduleParams, SolverConfig, solve
+from .driver import CONVERGED, UNREAD_FIELDS, RunTrace, ScheduleParams, SolverConfig, solve
 from .problems import build_problem
 
 __all__ = [
@@ -108,9 +108,15 @@ def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
     int or bool (``true``/``false``, any case). A key that names no field is
     unknown, and a field of any other type, such as ``schedule.mode``, is not
     settable from text. Replacement reruns the dataclass validation, so
-    out-of-range values fail here, before any run starts.
+    out-of-range values fail here, before any run starts. Last, a field that
+    the config's schedule mode never reads (``driver.UNREAD_FIELDS``) is
+    refused, since its override would change nothing but the label.
     """
-    return _replaced(cfg, key.split("."), value, key)
+    new = _replaced(cfg, key.split("."), value, key)
+    mode = cfg.schedule.mode
+    if key in UNREAD_FIELDS[mode]:
+        raise ValueError(f"config key {key!r} is not read by schedule mode {mode!r}")
+    return new
 
 
 def _replaced(block, names, value: str, key: str):
@@ -470,32 +476,22 @@ def performance_profile(table: dict) -> ProfileTable:
         raise ValueError("empty metric table")
     solvers = sorted({s for s, _ in table})
     problems = sorted({p for _, p in table})
+    # problem -> {solver: cost}: a cell counts when its run converged at a finite cost
+    costs = {p: {} for p in problems}
+    for (s, p), (value, solved) in table.items():
+        if solved and math.isfinite(value):
+            costs[p][s] = value
     ratios = {}
-    for p in problems:
-        best = None
-        for s in solvers:
-            entry = table.get((s, p))
-            if entry is None:
-                continue
-            value, solved = entry
-            if solved and math.isfinite(value):
-                best = value if best is None else min(best, value)
-        if best is None:
+    for p, cost in costs.items():
+        if not cost:
             continue                      # nobody solved it
+        best = min(cost.values())
         for s in solvers:
-            entry = table.get((s, p))
-            if entry is None:
-                ratios[(s, p)] = math.inf
-                continue
-            value, solved = entry
-            if not solved or not math.isfinite(value):
-                ratios[(s, p)] = math.inf
-            elif value == best:
-                ratios[(s, p)] = 1.0
-            elif best == 0.0:
+            value = cost.get(s)
+            if value is None or (value != best and best == 0.0):
                 ratios[(s, p)] = math.inf
             else:
-                ratios[(s, p)] = value / best
+                ratios[(s, p)] = 1.0 if value == best else value / best
     finite = {r for r in ratios.values() if math.isfinite(r)}
     taus = sorted(finite | {1.0})
     n = len(problems)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 
 import numpy as np
 
@@ -72,6 +73,15 @@ def _real_array(a, source: str) -> np.ndarray:
             raise ValueError(f"{source} {a.dtype} values, expected real numbers")
         a = a.astype(float)
     return a
+
+
+def check_positive_int(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer, of any integral type,
+    of at least 1; the message names ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def as_vector(x, name: str = "x") -> np.ndarray:

@@ -17,7 +17,6 @@ appears, so the k = 1 values stay positive.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +32,7 @@ from .core import (
     StepsizeStagnation,
     SymmetricOperator,
     as_vector,
+    check_positive_int,
     norm2,
 )
 from .hessians import LbfgsStore
@@ -73,7 +73,8 @@ class ScheduleParams:
 
     The first two modes draw the shift from min(shift_cap, z_k ||g||^zeta_exp)
     with z_k = (k ln(k+1)^2)^zeta_exp. The curvature floor sequence is always
-    a_k = (k ln(k+1)^2)^alpha / 2.
+    a_k = (k ln(k+1)^2)^alpha / 2. Each mode leaves some fields unread,
+    those :data:`UNREAD_FIELDS` names; a manifest refuses overrides of them.
     """
 
     curvature_floor: float = 0.5e-12      # cap on the small-curvature threshold
@@ -105,12 +106,22 @@ class ScheduleParams:
             raise ValueError("npc_curvature_cap must be positive")
 
 
+# the SolverConfig fields, as dotted keys, that each schedule mode never reads
+UNREAD_FIELDS = {
+    "newton_mr": ("schedule.beta", "schedule.zeta_mult", "schedule.npc_curvature_cap",
+                  "lbfgs_memory"),
+    "lbfgs_mr": ("schedule.beta", "schedule.zeta_mult"),
+    "coupled": ("schedule.shift_cap", "schedule.zeta_exp", "schedule.npc_curvature_cap",
+                "lbfgs_memory"),
+}
+
+
 def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
-    """Evaluate (theta_k, zeta_k, a_k) at outer iteration k >= 1."""
-    if k < 1:
-        raise ValueError("outer iteration index starts at 1")
-    if not (gnorm > 0.0):
-        raise ValueError("schedules need a positive gradient norm")
+    """Evaluate (theta_k, zeta_k, a_k) at outer iteration k.
+
+    Assumes k >= 1 and a finite gnorm > 0, which :func:`solve` establishes
+    before it calls; other arguments are not checked.
+    """
     base = k * math.log(k + 1.0) ** 2
     a_k = base ** sp.alpha / 2.0
     if sp.mode == "newton_mr":
@@ -128,6 +139,12 @@ def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Everything one run of :func:`solve` reads.
+
+    ``max_inner`` and ``lbfgs_memory`` must be integers of at least 1. The
+    schedule mode decides which fields are read (:data:`UNREAD_FIELDS`).
+    """
+
     schedule: ScheduleParams = ScheduleParams()
     linesearch: LinesearchConfig = LinesearchConfig()
     max_inner: int = 1000
@@ -137,16 +154,10 @@ class SolverConfig:
     check_invariants: bool = False       # assert model symmetry, direction contracts
 
     def __post_init__(self):
-        if not isinstance(self.max_inner, numbers.Integral):
-            raise ValueError(f"max_inner must be an integer, got {self.max_inner!r}")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
+        check_positive_int(self.max_inner, "max_inner")
         if not (self.grad_tol >= 0.0 and self.max_oracles > 0.0):
             raise ValueError("grad_tol must be >= 0 and max_oracles > 0")
-        if not isinstance(self.lbfgs_memory, numbers.Integral):
-            raise ValueError(f"lbfgs_memory must be an integer, got {self.lbfgs_memory!r}")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be at least 1")
+        check_positive_int(self.lbfgs_memory, "lbfgs_memory")
 
 
 @dataclass
@@ -218,10 +229,15 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     STAGNATED when a linesearch collapses or accepts a step that leaves x
     bitwise unchanged, BUDGET when the oracle tally
     reaches ``max_oracles``, and DIVERGED when the objective or gradient
-    stops being finite. A curvature certificate with g'd >= 0 raises
-    :class:`OptimizationError`: in exact arithmetic only a nonsymmetric model
-    operator, such as a wrong Hessian-vector oracle, produces one, and on the
-    exact Hessian the message says so.
+    stops being finite. A direction with g'd >= 0, whatever its flag (SOL,
+    NPC or GD), raises :class:`OptimizationError` naming the flag: in exact
+    arithmetic only a model operator that is not symmetric, such as a wrong
+    Hessian-vector oracle, gives one, and on the exact Hessian the message
+    says so.
+
+    So each linesearch is called on a descent direction, g'd < 0, and the
+    curvature search also on d'Bd <= 0, the certificate's d'(B + zeta I)d
+    less zeta ||d||^2; the searches assume both and do not test them.
 
     Each curvature search after the first starts at the grid exponent
     max(j, 0) of the previous accepted curvature step, j, so from the step
@@ -296,15 +312,16 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             checks.assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
 
         g_dot_d = float(g @ d)
-        if flag == NPC and g_dot_d >= 0.0:
-            # a certificate of a symmetric model is a descent direction, and
-            # the L-BFGS model is symmetric by construction
+        if g_dot_d >= 0.0:
+            # a solution or certificate of a symmetric model is a descent
+            # direction, -g always is, and the L-BFGS model is symmetric by
+            # construction
             cause = ("" if store is not None else
-                     "; the model operator is not symmetric: check the "
-                     "Hessian-vector oracle, or run with check_invariants=True "
-                     "to measure the symmetry defect")
+                     "; in exact arithmetic only a model operator that is not "
+                     "symmetric gives one: check the Hessian-vector oracle, or "
+                     "run with check_invariants=True to measure the symmetry defect")
             raise OptimizationError(
-                f"curvature certificate is not a descent direction "
+                f"{flag} direction is not a descent direction "
                 f"(g'd = {g_dot_d:.3e}){cause}")
         try:
             if flag == NPC:

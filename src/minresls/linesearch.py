@@ -17,6 +17,10 @@ unless the caller warm-starts the search at another one, as the outer loop
 does with the previous accepted curvature exponent. Ordinary descent
 directions use plain backtracking on the sufficient-decrease condition, padded
 the same way.
+
+Both searches assume a descent direction, g'd < 0, and the curvature search
+also d'Bd <= 0; :func:`~minresls.driver.solve`, their caller, establishes
+both, and the searches do not test them again.
 """
 from __future__ import annotations
 
@@ -95,12 +99,12 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
                      cfg: LinesearchConfig = LinesearchConfig()) -> LinesearchResult:
     """Largest step of exponent j >= 0 satisfying the sufficient-decrease condition.
 
-    Exactly j + 1 objective evaluations for the accepted exponent j. Raises
-    :class:`StepsizeStagnation` when the step falls below ``min_step`` without
-    acceptance (non-finite trial values count as failures and keep shrinking).
+    ``d`` must be a descent direction, ``g_dot_d`` < 0; this is assumed, not
+    tested. Exactly j + 1 objective evaluations for the accepted exponent j.
+    Raises :class:`StepsizeStagnation` when the step falls below ``min_step``
+    without acceptance (non-finite trial values count as failures and keep
+    shrinking).
     """
-    if g_dot_d >= 0.0:
-        raise ValueError("backtracking needs a descent direction (g'd < 0)")
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
 
@@ -117,9 +121,11 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
                    start: int = 0) -> LinesearchResult:
     """Grid search under the curvature-aware acceptance test.
 
-    ``d_curv`` is d'Bd of the unshifted model matrix and must be nonpositive.
-    The first trial has exponent ``start``, an integer whose step
-    ``initial_step * shrink**start`` must lie in ``[min_step, max_step]``.
+    ``d`` must be a descent direction, ``g_dot_d`` < 0, and ``d_curv``, d'Bd
+    of the unshifted model matrix, must be nonpositive; both are assumed, not
+    tested. The first trial has exponent ``start``, an integer whose step
+    ``initial_step * shrink**start`` must lie in ``[min_step, max_step]``;
+    any other start raises ValueError.
     Backtracks when it fails; otherwise lowers the exponent by one while the
     test keeps passing and returns the last accepted grid point. A forward
     search that reaches ``max_step`` returns it with ``capped=True``.
@@ -130,10 +136,6 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     From start j the forward walk takes at most
     j + ceil(log(max_step/initial_step) / log(1/shrink)) steps.
     """
-    if g_dot_d >= 0.0:
-        raise ValueError("curvature search needs a descent direction (g'd < 0)")
-    if d_curv > 0.0:
-        raise ValueError("curvature search needs d'Bd <= 0")
     if not (isinstance(start, numbers.Integral)
             and cfg.min_step <= cfg.initial_step * cfg.shrink ** start <= cfg.max_step):
         raise ValueError(f"start {start!r} is not an integer exponent whose step lies "

@@ -50,7 +50,6 @@ per-iteration history is observed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,7 @@ from .core import (
     SymmetricOperator,
     ZeroRightHandSide,
     as_vector,
+    check_positive_int,
     ensure_operator,
     norm2,
 )
@@ -182,10 +182,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         raise ValueError(f"rhs has size {b.size}, operator dimension is {op.dim}")
     if not (0.0 <= tol < 1.0):
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
-    if not isinstance(max_inner, numbers.Integral):
-        raise ValueError(f"max_inner must be an integer, got {max_inner!r}")
-    if max_inner < 1:
-        raise ValueError("max_inner must be at least 1")
+    check_positive_int(max_inner, "max_inner")
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
 

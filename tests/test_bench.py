@@ -33,6 +33,7 @@ from minresls.driver import (
     CONVERGED,
     DIVERGED,
     STAGNATED,
+    UNREAD_FIELDS,
     RunTrace,
     ScheduleParams,
     SolverConfig,
@@ -105,24 +106,46 @@ class TestConfigs:
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_setting(builtin_config("newton_mr"), key, "1")
 
-    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
-    def test_every_settable_field_reads_its_own_value_back(self, name):
+    @pytest.mark.parametrize("name, count", [("newton_mr", 14), ("lbfgs_mr", 16),
+                                             ("coupled", 14)])
+    def test_every_settable_field_reads_its_own_value_back(self, name, count):
+        # 44 settable (builtin, key) pairs: the 18 fields less those the mode never reads
         cfg = builtin_config(name)
-        keys = [*(f"schedule.{f.name}" for f in dataclasses.fields(ScheduleParams)
-                  if f.name != "mode"),
-                *(f"linesearch.{f.name}" for f in dataclasses.fields(LinesearchConfig)),
-                "max_inner", "grad_tol", "max_oracles", "lbfgs_memory",
-                "check_invariants"]
-        assert len(keys) == 18
+        keys = [key for key in
+                [*(f"schedule.{f.name}" for f in dataclasses.fields(ScheduleParams)
+                   if f.name != "mode"),
+                 *(f"linesearch.{f.name}" for f in dataclasses.fields(LinesearchConfig)),
+                 "max_inner", "grad_tol", "max_oracles", "lbfgs_memory",
+                 "check_invariants"]
+                if key not in UNREAD_FIELDS[name]]
+        assert len(keys) == count
         for key in keys:
             value = operator.attrgetter(key)(cfg)
             assert apply_setting(cfg, key, str(value)) == cfg, key
 
+    @pytest.mark.parametrize("name, key", [(name, key) for name, keys in UNREAD_FIELDS.items()
+                                           for key in keys])
+    def test_a_field_the_mode_never_reads_is_refused(self, name, key):
+        # the override would change nothing but the label; the value is read
+        # first, so a bad one keeps its own message
+        cfg = builtin_config(name)
+        value = str(operator.attrgetter(key)(cfg))
+        message = f"config key '{key}' is not read by schedule mode '{name}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_setting(cfg, key, value)
+        with pytest.raises(ValueError, match=re.escape(f"m:2: {message}")):
+            parse_manifest(f"problem=quadratic config={name} seed=1\n"
+                           f"problem=quadratic config={name} seed=2 {key}={value}\n",
+                           origin="m")
+        with pytest.raises(ValueError, match="bad value 'x'"):
+            apply_setting(cfg, key, "x")
+
     def test_text_is_read_by_the_declared_type(self):
         cfg = builtin_config("lbfgs_mr")
         # float fields take integer text, and keep float values
-        for key in ("grad_tol", "schedule.beta", "linesearch.max_step"):
-            value = operator.attrgetter(key)(apply_setting(cfg, key, "2"))
+        for name, key in (("lbfgs_mr", "grad_tol"), ("coupled", "schedule.beta"),
+                          ("lbfgs_mr", "linesearch.max_step")):
+            value = operator.attrgetter(key)(apply_setting(builtin_config(name), key, "2"))
             assert type(value) is float and value == 2.0
         assert apply_setting(cfg, "max_inner", "7").max_inner == 7
         with pytest.raises(ValueError, match="bad value '0.5' for config key 'max_inner'"):

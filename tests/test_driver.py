@@ -103,10 +103,6 @@ class TestSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            schedule_eval(0, 1.0, ScheduleParams())
-        with pytest.raises(ValueError):
-            schedule_eval(1, 0.0, ScheduleParams())
-        with pytest.raises(ValueError):
             ScheduleParams(mode="cubic")
         with pytest.raises(ValueError):
             ScheduleParams(tol_cap=1.0)
@@ -609,13 +605,24 @@ class TestDirectionDispatch:
             solve(obj, np.ones(6), SolverConfig())
 
     @staticmethod
-    def forced_certificate(monkeypatch, direction):
-        """Make every inner solve return ``direction(b)`` as an NPC certificate."""
+    def forced_certificate(monkeypatch, direction, flag=NPC):
+        """Make every inner solve return ``direction(b)`` as an NPC certificate,
+        or as a SOL solution of curvature 1 that passes the screen."""
+        curvature = -1.0 if flag == NPC else 1.0
         def fake(A, b, tol, max_inner, **kwargs):
-            return MinresOutcome(NPC, direction(b), b.copy(), 1, -1.0,
+            return MinresOutcome(flag, direction(b), b.copy(), 1, curvature,
                                  float(np.linalg.norm(b)), 1.0)
 
         monkeypatch.setattr(driver, "minres_npc", fake)
+
+    def test_ascent_solution_is_named_before_the_linesearch(self, monkeypatch):
+        # d = +g: solve raises for every flag, not only for certificates
+        self.forced_certificate(monkeypatch, lambda b: -b, flag=SOL)
+        obj = spec("quadratic", n=4).make_objective()
+        with pytest.raises(OptimizationError, match="SOL direction is not a descent "
+                                                    "direction.*not symmetric"):
+            solve(obj, np.ones(4), SolverConfig())
+        assert obj.f_calls == 1         # at x0: no linesearch trial ran
 
     def test_ascent_certificate_of_lbfgs_model_names_no_asymmetry(self, monkeypatch):
         # the L-BFGS model is symmetric by construction

@@ -115,10 +115,6 @@ class TestArmijo:
         # f_new is bit-identical to the objective at the accepted point
         assert res.f_new == 0.5 * float((x + res.step * d) @ (x + res.step * d))
 
-    def test_ascent_direction_rejected(self):
-        with pytest.raises(ValueError, match="descent"):
-            armijo_backtrack(quad_obj(), np.ones(2), np.ones(2), 1.0, 1.0)
-
     def test_stagnation(self):
         # constant objective with a claimed negative slope can never satisfy
         # strict decrease: f_x = 0 so the rounding pad vanishes too
@@ -240,13 +236,6 @@ class TestCurvatureSearch:
         cfg = LinesearchConfig(max_step=2.0)
         res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, cfg)
         assert calls[0] == res.n_evals
-
-    def test_preconditions(self):
-        obj = self.scalar_obj()
-        with pytest.raises(ValueError, match="descent"):
-            npc_linesearch(obj, np.zeros(1), np.ones(1), 0.0, -1.0, 0.0)
-        with pytest.raises(ValueError, match="d'Bd"):
-            npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.5, 0.0)
 
     def test_stagnation(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
