@@ -318,7 +318,16 @@ def _trace_line(obj, line_kind) -> str:
 
 
 def emit_trace(trace: RunTrace, path) -> None:
-    """Write the header, one record line per iteration and the summary line."""
+    """Write the header, one record line per iteration and the summary line.
+
+    Raises ValueError, before the file is opened, when a text column of the
+    summary holds whitespace, which would split it into several fields.
+    """
+    for key, attr, kind in _COLUMNS["summary"]:
+        text = getattr(trace, attr)
+        if kind is str and text and text.split() != [text]:
+            raise ValueError(f"trace {key} {text!r} holds whitespace; "
+                             "a trace column must be one token")
     lines = [*_HEADER, *(_trace_line(r, "record") for r in trace.records),
              "summary " + _trace_line(trace, "summary")]
     try:

@@ -31,6 +31,7 @@ __all__ = [
     "symmetry_defect",
     "assert_symmetric",
     "assert_direction_properties",
+    "to_dense",
     "random_symmetric_system",
     "minres_iterations",
     "check_minres_oracle_equivalence",
@@ -94,6 +95,18 @@ def symmetry_defect(op: SymmetricOperator, rng=None, probes: int = 20) -> float:
     return worst
 
 
+def to_dense(op: SymmetricOperator) -> np.ndarray:
+    """Materialize ``op`` column by column: ``op.dim`` products, so for test
+    scale only."""
+    cols = np.empty((op.dim, op.dim))
+    e = np.zeros(op.dim)
+    for j in range(op.dim):
+        e[j] = 1.0
+        cols[:, j] = op(e)
+        e[j] = 0.0
+    return cols
+
+
 def assert_symmetric(B, obj):
     """Reject a model operator whose products are not symmetric, e.g. a wrong
     Hessian-vector oracle, before MINRES runs on it."""
@@ -133,7 +146,7 @@ def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
         raise InvariantViolation("solution-path direction norm exceeds its bound")
     if B.dim <= 50:
         with obj.paused():
-            dense = B.to_dense() + zeta * np.eye(B.dim)
+            dense = to_dense(B) + zeta * np.eye(B.dim)
         nb = float(np.linalg.norm(dense, 2))
         c_k = 1.0 / (nb + nb * nb)
         thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)

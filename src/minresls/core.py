@@ -51,14 +51,6 @@ class NumericalBreakdown(OptimizationError):
         super().__init__(msg)
 
 
-class StepsizeStagnation(OptimizationError):
-    """The linesearch shrank below its minimum admissible stepsize."""
-
-
-class DegenerateMiddleMatrix(OptimizationError):
-    """The small middle block of the compact quasi-Newton form is singular."""
-
-
 # numpy dtype kinds of real numbers: bool, signed, unsigned, float
 _REAL_KINDS = "biuf"
 
@@ -118,16 +110,6 @@ class SymmetricOperator:
         if out.shape != (self.dim,):
             raise ValueError(f"operator returned shape {out.shape}, expected ({self.dim},)")
         return out
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the operator column by column. Test-scale only: dim applies."""
-        cols = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            cols[:, j] = self(e)
-            e[j] = 0.0
-        return cols
 
 
 def ensure_operator(A) -> SymmetricOperator:

@@ -24,12 +24,10 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    DegenerateMiddleMatrix,
     NoHessianOracle,
     NumericalBreakdown,
     Objective,
     OptimizationError,
-    StepsizeStagnation,
     SymmetricOperator,
     as_vector,
     check_positive_int,
@@ -200,15 +198,15 @@ def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
     or the iterate at the inner cap, is SOL when the shifted d'(B + zeta I)d >=
     min(curvature_floor, a_k ||g||^alpha) times ||d||^2, or times
     max(||d||^2, ||g||^2) under L-BFGS. A failed screen gives GD (d = -g,
-    d_curv = 0) with the inner iterations kept; a degenerate L-BFGS matrix
-    gives GD with none.
+    d_curv = 0) with the inner iterations kept. ``B`` is None for a
+    degenerate L-BFGS store, and that gives GD with no MINRES call and no
+    inner iterations.
     """
+    if B is None:
+        return GD, -g, 0, 0.0
     sp = cfg.schedule
     lbfgs = sp.mode == "lbfgs_mr"
-    try:
-        out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
-    except DegenerateMiddleMatrix:
-        return GD, -g, 0, 0.0
+    out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
     d = out.direction
     d_sq = float(d @ d)
     if out.flag == NPC:
@@ -226,8 +224,9 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     """Minimize ``obj`` from ``x0``; returns the full run trace.
 
     Terminates CONVERGED when the gradient norm reaches ``grad_tol``,
-    STAGNATED when a linesearch collapses or accepts a step that leaves x
-    bitwise unchanged, BUDGET when the oracle tally
+    STAGNATED when a linesearch returns step 0 (no grid step of at least
+    ``min_step`` passes) or accepts a step that leaves f and x bitwise
+    unchanged, BUDGET when the oracle tally
     reaches ``max_oracles``, and DIVERGED when the objective or gradient
     stops being finite. A direction with g'd >= 0, whatever its flag (SOL,
     NPC or GD), raises :class:`OptimizationError` naming the flag: in exact
@@ -298,9 +297,11 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         # the model B, without zeta*I: L-BFGS products cost no oracle calls,
         # exact ones one Hessian-vector call each. x is rebound, never written,
         # so the copy is not for correctness: dropping it raised minor page
-        # faults by 29-55%, the allocator trimming and refaulting the heap
+        # faults by 29-55%, the allocator trimming and refaulting the heap.
+        # A degenerate store has no model: B = None takes the GD fallback
         apply = store.apply if store is not None else partial(obj.hvp, x.copy())
-        B = SymmetricOperator(obj.dim, apply)
+        B = (None if store is not None and store.degenerate
+             else SymmetricOperator(obj.dim, apply))
         if cfg.check_invariants and k == 1:
             checks.assert_symmetric(B, obj)
         try:
@@ -323,20 +324,17 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             raise OptimizationError(
                 f"{flag} direction is not a descent direction "
                 f"(g'd = {g_dot_d:.3e}){cause}")
-        try:
-            if flag == NPC:
-                res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls,
-                                     start=npc_start)
-                npc_start = max(res.exponent, 0)
-            else:
-                res = armijo_backtrack(obj, x, d, g_dot_d, f_x, ls)
-        except StepsizeStagnation:
-            status = STAGNATED
-            break
+        if flag == NPC:
+            res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls, start=npc_start)
+            npc_start = max(res.exponent, 0)
+        else:
+            res = armijo_backtrack(obj, x, d, g_dot_d, f_x, ls)
 
         x_new = x + res.step * d
-        if res.f_new == f_x and np.array_equal(x_new, x):
-            status = STAGNATED      # the step rounded away: a rerun would repeat it
+        # no step passed, or the step rounded away: a rerun would repeat it.
+        # x + 0*d is not x when d holds a NaN, hence the test of the step
+        if res.step == 0.0 or (res.f_new == f_x and np.array_equal(x_new, x)):
+            status = STAGNATED
             break
         x = x_new
         records.append(IterateRecord(

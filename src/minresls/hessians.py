@@ -34,8 +34,6 @@ import math
 
 import numpy as np
 
-from .core import DegenerateMiddleMatrix
-
 __all__ = []   # the store is internal: solve builds and owns it
 
 # |y's| >= CAUTIOUS_FLOOR * ||s||^2 keeps the pair
@@ -59,10 +57,13 @@ class LbfgsStore:
     lower triangle L of M chronologically.
 
     The middle block is inverted once per accepted update and the inverse
-    reused across applies; the store is degenerate, and ``apply`` raises,
-    when the inverse does not exist or the 1-norm condition number of M
-    reaches ``MAX_MIDDLE_CONDITION``. A degenerate pair leaves the store once
-    ``memory`` later pairs have been accepted. The empty store takes the same
+    reused across applies. The attribute ``degenerate`` is True when the
+    inverse does not exist or the 1-norm condition number of M reaches
+    ``MAX_MIDDLE_CONDITION``; ``solve`` then takes a gradient step without
+    calling ``apply``, which must not be called on a degenerate store. Every
+    accepted update recomputes ``degenerate``; a degenerate pair leaves the
+    store once ``memory`` later pairs have been accepted, and later pairs can
+    make M well conditioned before that. The empty store takes the same
     product over no rows with gamma = 1, which returns v bitwise.
 
     The store trusts its one caller: ``memory`` is a positive integer, as
@@ -79,7 +80,7 @@ class LbfgsStore:
         self._sty = np.zeros((self.memory, self.memory))      # s_i'y_j, slot order
         self._accepted = 0
         self._K = np.zeros((0, 0))      # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
-        self._degenerate = False
+        self.degenerate = False
 
     @property
     def n_pairs(self) -> int:
@@ -126,19 +127,18 @@ class LbfgsStore:
             Minv = np.linalg.inv(M)
         except np.linalg.LinAlgError:
             self._K = None
-            self._degenerate = True
+            self.degenerate = True
             return
         cond = float(np.linalg.norm(M, 1)) * float(np.linalg.norm(Minv, 1))
-        self._degenerate = not (cond < MAX_MIDDLE_CONDITION)
+        self.degenerate = not (cond < MAX_MIDDLE_CONDITION)
         Minv[0::2, :] *= self.gamma
         Minv[:, 0::2] *= self.gamma
         self._K = Minv
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Product B v = gamma*v - W'(K (W v)) over the live rows W, in
-        O(dim * memory) flops; no oracle calls."""
-        if self._degenerate:
-            raise DegenerateMiddleMatrix("degenerate L-BFGS middle matrix")
+        O(dim * memory) flops; no oracle calls. Only for a store that is
+        not ``degenerate``."""
         live = self._pairs[:2 * self.n_pairs]
         return self.gamma * v - (self._K @ (live @ v)) @ live
 

@@ -2,7 +2,10 @@
 
 Both searches try the steps of one grid: exponent j gives the trial step
 ``min(initial_step * shrink**j, max_step)``, and a search reports the exponent
-it accepts. Backtracking raises j by one per failed trial.
+it accepts. Backtracking raises j by one per failed trial. A search that
+finds no acceptable step of at least ``min_step`` returns step 0 with
+``f_new = f(x)``, its evaluations counted, and the first exponent below the
+grid's range; the caller decides what that means.
 
 Directions that certify non-positive curvature get a relaxed acceptance test
 with an extra quadratic term,
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Objective, StepsizeStagnation
+from .core import Objective
 
 __all__ = ["LinesearchConfig"]
 
@@ -80,13 +83,14 @@ def _grid_step(cfg: LinesearchConfig, j: int) -> float:
 
 
 def _backtrack(trial, cfg: LinesearchConfig, j: int, evals: int,
-               search: str) -> LinesearchResult:
-    """First exponent j, j + 1, ... whose step ``trial`` accepts; ``evals``
-    counts the evaluations the caller made before."""
+               f_x: float) -> LinesearchResult:
+    """First exponent j, j + 1, ... whose step ``trial`` accepts, or step 0
+    with ``f_x`` once the step falls below ``min_step``; ``evals`` counts the
+    evaluations the caller made before."""
     while True:
         lam = _grid_step(cfg, j)
         if lam < cfg.min_step:
-            raise StepsizeStagnation(f"stepsize stagnation in {search}")
+            return LinesearchResult(0.0, f_x, evals, exponent=j)
         ok, f_lam = trial(lam)
         evals += 1
         if ok:
@@ -101,9 +105,10 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
 
     ``d`` must be a descent direction, ``g_dot_d`` < 0; this is assumed, not
     tested. Exactly j + 1 objective evaluations for the accepted exponent j.
-    Raises :class:`StepsizeStagnation` when the step falls below ``min_step``
-    without acceptance (non-finite trial values count as failures and keep
-    shrinking).
+    Returns step 0 with ``f_new = f_x`` when the step falls below
+    ``min_step`` without acceptance, after one evaluation per grid step of
+    at least ``min_step`` (non-finite trial values count as failures and
+    keep shrinking).
     """
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
@@ -112,7 +117,7 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
         f_trial = obj.f(x + lam * d)
         return np.isfinite(f_trial) and f_trial - f_x <= sigma * lam * g_dot_d + pad, f_trial
 
-    return _backtrack(trial, cfg, 0, 0, "backtracking")
+    return _backtrack(trial, cfg, 0, 0, f_x)
 
 
 def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
@@ -126,9 +131,11 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     tested. The first trial has exponent ``start``, an integer whose step
     ``initial_step * shrink**start`` must lie in ``[min_step, max_step]``;
     any other start raises ValueError.
-    Backtracks when it fails; otherwise lowers the exponent by one while the
-    test keeps passing and returns the last accepted grid point. A forward
-    search that reaches ``max_step`` returns it with ``capped=True``.
+    Backtracks when it fails, and returns step 0 with ``f_new = f_x`` when
+    no step of at least ``min_step`` passes; otherwise lowers the exponent by
+    one while the test keeps passing and returns the last accepted grid
+    point. A forward search that reaches ``max_step`` returns it with
+    ``capped=True``.
 
     Every start tries points of the one grid. When the steps that pass form
     an interval [0, lam*], any start then accepts the same step, the largest
@@ -153,7 +160,7 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     lam = _grid_step(cfg, j)
     ok, f_lam = trial(lam)
     if not ok:
-        return _backtrack(trial, cfg, j + 1, 1, "curvature search")
+        return _backtrack(trial, cfg, j + 1, 1, f_x)
     evals = 1
     while lam < cfg.max_step:
         cand = _grid_step(cfg, j - 1)

@@ -21,25 +21,28 @@ solution (flag ``SOL``) once the residual estimate ``phi_t`` drops below
 
 The iterate update trails the Lanczos recurrence. Every iteration that does
 not certify keeps its Lanczos vector v_t with the scalars of its search
-direction d_t, and a single fold later forms the kept directions in their
-spent Lanczos buffers and adds tau_j d_j to x in order. A solution exit or the
-iteration cap folds every kept update; from iteration ``_WINDOW + 1`` on,
-each iteration folds all but its own, as v_t is still the next iteration's
-v_prev. A curvature certificate drops what is kept: one by iteration
-``_WINDOW + 1`` never forms x, and a later one skips its trailing update.
-The fold runs the eager update's numpy operations on the same operands in
-the same order, so every outcome is bitwise that of a loop forming x_t on
-every iteration.
+direction d_t, and a single fold later forms each kept direction,
+
+    d_j = (v_j - delta2_j d_{j-1} - eps_j d_{j-2}) / gamma2_j,
+
+in v_j's spent buffer, then adds tau_j d_j to x in order. A solution exit or
+the iteration cap folds every kept update; from iteration ``_WINDOW + 1``
+(six) on, each iteration folds all but its own, one iteration behind, as v_t
+is still the next iteration's v_prev. A curvature certificate drops what is
+kept: one by iteration ``_WINDOW + 1`` forms neither d_t nor x, and a later
+one skips its trailing update. The fold runs the eager update's numpy
+operations on the same operands in the same order, so every outcome is
+bitwise that of a loop forming x_t on every iteration, signed zeros included.
 
 A call holds at most ten n-vectors of its own (Lanczos vectors, search
 directions, iterate, residual and one scratch), plus the direction a
-certificate returns. The residual is updated in place in one buffer, each
-d_j is written into v_j's spent buffer, and the window is sized so that the
-first fold fits that bound. Past the window v_{t+1} goes into the buffer of
-the direction the fold just dropped, so the bookkeeping allocates nothing of
-size n, and a call that certifies within the window allocates only the
-vectors it used: the Lanczos vectors so far, the Lanczos product, the
-scratch and the residual.
+certificate returns, and updates them in place with ``out=``. The residual
+stays in one buffer, each d_j is written into v_j's spent buffer, and the
+window is sized so that the first fold fits that bound. Past the window
+v_{t+1} goes into the buffer of the direction the fold just dropped, so the
+bookkeeping allocates nothing of size n, and a call that certifies within the
+window allocates only the vectors it used: the Lanczos vectors so far, the
+Lanczos product, the scratch and the residual.
 
 Each Lanczos step writes ``A v + shift*v`` straight into the kernel's own
 buffer: the operator's result is read, never written, and the arrays an
@@ -142,10 +145,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     Notes
     -----
     The curvature test compares ``c_{t-1} * gamma1_t`` against zero exactly,
-    no epsilon: ties (zero curvature) are certificates. Past that test the
-    rotation norm ``gamma2`` cannot vanish, and a zero ``beta_{t+1}`` forces
-    ``phi_t = 0`` and therefore the solution exit; both facts are asserted
-    rather than branched on.
+    no epsilon: ties (zero curvature) are certificates.
 
     ``b`` and a dense ``A`` must hold real numbers; complex, object or string
     values raise ValueError naming the argument, as does such an operator
@@ -158,23 +158,12 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     stops the same solve after iteration t with x_t, r_t and phi_t as its
     ``direction``, ``residual`` and ``residual_norm`` (unless t certifies).
 
-    Each iteration past the certificate test keeps v_t and the scalars of
-    d_t. A solution exit or the cap folds every kept update; from iteration
-    ``_WINDOW + 1`` (six) on, each iteration folds all but its own, one
-    iteration behind. A fold forms
-    d_j = (v_j - delta2_j d_{j-1} - eps_j d_{j-2}) / gamma2_j into v_j's
-    buffer, then x accumulates tau_j d_j in order. These are the eager
-    update's numpy operations on the same operands, so the outcome is
-    bitwise that of forming x_t on every iteration, signed zeros included.
-    A certificate returns without folding what is kept, so one by iteration
-    ``_WINDOW + 1`` forms neither d_t nor x_t.
-
-    A call holds at most ten n-vectors of its own, plus a certificate's
-    returned direction, and updates them in place with ``out=``. The
-    operator's result is only read, as the first operand of the sum written
-    into the kernel's own buffer, so an operator may return its argument or a
-    buffer it keeps. ``b`` is not modified, and the returned
-    ``direction`` and ``residual`` are arrays no later call touches.
+    The operator's result is only read, so an operator may return its
+    argument or a buffer it keeps; it must not keep a reference to its
+    argument, which the kernel overwrites once the call returns. ``b`` is
+    not modified, and the returned ``direction`` and ``residual`` are arrays
+    no later call touches. How the kernel forms the iterate, and which
+    buffers it holds, is stated once, in the module docstring.
     """
     op = ensure_operator(A)
     b = as_vector(b, "b")

@@ -437,6 +437,19 @@ class TestTraceFiles:
         assert all("=" not in line for line in lines[2:-1])
         assert lines[-1].startswith("summary quadratic(n=6) newton_mr 3 0 CONVERGED ")
 
+    @pytest.mark.parametrize("column, text", [("problem", "my problem"),
+                                              ("config", "newton_mr\n"),
+                                              ("problem", " ")])
+    def test_whitespace_in_a_text_column_is_refused_before_writing(
+            self, tmp_path, column, text):
+        obj = quadratic(n=4).make_objective()
+        trace = driver.solve(obj, np.ones(obj.dim))
+        setattr(trace, column, text)
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=re.escape(f"trace {column} {text!r}")):
+            emit_trace(trace, path)
+        assert not path.exists()
+
     def test_write_error_carries_path(self, tmp_path):
         trace = RunTrace(status=CONVERGED, records=[], f_final=0.0,
                          gnorm_final=0.0, x_final=None, iters=0, oracles=1.0,

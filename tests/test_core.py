@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from minresls.checks import estimate_operator_norm, symmetry_defect
+from minresls.checks import estimate_operator_norm, symmetry_defect, to_dense
 from minresls.core import (
     NoHessianOracle,
     NotEvaluable,
@@ -287,7 +287,7 @@ class TestOperators:
         M = rng.standard_normal((4, 4))
         M = 0.5 * (M + M.T)
         op = ensure_operator(M)
-        assert np.allclose(op.to_dense(), M)
+        assert np.allclose(to_dense(op), M)
 
     def test_ensure_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):

@@ -38,6 +38,18 @@ def spec(name, **params):
     return build_problem(name, **params)
 
 
+def spy_on_minres(monkeypatch):
+    """Record the model operator of every ``minres_npc`` call the driver makes."""
+    calls = []
+
+    def spy(A, *args, **kwargs):
+        calls.append(A)
+        return minres_npc(A, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "minres_npc", spy)
+    return calls
+
+
 def record_fields(trace):
     """A run's records without the fields that depend on oracle work or time."""
     return [dataclasses.replace(r, oracles=0.0, time_ms=0.0) for r in trace.records]
@@ -206,6 +218,50 @@ class TestSolverConfig:
         assert solve(obj, np.ones(4), cfg).status == CONVERGED
 
 
+class TestUnreadFields:
+    """A field that ``UNREAD_FIELDS`` lists for a mode changes no run of it."""
+
+    PROBLEMS = (("quartic_saddle", 10), ("toy_sine", 20), ("rosenbrock", 10))
+    # a value far from each field's default
+    VALUES = {"schedule.beta": 3.0, "schedule.zeta_mult": 50.0,
+              "schedule.npc_curvature_cap": 1e-9, "lbfgs_memory": 2,
+              "schedule.shift_cap": 1e-3, "schedule.zeta_exp": 0.5}
+
+    @staticmethod
+    def with_field(cfg, key, value):
+        block, _, name = key.rpartition(".")
+        if not block:
+            return dataclasses.replace(cfg, **{name: value})
+        inner = dataclasses.replace(getattr(cfg, block), **{name: value})
+        return dataclasses.replace(cfg, **{block: inner})
+
+    @classmethod
+    def runs(cls, cfg):
+        """Status, records without ``time_ms`` and ``x_final`` bytes of each problem."""
+        out = []
+        for name, n in cls.PROBLEMS:
+            problem = spec(name, n=n)
+            trace = solve(problem.make_objective(),
+                          problem.start(np.random.default_rng(3)), cfg)
+            out.append((trace.status,
+                        [dataclasses.replace(r, time_ms=0.0) for r in trace.records],
+                        trace.x_final.tobytes()))
+        return out
+
+    @pytest.mark.parametrize("mode, key", [(mode, key) for mode, keys in
+                                           driver.UNREAD_FIELDS.items() for key in keys])
+    def test_unread_field_leaves_every_run_unchanged(self, mode, key):
+        cfg = builtin_config(mode)
+        assert self.runs(self.with_field(cfg, key, self.VALUES[key])) == self.runs(cfg)
+
+    @pytest.mark.parametrize("mode", list(driver.UNREAD_FIELDS))
+    def test_a_read_field_changes_every_run(self, mode):
+        # the control: the same comparison sees a field the mode reads
+        cfg = builtin_config(mode)
+        changed = self.runs(self.with_field(cfg, "schedule.tol_cap", 0.5))
+        assert all(a != b for a, b in zip(changed, self.runs(cfg)))
+
+
 class TestChooseDirection:
     """Every outcome of the direction choice, on small dense models."""
 
@@ -247,17 +303,18 @@ class TestChooseDirection:
         assert (flag, inner) == (SOL, 1)
         assert np.allclose(d, minres_npc(B, -g, 0.1, 1).direction, rtol=1e-10)
 
-    def test_degenerate_model_is_gd_without_inner_iterations(self):
-        from minresls.core import DegenerateMiddleMatrix
-
-        def degenerate(v):
-            raise DegenerateMiddleMatrix("forced")
-
+    def test_degenerate_model_is_gd_without_inner_iterations(self, monkeypatch):
+        # solve passes no model, B = None, for a degenerate L-BFGS store
+        calls = spy_on_minres(monkeypatch)
+        cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"))
         g = np.array([1.0, -2.0])
-        flag, d, inner, d_curv = self.choose(SymmetricOperator(2, degenerate), g,
-                                             "lbfgs_mr")
+        gnorm = float(np.linalg.norm(g))
+        theta, zeta, a_k = schedule_eval(1, gnorm, cfg.schedule)
+        flag, d, inner, d_curv = driver._choose_direction(None, g, gnorm, theta, zeta,
+                                                          a_k, cfg)
         assert (flag, inner, d_curv) == (GD, 0, 0.0)
         assert np.array_equal(d, -g)
+        assert calls == []
 
     def test_breakdown_propagates(self):
         with pytest.raises(NumericalBreakdown):
@@ -433,17 +490,18 @@ class TestTerminationStatuses:
 
 class TestDirectionDispatch:
     def test_gd_fallback_on_degenerate_model(self, monkeypatch):
-        from minresls.core import DegenerateMiddleMatrix
+        class DegenerateStore(LbfgsStore):
+            # degenerate from the start; the store's own updates cannot clear it
+            degenerate = property(lambda self: True, lambda self, value: None)
 
-        def broken_apply(self, v):
-            raise DegenerateMiddleMatrix("forced")
-
-        monkeypatch.setattr(LbfgsStore, "apply", broken_apply)
+        monkeypatch.setattr(driver, "LbfgsStore", DegenerateStore)
+        calls = spy_on_minres(monkeypatch)
         obj = spec("quadratic", n=4).make_objective()
         trace = solve(obj, np.ones(4), SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr")))
         assert trace.status == CONVERGED
         assert all(r.flag == GD for r in trace.records)
         assert all(r.inner_iters == 0 for r in trace.records)
+        assert calls == []
 
     def test_basic_screen_demotes_flat_directions(self):
         # raise the curvature floor so the threshold tracks a_k ||g||: the

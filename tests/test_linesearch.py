@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from minresls.core import Objective, StepsizeStagnation
+from minresls.core import Objective
 from minresls.linesearch import (
     LinesearchConfig,
     LinesearchResult,
@@ -38,15 +38,16 @@ class TestOneGrid:
 
     def test_backtracking_walks_down_the_grid(self):
         # f = 0 never decreases: 0.7^19 > 1e-3 > 0.7^20
+        # and finds no step: step 0 at f(x), every trial counted
         obj, trials = self.ray(0.0)
-        with pytest.raises(StepsizeStagnation):
-            armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0, self.cfg)
+        res = armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0, self.cfg)
         assert trials == self.grid(range(20))
+        assert (res.step, res.f_new, res.n_evals) == (0.0, 0.0, 20)
         trials.clear()
-        with pytest.raises(StepsizeStagnation):
-            npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, self.cfg,
-                           start=3)
+        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, 0.0, 0.0, self.cfg,
+                             start=3)
         assert trials == self.grid(range(3, 20))
+        assert (res.step, res.f_new, res.n_evals) == (0.0, 0.0, 17)
 
     def test_forward_walk_climbs_the_same_grid(self):
         # f decreases without bound: 0.7^-3 < 3 < 0.7^-4
@@ -119,8 +120,10 @@ class TestArmijo:
         # constant objective with a claimed negative slope can never satisfy
         # strict decrease: f_x = 0 so the rounding pad vanishes too
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
-        with pytest.raises(StepsizeStagnation):
-            armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0)
+        res = armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0)
+        assert res.step == 0.0 and res.f_new == 0.0
+        # one trial per grid step 2^-j >= min_step = 1e-18, j = 0..59
+        assert res.n_evals == obj.f_calls == 60
 
     def test_nonfinite_trials_are_rejected(self):
         # f is -inf outside a small interval: a trial there satisfies the
@@ -240,9 +243,11 @@ class TestCurvatureSearch:
     def test_stagnation(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         cfg = LinesearchConfig(min_step=1e-6)
-        with pytest.raises(StepsizeStagnation):
-            # claimed slope/curvature say decrease is possible; f refuses
-            npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, -1.0, 0.0, cfg)
+        # claimed slope/curvature say decrease is possible; f refuses
+        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, -1.0, 0.0, cfg)
+        assert res.step == 0.0 and res.f_new == 0.0
+        # one trial per grid step 2^-j >= min_step = 1e-6, j = 0..19
+        assert res.n_evals == obj.f_calls == 20
 
     # steps 2^-start; the range [1e-6, 4] holds exponents -2 to 19
     @pytest.mark.parametrize("start", [20, -3, -100, 0.5, 1.0, np.nan])
