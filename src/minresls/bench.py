@@ -23,9 +23,12 @@ kind once, in file order::
     # summary problem config seed repeat status iters oracles final_f final_gnorm time_ms
 
 Then come one record line per outer iteration and a single ``summary`` line,
-each carrying its bare values in that order; floats are serialized with 17
-significant digits so parsing reproduces them bit-for-bit, and a missing seed
-or repeat is ``-``. The reader refuses a file whose header differs from the
+each carrying its bare values in that order. A float is written as the
+shortest text that ``float()`` reads back to the same double, ``repr`` of a
+built-in float (``0.1``, ``1e-12``, ``-0.0``, ``inf``), so parsing reproduces
+it bit-for-bit, except that every NaN reads back as the positive quiet NaN.
+Profile CSVs and problem ids write floats the same way. A missing seed or
+repeat is ``-``. The reader refuses a file whose header differs from the
 writer's. Everything except the ``time_ms`` columns, the last of each line, is
 deterministic for a fixed manifest. Convergence-plot data is a column filter
 away: the first and third columns give the curve, and record lines whose
@@ -39,7 +42,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import operator
 import os
 import re
 import typing
@@ -69,9 +71,9 @@ METRICS = ("oracles", "time")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
-def _g17(x) -> str:
-    # %.17g round-trips any float64 exactly through float()
-    return "%.17g" % float(x)
+def _float_text(x) -> str:
+    """The shortest text that float() reads back to the same double."""
+    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ class RunCell:
 def _fmt_param(v) -> str:
     if isinstance(v, tuple):
         return ";".join(_fmt_param(x) for x in v)
-    return repr(v) if isinstance(v, float) else str(v)
+    return _float_text(v) if isinstance(v, float) else str(v)
 
 
 def _coerce_param(value: str):
@@ -284,8 +286,9 @@ def run_suite(cells: list[RunCell]) -> list[RunTrace]:
 
 
 # (header name, attribute, type) of every column, in file order, per line kind:
-# a record line per IterateRecord and the summary line of the RunTrace. Floats
-# are written with %.17g; an int or str that is None or empty is "-".
+# a record line per IterateRecord and the summary line of the RunTrace. A float
+# is written as its shortest exact text (_float_text), an int or str that is
+# None or empty as "-".
 _COLUMNS = {
     "record": (
         ("k", "k", int), ("f", "f", float), ("gnorm", "gnorm", float),
@@ -303,18 +306,13 @@ _COLUMNS = {
 }
 _HEADER = [f"# {line_kind} " + " ".join(key for key, _, _ in columns)
            for line_kind, columns in _COLUMNS.items()]
-# per line kind: its %-format and a getter of the values it formats
-_FORMATS = {
-    line_kind: (" ".join("%.17g" if kind is float else "%s" for _, _, kind in columns),
-                operator.attrgetter(*(attr for _, attr, _ in columns)))
-    for line_kind, columns in _COLUMNS.items()
-}
 _READERS = {str: str, float: float, int: lambda v: None if v == "-" else int(v)}
 
 
 def _trace_line(obj, line_kind) -> str:
-    fmt, values = _FORMATS[line_kind]
-    return fmt % tuple("-" if v is None or v == "" else v for v in values(obj))
+    values = ((kind, getattr(obj, attr)) for _, attr, kind in _COLUMNS[line_kind])
+    return " ".join(_float_text(v) if kind is float else "-" if v is None or v == "" else str(v)
+                    for kind, v in values)
 
 
 def emit_trace(trace: RunTrace, path) -> None:
@@ -519,6 +517,6 @@ def write_profile_csv(profile: ProfileTable, path) -> None:
             writer.writerow(["solver", "tau", "fraction"])
             for s in profile.solvers:
                 for tau, frac in zip(profile.taus, profile.fractions[s]):
-                    writer.writerow([s, _g17(tau), _g17(frac)])
+                    writer.writerow([s, _float_text(tau), _float_text(frac)])
     except OSError as exc:
         raise OSError(f"cannot write profile {path}: {exc}") from exc

@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
     paths = write_suite(traces, args.out)
     for tr, path in zip(traces, paths):
         print(f"{os.path.basename(path)}: {tr.status} iters={tr.iters} "
-              f"oracles={tr.oracles:g} final_gnorm={tr.gnorm_final:.3e}")
+              f"oracles={tr.oracles:.0f} final_gnorm={tr.gnorm_final:.3e}")
     print(f"wrote {len(paths)} traces to {args.out}")
     return 0
 

@@ -59,7 +59,6 @@ import numpy as np
 
 from .core import (
     NumericalBreakdown,
-    SymmetricOperator,
     ZeroRightHandSide,
     as_vector,
     check_positive_int,

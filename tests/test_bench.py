@@ -34,6 +34,7 @@ from minresls.driver import (
     DIVERGED,
     STAGNATED,
     UNREAD_FIELDS,
+    IterateRecord,
     RunTrace,
     ScheduleParams,
     SolverConfig,
@@ -333,29 +334,48 @@ class TestExecution:
 
 
 class TestTraceFiles:
-    def test_round_trip_exact(self, tmp_path, suite_traces):
-        _, traces = suite_traces
-        trace = traces[2]           # saddle run, has NPC records
+    # file key -> attribute of every float column, per line kind
+    RECORD_FLOATS = {"f": "f", "gnorm": "gnorm", "lambda": "step", "theta_k": "theta",
+                     "zeta_k": "zeta", "oracles": "oracles", "time_ms": "time_ms"}
+    SUMMARY_FLOATS = {"oracles": "oracles", "final_f": "f_final",
+                      "final_gnorm": "gnorm_final", "time_ms": "time_ms"}
+
+    @staticmethod
+    def edge_trace(v):
+        """A one-record trace holding ``v`` in every float column."""
+        record = IterateRecord(k=1, f=v, gnorm=v, flag="SOL", step=v, inner_iters=2,
+                               theta=v, zeta=v, oracles=v, time_ms=v)
+        return RunTrace(status=BUDGET, records=[record], f_final=v, gnorm_final=v,
+                        x_final=None, iters=1, oracles=v, time_ms=v,
+                        problem="edge", config="cfg", seed=4, repeat=0)
+
+    @pytest.mark.parametrize("edge", [None, -0.0, 5e-324, 1.7976931348623157e308,
+                                      math.inf, math.nan, np.float64(0.1)],
+                             ids=lambda v: "saddle_run" if v is None else None)
+    def test_round_trip_exact(self, tmp_path, suite_traces, edge):
+        # None: the saddle run of the suite, which has NPC records
+        trace = suite_traces[1][2] if edge is None else self.edge_trace(edge)
         path = tmp_path / "t.trace"
         emit_trace(trace, path)
         parsed = parse_trace(path)
         assert len(parsed.records) == trace.iters
         for rec, r in zip(parsed.records, trace.records):
-            assert rec["k"] == r.k
-            assert rec["f"] == r.f                      # exact, 17 digits
-            assert rec["gnorm"] == r.gnorm
-            assert rec["flag"] == r.flag
-            assert rec["lambda"] == r.step
-            assert rec["inner_iters"] == r.inner_iters
-            assert rec["theta_k"] == r.theta
-            assert rec["zeta_k"] == r.zeta
-            assert rec["oracles"] == r.oracles
+            assert (rec["k"], rec["flag"], rec["inner_iters"]) == (r.k, r.flag, r.inner_iters)
         s = parsed.summary
-        assert s["status"] == trace.status
-        assert s["final_f"] == trace.f_final
-        assert s["final_gnorm"] == trace.gnorm_final
-        assert s["iters"] == trace.iters
-        assert s["seed"] == trace.seed and s["repeat"] == trace.repeat
+        assert (s["problem"], s["config"], s["seed"], s["repeat"], s["status"], s["iters"]) \
+            == (trace.problem, trace.config, trace.seed, trace.repeat, trace.status,
+                trace.iters)
+        # bitwise: float.hex tells -0.0 from 0.0 and reads nan as nan
+        lines = path.read_text().splitlines()[len(HEADER):]
+        checked = [(self.RECORD_FLOATS, HEADER[0], rec, r, line)
+                   for rec, r, line in zip(parsed.records, trace.records, lines)]
+        checked.append((self.SUMMARY_FLOATS, HEADER[1], s, trace, lines[-1].split(None, 1)[1]))
+        for floats, header, got, obj, line in checked:
+            tokens = dict(zip(header.split()[2:], line.split()))
+            for key, attr in floats.items():
+                assert float.hex(got[key]) == float.hex(float(getattr(obj, attr))), key
+                # the shortest exact text, never np.float64(...)
+                assert tokens[key] == repr(float(tokens[key])), key
 
     def test_summary_only_file(self, tmp_path):
         trace = RunTrace(status=CONVERGED, records=[], f_final=0.25,
@@ -365,7 +385,7 @@ class TestTraceFiles:
         emit_trace(trace, path)
         lines = path.read_text().splitlines()
         assert lines == [HEADER[0], HEADER[1],
-                         "summary - - - - CONVERGED 0 2 0.25 0 0.10000000000000001"]
+                         "summary - - - - CONVERGED 0 2.0 0.25 0.0 0.1"]
         parsed = parse_trace(path)
         assert parsed.records == []
         assert parsed.summary["seed"] is None and parsed.summary["repeat"] is None
@@ -583,7 +603,25 @@ class TestProfiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) == 1 + len(prof.solvers) * len(prof.taus)
-        assert lines[1] == "A,1,1"
+        assert lines[1] == "A,1.0,1.0"
+
+    def test_csv_reads_back_bitwise(self, tmp_path):
+        # ratio 7/3 and fractions 1/3, 2/3 need 16 or 17 digits, 1.0 and 2.0 one
+        table = {("A", "p"): (3.0, True), ("B", "p"): (7.0, True),
+                 ("A", "q"): (2.0, True), ("B", "q"): (4.0, True),
+                 ("A", "r"): (5.0, False), ("B", "r"): (1.0, True)}
+        prof = performance_profile(table)
+        path = tmp_path / "prof.csv"
+        write_profile_csv(prof, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        want = [(s, tau, frac) for s in prof.solvers
+                for tau, frac in zip(prof.taus, prof.fractions[s])]
+        assert len(rows) == len(want)
+        for (solver, tau, frac), (s, want_tau, want_frac) in zip(rows, want):
+            assert solver == s
+            assert float.hex(float(tau)) == float.hex(want_tau)
+            assert float.hex(float(frac)) == float.hex(want_frac)
+            assert [tau, frac] == [repr(float(tau)), repr(float(frac))]
 
 
 class TestCli:
@@ -605,6 +643,17 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) > 1
+
+    def test_run_prints_the_oracle_count_exactly(self, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "suite.manifest"
+        manifest.write_text("problem=quadratic p.n=5 config=newton_mr seed=1\n")
+        trace = RunTrace(status=BUDGET, records=[], f_final=1.0, gnorm_final=1.0,
+                         x_final=None, iters=3, oracles=1234567.0, time_ms=1.0,
+                         problem="quadratic", config="newton_mr", seed=1, repeat=0)
+        monkeypatch.setattr(cli, "run_suite", lambda cells: [trace])
+        assert cli.main(["run", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "traces")]) == 0
+        assert f"{BUDGET} iters=3 oracles=1234567 " in capsys.readouterr().out
 
     def test_run_into_a_directory_holding_traces_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "suite.manifest"

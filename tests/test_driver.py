@@ -22,7 +22,6 @@ from minresls.driver import (
     DIVERGED,
     GD,
     STAGNATED,
-    IterateRecord,
     ScheduleParams,
     SolverConfig,
     schedule_eval,

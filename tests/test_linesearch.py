@@ -5,7 +5,6 @@ import pytest
 from minresls.core import Objective
 from minresls.linesearch import (
     LinesearchConfig,
-    LinesearchResult,
     armijo_backtrack,
     npc_linesearch,
 )

@@ -1,6 +1,8 @@
 """The package's public names: the package exports each library module's
 ``__all__`` in order and nothing else, and README lists them all. Also the
-code-line counter in ``tools/``."""
+code-line counter in ``tools/``, and no unused import in the package, tests,
+demos or tools."""
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -57,3 +59,44 @@ def test_code_lines_count_code_tokens_outside_docstrings():
               '            1)\n')
     # import, def, both lines of s and both lines of the return
     assert tool.code_lines(source) == 6
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of each name imported in ``source`` and never referenced.
+
+    A reference is a bare name anywhere in the module (``os.path.join`` starts
+    with one); a name listed in a literal ``__all__`` counts as used, and
+    ``from __future__`` imports are exempt.
+    """
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                         for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_imports_finds_each_unreferenced_name():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import re, sys as system\n"
+              "from json import dumps, loads\n"
+              "__all__ = ['loads']\n"
+              "print(os.path.join(re.escape('x')))\n")
+    assert _unused_imports(source) == [(3, "system"), (4, "dumps")]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    unused = [f"{path.relative_to(root)}:{line} {name}"
+              for folder in ("src/minresls", "tests", "demos", "tools")
+              for path in sorted((root / folder).rglob("*.py"))
+              for line, name in _unused_imports(path.read_text())]
+    assert not unused, f"imported but never referenced: {unused}"
