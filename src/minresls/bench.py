@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NotEvaluable
 from .driver import CONVERGED, UNREAD_FIELDS, RunTrace, ScheduleParams, SolverConfig, solve
 from .problems import build_problem
 
@@ -95,10 +94,17 @@ def builtin_config(name: str) -> SolverConfig:
                          f"{', '.join(BUILTIN_CONFIGS)}") from None
 
 
-_BOOLS = {"true": True, "false": False}
+def _read_bool(text: str) -> bool:
+    """``true`` or ``false``, in any case; any other text raises ValueError."""
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"not a bool: {text!r}")
+    return lowered == "true"
+
+
 # one text reader per declared field type; a field of any other type (the
 # schedule mode, a nested block) is set by the builtin that config= names
-_TEXT_READERS = {float: float, int: int, bool: lambda text: _BOOLS[text.lower()]}
+_TEXT_READERS = {float: float, int: int, bool: _read_bool}
 
 
 def apply_setting(cfg: SolverConfig, key: str, value: str) -> SolverConfig:
@@ -131,7 +137,7 @@ def _replaced(block, names, value: str, key: str):
     elif field_type in _TEXT_READERS:
         try:
             new = _TEXT_READERS[field_type](value)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ValueError(f"bad value {value!r} for config key {key!r}") from None
     else:
         raise ValueError(f"config key {key!r} is not settable from text; "
@@ -197,62 +203,62 @@ def parse_manifest(text: str, origin: str = "<manifest>") -> list[RunCell]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields, params, overrides = {}, {}, {}
-        for tok in line.split():
-            key, sep, value = tok.partition("=")
-            if not sep or not key or not value:
-                raise ValueError(f"{origin}:{ln}: token {tok!r} is not key=value")
-            if key.startswith("p."):
-                pname = key[2:]
-                if not pname or pname in params:
-                    raise ValueError(f"{origin}:{ln}: bad or duplicate parameter {key!r}")
-                try:
-                    params[pname] = _coerce_param(value)
-                except ValueError as exc:
-                    raise ValueError(f"{origin}:{ln}: {exc}") from None
-            elif key in fields or key in overrides:
-                raise ValueError(f"{origin}:{ln}: duplicate key {key!r}")
-            elif key in ("problem", "config", "seed", "repeats", "label"):
-                fields[key] = value
-            else:
-                overrides[key] = value
-        for req in ("problem", "config", "seed"):
-            if req not in fields:
-                raise ValueError(f"{origin}:{ln}: missing required key {req!r}")
         try:
-            seed = int(fields["seed"])
-            repeats = int(fields.get("repeats", "1"))
-        except ValueError:
-            raise ValueError(f"{origin}:{ln}: seed and repeats must be integers") from None
-        if seed < 0 or repeats < 1:
-            raise ValueError(f"{origin}:{ln}: need seed >= 0 and repeats >= 1")
-        try:
-            spec = build_problem(fields["problem"], **params)
-        except (KeyError, TypeError, ValueError, AssertionError, NotEvaluable) as exc:
-            detail = exc.args[0] if exc.args else exc
-            raise ValueError(f"{origin}:{ln}: {detail}") from None
-        try:
-            cfg = builtin_config(fields["config"])
-            for key, value in overrides.items():
-                cfg = apply_setting(cfg, key, value)
-        except ValueError as exc:
+            cell = _parse_cell(line)
+            key = (cell.label, cell.problem_id, cell.seed)
+            if key in first_line:
+                raise ValueError(f"same label {cell.label!r}, problem {key[1]!r} and "
+                                 f"seed {cell.seed} as line {first_line[key]}; their "
+                                 "traces would collide, so give one of the two its "
+                                 "own label=")
+        # TypeError: a parameter the problem's builder does not take
+        except (TypeError, ValueError, AssertionError) as exc:
             raise ValueError(f"{origin}:{ln}: {exc}") from None
-        label = fields.get("label", fields["config"])
-        if not _LABEL_RE.match(label):
-            raise ValueError(f"{origin}:{ln}: label {label!r} has characters outside "
-                             "[A-Za-z0-9_.+-]")
-        cell = RunCell(problem=fields["problem"], params=params, label=label,
-                       cfg=cfg, seed=seed, repeats=repeats, spec=spec)
-        key = (label, cell.problem_id, seed)
-        if key in first_line:
-            raise ValueError(f"{origin}:{ln}: same label {label!r}, problem {key[1]!r} "
-                             f"and seed {seed} as line {first_line[key]}; their traces "
-                             "would collide, so give one of the two its own label=")
         first_line[key] = ln
         cells.append(cell)
     if not cells:
         raise ValueError(f"{origin}: no runnable cells")
     return cells
+
+
+def _parse_cell(line: str) -> RunCell:
+    """One manifest line, comment stripped, as a validated cell; its errors
+    carry no line tag, which ``parse_manifest`` adds."""
+    fields, params, overrides = {}, {}, {}
+    for tok in line.split():
+        key, sep, value = tok.partition("=")
+        if not sep or not key or not value:
+            raise ValueError(f"token {tok!r} is not key=value")
+        if key.startswith("p."):
+            pname = key[2:]
+            if not pname or pname in params:
+                raise ValueError(f"bad or duplicate parameter {key!r}")
+            params[pname] = _coerce_param(value)
+        elif key in fields or key in overrides:
+            raise ValueError(f"duplicate key {key!r}")
+        elif key in ("problem", "config", "seed", "repeats", "label"):
+            fields[key] = value
+        else:
+            overrides[key] = value
+    for req in ("problem", "config", "seed"):
+        if req not in fields:
+            raise ValueError(f"missing required key {req!r}")
+    try:
+        seed = int(fields["seed"])
+        repeats = int(fields.get("repeats", "1"))
+    except ValueError:
+        raise ValueError("seed and repeats must be integers") from None
+    if seed < 0 or repeats < 1:
+        raise ValueError("need seed >= 0 and repeats >= 1")
+    spec = build_problem(fields["problem"], **params)
+    cfg = builtin_config(fields["config"])
+    for key, value in overrides.items():
+        cfg = apply_setting(cfg, key, value)
+    label = fields.get("label", fields["config"])
+    if not _LABEL_RE.match(label):
+        raise ValueError(f"label {label!r} has characters outside [A-Za-z0-9_.+-]")
+    return RunCell(problem=fields["problem"], params=params, label=label,
+                   cfg=cfg, seed=seed, repeats=repeats, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_check()
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

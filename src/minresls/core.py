@@ -4,6 +4,11 @@ Everything downstream works on plain 1-D float64 numpy arrays. An operator is
 matrix-free (only its action ``v -> A v`` is available), an objective bundles
 callbacks for the function value, the gradient and, optionally, a
 Hessian-vector product, together with a count of the calls of each.
+
+A call fails in one of three ways, each with one type: an input refused
+before any work raises ValueError naming the input, a failed derivative
+self-test raises AssertionError, and a run that fails raises
+:class:`OptimizationError`.
 """
 from __future__ import annotations
 
@@ -17,27 +22,12 @@ __all__ = [
     "Objective",
     "SymmetricOperator",
     "OptimizationError",
-    "NotEvaluable",
-    "NoHessianOracle",
-    "ZeroRightHandSide",
     "NumericalBreakdown",
 ]
 
 
 class OptimizationError(RuntimeError):
-    """Base class for solver-level failures."""
-
-
-class NotEvaluable(OptimizationError):
-    """The objective produced a non-finite value where a finite one is required."""
-
-
-class NoHessianOracle(OptimizationError):
-    """A Hessian-vector product was requested but none was provided."""
-
-
-class ZeroRightHandSide(OptimizationError):
-    """An inner solve was requested for a zero right-hand side."""
+    """A run that failed after it started, never a refused input (ValueError)."""
 
 
 class NumericalBreakdown(OptimizationError):
@@ -183,8 +173,10 @@ class Objective:
         return self._checked(self._grad(x), "gradient oracle returned")
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The product H(x) v. An objective built without ``hvp`` raises
+        ValueError instead, and counts no call."""
         if self._hvp is None:
-            raise NoHessianOracle("no Hessian oracle attached to this objective")
+            raise ValueError("no Hessian oracle attached to this objective")
         self.hvp_calls += 1
         return self._checked(self._hvp(x, v), "Hessian-vector oracle returned")
 

@@ -24,7 +24,6 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    NoHessianOracle,
     NumericalBreakdown,
     Objective,
     OptimizationError,
@@ -226,13 +225,16 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     Terminates CONVERGED when the gradient norm reaches ``grad_tol``,
     STAGNATED when a linesearch returns step 0 (no grid step of at least
     ``min_step`` passes) or accepts a step that leaves f and x bitwise
-    unchanged, BUDGET when the oracle tally
-    reaches ``max_oracles``, and DIVERGED when the objective or gradient
-    stops being finite. A direction with g'd >= 0, whatever its flag (SOL,
-    NPC or GD), raises :class:`OptimizationError` naming the flag: in exact
-    arithmetic only a model operator that is not symmetric, such as a wrong
+    unchanged, BUDGET when the oracle tally reaches ``max_oracles``, and
+    DIVERGED when the objective or gradient stops being finite or the inner
+    solve breaks down, as on a non-finite or overflowing Hessian-vector
+    product. A direction with g'd >= 0, whatever its flag (SOL, NPC or GD),
+    raises :class:`OptimizationError` naming the flag: in exact arithmetic
+    only a model operator that is not symmetric, such as a wrong
     Hessian-vector oracle, gives one, and on the exact Hessian the message
-    says so.
+    says so. A refused input, such as an ``x0`` of the wrong size or a
+    schedule mode that needs a Hessian-vector oracle on an objective without
+    one, raises ValueError before any oracle call.
 
     So each linesearch is called on a descent direction, g'd < 0, and the
     curvature search also on d'Bd <= 0, the certificate's d'(B + zeta I)d
@@ -263,8 +265,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     sp = cfg.schedule
     lbfgs = sp.mode == "lbfgs_mr"
     if not lbfgs and not obj.has_hvp:
-        raise NoHessianOracle(f"schedule mode {sp.mode!r} needs a Hessian-vector "
-                              "oracle; lbfgs_mr needs none")
+        raise ValueError(f"schedule mode {sp.mode!r} needs a Hessian-vector "
+                         "oracle; lbfgs_mr needs none")
 
     if cfg.check_invariants:
         from . import checks    # test-only instruments, not loaded otherwise

@@ -59,7 +59,6 @@ import numpy as np
 
 from .core import (
     NumericalBreakdown,
-    ZeroRightHandSide,
     as_vector,
     check_positive_int,
     ensure_operator,
@@ -148,7 +147,8 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
 
     ``b`` and a dense ``A`` must hold real numbers; complex, object or string
     values raise ValueError naming the argument, as does such an operator
-    output. A non-finite or overflowing product raises
+    output, and a zero ``b`` raises ValueError naming ``b`` before any
+    product. A non-finite or overflowing product raises
     :class:`NumericalBreakdown` in the iteration that forms it, with no
     RuntimeWarning from the kernel's own arithmetic; a warning the operator
     raises itself still reaches the caller.
@@ -176,7 +176,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
 
     beta1 = norm2(b)
     if beta1 == 0.0:
-        raise ZeroRightHandSide("zero right-hand side: nothing to solve")
+        raise ValueError("b is zero: nothing to solve")
 
     stop_tol = max(tol, _TOL_FLOOR * _EPS)
     n = b.size

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NotEvaluable, Objective, as_vector
+from .core import Objective, as_vector, check_positive_int
 
 __all__ = ["build_problem", "list_problems", "ProblemSpec"]
 
@@ -34,7 +34,8 @@ def fd_grad_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     """Gap ``|fd - g'v| / (1 + ||g|| ||v||)`` of a central difference of f along v.
 
     Rounding in f(x +- h v) grows with |f|; the Cauchy-Schwarz scale absorbs it.
-    A scale that overflows raises :class:`NotEvaluable`, as the gap would read 0.
+    A scale that overflows raises AssertionError, as the gap would read 0, and
+    so does an f that is not finite at x +- h v.
     """
     x = as_vector(x)
     v = as_vector(v, "v")
@@ -42,10 +43,10 @@ def fd_grad_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         scale = 1.0 + np.linalg.norm(g) * np.linalg.norm(v)
     if not np.isfinite(scale):
-        raise NotEvaluable("gradient norm overflows at the probe point")
+        raise AssertionError("gradient norm overflows at the probe point")
     fd = (obj.f(x + FD_STEP * v) - obj.f(x - FD_STEP * v)) / (2.0 * FD_STEP)
     if not np.isfinite(fd):
-        raise NotEvaluable("objective not evaluable near the probe point")
+        raise AssertionError("objective not evaluable near the probe point")
     return abs(fd - float(g @ v)) / scale
 
 
@@ -53,7 +54,8 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     """Gap ``max|fd - Hw| / (1 + max|Hw|)`` of gradient differences along ``w = v / max|v|``.
 
     The unit max-norm keeps truncation error (like ``max|w_i|^3``) from growing
-    with n; the largest entry as scale absorbs rounding in large entries.
+    with n; the largest entry as scale absorbs rounding in large entries. A
+    gradient that is not finite at x +- h w raises AssertionError.
     """
     x = as_vector(x)
     v = as_vector(v, "v")
@@ -61,7 +63,7 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     hw = obj.hvp(x, w)
     fd = (obj.grad(x + FD_STEP * w) - obj.grad(x - FD_STEP * w)) / (2.0 * FD_STEP)
     if not np.all(np.isfinite(fd)):
-        raise NotEvaluable("gradient not evaluable near the probe point")
+        raise AssertionError("gradient not evaluable near the probe point")
     return float(np.max(np.abs(fd - hw)) / (1.0 + np.max(np.abs(hw))))
 
 
@@ -93,9 +95,9 @@ class ProblemSpec:
         """Check the derivatives at ``points`` random locations, O(n) work each.
 
         Runs :func:`fd_grad_check` and :func:`fd_hvp_check` along two standard
-        normal directions; raises AssertionError on a gap above ``FD_TOL`` and
-        :class:`NotEvaluable` if f or the gradient is not finite nearby. Uses a
-        throwaway objective, so no run's oracle tally is touched.
+        normal directions; raises AssertionError on a gap above ``FD_TOL`` or
+        when f or the gradient is not finite nearby, the one way it fails.
+        Uses a throwaway objective, so no run's oracle tally is touched.
         """
         rng = np.random.default_rng(seed)
         obj = self.make_objective()
@@ -121,8 +123,7 @@ def toy_sine(n: int = 200) -> ProblemSpec:
     gradient-domination property that makes every stationary point a global
     minimum.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_positive_int(n, "n")
     dim = 2 * n
 
     def split(z):
@@ -151,13 +152,17 @@ def toy_sine(n: int = 200) -> ProblemSpec:
 
 
 def _default_n(n, spectrum) -> int:
-    """Dimension of a default spectrum: ``n``, or 10 when not given.
+    """Dimension of a default spectrum: ``n``, a positive integer, or 10 when
+    not given.
 
     A given spectrum sets the dimension itself, so ``n`` may not come with it.
     """
     if spectrum is not None and n is not None:
         raise ValueError("n and spectrum exclude each other: the spectrum sets the dimension")
-    return 10 if n is None else n
+    if n is None:
+        return 10
+    check_positive_int(n, "n")
+    return n
 
 
 def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
@@ -205,6 +210,7 @@ def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
 
 def rosenbrock(n: int = 100) -> ProblemSpec:
     """Chained Rosenbrock: sum of 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
+    check_positive_int(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
     # the oracles' two work vectors, shared by every objective of this spec
@@ -263,8 +269,6 @@ def quadratic(spectrum=None, n: int | None = None) -> ProblemSpec:
     given spectrum sets the dimension instead.
     """
     n = _default_n(n, spectrum)
-    if spectrum is None and n < 1:
-        raise ValueError("n must be positive")
     lam = np.ones(n) if spectrum is None else as_vector(spectrum, "spectrum")
     dim = lam.size
 
@@ -294,7 +298,11 @@ def list_problems():
 
 
 def build_problem(name: str, self_test: bool = True, **params) -> ProblemSpec:
-    """Instantiate a registered problem; unknown names raise KeyError.
+    """Instantiate a registered problem.
+
+    An unknown name or a bad parameter value raises ValueError, a parameter
+    the builder does not take raises TypeError, and a failed self-test
+    raises AssertionError.
 
     Runs the O(n) derivative self-test (three probe points, see
     :meth:`ProblemSpec.self_test`) by default, so every manifest cell is
@@ -304,7 +312,7 @@ def build_problem(name: str, self_test: bool = True, **params) -> ProblemSpec:
     a longer self-test of its own.
     """
     if name not in REGISTRY:
-        raise KeyError(f"unknown problem {name!r}; available: {', '.join(list_problems())}")
+        raise ValueError(f"unknown problem {name!r}; available: {', '.join(list_problems())}")
     spec = REGISTRY[name](**params)
     if self_test:
         spec.self_test(points=3)

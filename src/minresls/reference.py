@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import NumericalBreakdown, ZeroRightHandSide, as_vector, ensure_operator
+from .core import NumericalBreakdown, as_vector, ensure_operator
 from .minres import _BREAKDOWN_FACTOR, _TOL_FLOOR, MAXITER, NPC, SOL, MinresOutcome
 
 __all__ = [
@@ -45,7 +45,7 @@ def krylov_lsq_oracle(A: np.ndarray, b: np.ndarray, t: int) -> float:
         raise ValueError("Krylov order t must be at least 1")
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        raise ZeroRightHandSide("zero right-hand side")
+        raise ValueError("b is zero: nothing to solve")
 
     eps = np.finfo(float).eps
     scale = max(1.0, float(np.linalg.norm(A, 2)))
@@ -99,7 +99,7 @@ def minres_eager(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Min
     b = as_vector(b, "b")
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
-        raise ZeroRightHandSide("zero right-hand side: nothing to solve")
+        raise ValueError("b is zero: nothing to solve")
 
     eps = np.finfo(float).eps
     stop_tol = max(tol, _TOL_FLOOR * eps)

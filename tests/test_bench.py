@@ -219,7 +219,9 @@ class TestManifests:
          "spectrum contains non-finite entries"),
         ("problem=quartic_saddle p.spectrum=1,nan,-1 config=newton_mr seed=1",
          "spectrum contains non-finite entries"),
-        ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be positive"),
+        ("problem=quadratic p.n=0 config=newton_mr seed=1", "n must be at least 1"),
+        ("problem=quadratic p.n=1e3 config=newton_mr seed=1", "n must be an integer"),
+        ("problem=quadratic p.n=abc config=newton_mr seed=1", "n must be an integer"),
         ("problem=quadratic p.spectrum=1,2,3 p.n=5 config=newton_mr seed=1",
          "n and spectrum exclude each other"),
         ("problem=quadratic p.spectrum=1e308,1e308,1e308,1e308 config=newton_mr seed=1",
@@ -247,11 +249,13 @@ class TestManifests:
          "config key 'schedule.mode' is not settable from text; config= names"),
     ])
     def test_rejects_bad_lines_with_numbers(self, line, fragment):
-        with pytest.raises(ValueError, match="m:1"):
-            parse_manifest(line + "\n", origin="m")
         with pytest.raises(ValueError) as exc:
-            parse_manifest(line + "\n", origin="m")
-        assert fragment in str(exc.value)
+            parse_manifest("# a comment line\n" + line + "\n")
+        message = str(exc.value)
+        # the line tag leads the message, and only once
+        assert message.startswith("<manifest>:2: ")
+        assert message.count("<manifest>:") == 1
+        assert fragment in message
 
     def test_failed_self_test_is_tagged(self, monkeypatch):
         def broken(n=3):
@@ -413,6 +417,9 @@ class TestTraceFiles:
         parsed = parse_trace_text(head + record + good)
         assert parsed.records[0]["inner_iters"] == 2 and parsed.records[0]["lambda"] == 1.0
         assert parsed.summary["seed"] is None and parsed.summary["final_gnorm"] == 0.0
+        # blank lines between and after record lines are skipped
+        blanks = parse_trace_text(head + record + "\n  \n" + record + "\n" + good)
+        assert blanks.records == 2 * parsed.records and blanks.summary == parsed.summary
         with pytest.raises(ValueError, match="t: missing summary"):
             parse_trace_text(head, origin="t")
         with pytest.raises(ValueError, match="t:4: content after the summary"):
@@ -604,6 +611,13 @@ class TestProfiles:
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) == 1 + len(prof.solvers) * len(prof.taus)
         assert lines[1] == "A,1.0,1.0"
+
+    def test_csv_write_error_carries_path(self, tmp_path):
+        prof = performance_profile({("A", "p"): (1.0, True)})
+        target = tmp_path / "missing-dir" / "prof.csv"
+        with pytest.raises(OSError, match="cannot write profile"):
+            write_profile_csv(prof, target)
+        assert not target.parent.exists()
 
     def test_csv_reads_back_bitwise(self, tmp_path):
         # ratio 7/3 and fractions 1/3, 2/3 need 16 or 17 digits, 1.0 and 2.0 one

@@ -6,8 +6,6 @@ import pytest
 
 from minresls.checks import estimate_operator_norm, symmetry_defect, to_dense
 from minresls.core import (
-    NoHessianOracle,
-    NotEvaluable,
     Objective,
     SymmetricOperator,
     as_vector,
@@ -148,8 +146,9 @@ class TestObjective:
     def test_missing_hvp(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         assert not obj.has_hvp
-        with pytest.raises(NoHessianOracle, match="no Hessian oracle"):
+        with pytest.raises(ValueError, match="no Hessian oracle"):
             obj.hvp(np.zeros(1), np.zeros(1))
+        assert obj.hvp_calls == 0
 
     def test_function_shape_checked(self):
         obj = Objective(3, lambda x: x, lambda x: np.zeros(3))
@@ -243,13 +242,13 @@ class TestFiniteDifferences:
             with np.errstate(invalid="ignore"):
                 return float(np.log(x[0]))
         obj = Objective(1, f, lambda x: 1.0 / x)
-        with pytest.raises(NotEvaluable):
+        with pytest.raises(AssertionError, match="objective not evaluable"):
             fd_grad_check(obj, np.array([1e-9]), np.ones(1))
 
     def test_gradient_norm_overflow(self):
         # ||g|| ||v|| overflows to inf, which would read a gap of 0
         obj = Objective(2, lambda x: 0.0, lambda x: np.full(2, 1e200))
-        with pytest.raises(NotEvaluable, match="gradient norm overflows"):
+        with pytest.raises(AssertionError, match="gradient norm overflows"):
             fd_grad_check(obj, np.zeros(2), np.array([1.0, -1.0]))
         assert obj.oracle_count == 1.0      # the gradient only; f is never called
 
@@ -270,9 +269,16 @@ class TestFiniteDifferences:
         obj = quadratic_objective()
         assert np.array_equal(obj.hvp(np.ones(2), np.zeros(2)), np.zeros(2))
 
+    def test_gradient_not_evaluable_near_the_hvp_probe(self):
+        # the gradient is finite at the probe point x = 0, infinite right of it
+        obj = Objective(1, lambda x: 0.0, lambda x: np.where(x > 0.0, np.inf, 0.0),
+                        lambda x, v: v.copy())
+        with pytest.raises(AssertionError, match="gradient not evaluable"):
+            fd_hvp_check(obj, np.zeros(1), np.ones(1))
+
     def test_missing_hvp_surfaces(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
-        with pytest.raises(NoHessianOracle):
+        with pytest.raises(ValueError, match="no Hessian oracle"):
             fd_hvp_check(obj, np.zeros(1), np.ones(1))
 
 
@@ -281,6 +287,8 @@ class TestOperators:
         op = SymmetricOperator(2, lambda v: np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             op(np.ones(2))
+        with pytest.raises(ValueError, match="operator dimension must be positive"):
+            SymmetricOperator(0, lambda v: v)
 
     def test_to_dense_roundtrip(self):
         rng = np.random.default_rng(5)

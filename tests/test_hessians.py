@@ -271,6 +271,19 @@ class TestLbfgsStore:
         assert st.update(e1, e2 + 2e-18 * e1)
         assert st.degenerate
 
+    def test_singular_middle_matrix_is_degenerate(self):
+        # both pairs pass the cautious screen (y's = -1, then 1), and with
+        # gamma = 1 the middle matrix, in the order s_0, y_0, s_1, y_1, is
+        # [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, -1]]: two equal
+        # rows, so inverting it fails
+        st = LbfgsStore(2)
+        e1, e2 = np.eye(2)
+        assert st.update(e1, np.array([-1.0, 1.0]))
+        assert not st.degenerate
+        assert st.update(e2, e2)
+        assert st.n_pairs == 2 and st.gamma == 1.0
+        assert st.degenerate and st._K is None
+
     def test_step_scale_alone_is_not_degenerate(self):
         # steps eight orders of magnitude apart, as near convergence: the
         # unnormalized middle matrix has pivot ratios near 1e-16 here

@@ -1,7 +1,7 @@
 """The package's public names: the package exports each library module's
 ``__all__`` in order and nothing else, and README lists them all. Also the
-code-line counter in ``tools/``, and no unused import in the package, tests,
-demos or tools."""
+code-line counter in ``tools/``, no unused import in the package, tests,
+demos or tools, and one exception type per kind of failure in the library."""
 import ast
 import importlib
 import importlib.util
@@ -100,3 +100,44 @@ def test_no_unused_imports():
               for path in sorted((root / folder).rglob("*.py"))
               for line, name in _unused_imports(path.read_text())]
     assert not unused, f"imported but never referenced: {unused}"
+
+
+# one type per kind of failure: ValueError for an input refused before any
+# work, AssertionError for a failed derivative check, OSError and
+# FileExistsError for the file system, OptimizationError and its
+# NumericalBreakdown for a run that failed
+ALLOWED_RAISES = {"ValueError", "AssertionError", "OSError", "FileExistsError",
+                  "OptimizationError", "NumericalBreakdown"}
+
+
+def _raised_types(source: str) -> list:
+    """(line, class) of each ``raise`` in ``source`` that names an exception;
+    a bare ``raise`` names none."""
+    raised = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.append((node.lineno, ast.unparse(exc)))
+    return sorted(raised)
+
+
+def test_raised_types_names_each_raised_class():
+    source = ("try:\n"
+              "    raise ValueError('x') from None\n"
+              "except ValueError:\n"
+              "    raise\n"
+              "raise KeyError\n"
+              "raise core.NotEvaluable('y')\n")
+    assert _raised_types(source) == [(2, "ValueError"), (5, "KeyError"),
+                                     (6, "core.NotEvaluable")]
+
+
+def test_library_raises_one_type_per_kind_of_failure():
+    # checks.py and reference.py are test machinery, free to raise their own
+    package = Path(minresls.__file__).resolve().parent
+    stray = [f"{path.name}:{line} {name}"
+             for path in sorted(package.glob("*.py"))
+             if path.name not in ("checks.py", "reference.py")
+             for line, name in _raised_types(path.read_text())
+             if name not in ALLOWED_RAISES]
+    assert not stray, f"raises outside {sorted(ALLOWED_RAISES)}: {stray}"

@@ -184,7 +184,7 @@ class TestQuadratic:
         assert quadratic(spectrum=(1.0, -2.0)).f_opt is None
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="n must be at least 1"):
             quadratic(n=0)
         with pytest.raises(ValueError, match="spectrum must be nonempty"):
             quadratic(spectrum=())
@@ -201,8 +201,18 @@ class TestRegistry:
         assert {"toy_sine", "quartic_saddle", "rosenbrock", "quadratic"} <= set(REGISTRY)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown problem"):
+        with pytest.raises(ValueError, match="unknown problem"):
             build_problem("nonesuch")
+
+    @pytest.mark.parametrize("name", ["toy_sine", "rosenbrock", "quartic_saddle",
+                                      "quadratic"])
+    @pytest.mark.parametrize("n", [12.0, "abc"])
+    def test_size_must_be_an_integer(self, name, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            build_problem(name, n=n, self_test=False)
+        # any integral type passes
+        spec = build_problem(name, n=np.int64(12), self_test=False)
+        assert spec.start(np.random.default_rng(0)).size == spec.dim
 
     def test_params_forwarded(self):
         spec = build_problem("quadratic", spectrum=(3.0, 1.0))
