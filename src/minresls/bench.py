@@ -81,7 +81,7 @@ def _float_text(x) -> str:
 
 BUILTIN_CONFIGS = {
     mode: SolverConfig(schedule=ScheduleParams(mode=mode))
-    for mode in ("newton_mr", "lbfgs_mr", "coupled")
+    for mode in UNREAD_FIELDS
 }
 
 

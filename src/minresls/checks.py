@@ -383,7 +383,7 @@ def check_lbfgs_cautious_rule(seed=61) -> str:
     return "cautious floor rejections verified"
 
 
-def check_linesearch_grid(seed=71) -> str:
+def check_linesearch_grid() -> str:
     """Both searches land exactly on the reference grid points.
 
     Backtracking is compared against the smallest-exponent scan and the

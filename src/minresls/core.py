@@ -57,6 +57,15 @@ def _real_array(a, source: str) -> np.ndarray:
     return a
 
 
+def _real_vector(a, dim: int, source: str) -> np.ndarray:
+    """``a`` through :func:`_real_array`, then of shape ``(dim,)``, else
+    ValueError that starts with ``source``, as ``"operator returned"``."""
+    a = _real_array(a, source)
+    if a.shape != (dim,):
+        raise ValueError(f"{source} shape {a.shape}, expected ({dim},)")
+    return a
+
+
 def check_positive_int(value, name: str) -> None:
     """Raise ValueError unless ``value`` is an integer, of any integral type,
     of at least 1; the message names ``name``."""
@@ -87,19 +96,16 @@ def norm2(v: np.ndarray) -> float:
 
 
 class SymmetricOperator:
-    """Matrix-free symmetric linear map on R^dim."""
+    """Matrix-free symmetric linear map on R^dim; ``dim`` must be an integer
+    of at least 1."""
 
     def __init__(self, dim: int, apply_fn):
-        if dim < 1:
-            raise ValueError("operator dimension must be positive")
-        self.dim = int(dim)
+        check_positive_int(dim, "dim")
+        self.dim = dim
         self._apply = apply_fn
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = _real_array(self._apply(v), "operator returned")
-        if out.shape != (self.dim,):
-            raise ValueError(f"operator returned shape {out.shape}, expected ({self.dim},)")
-        return out
+        return _real_vector(self._apply(v), self.dim, "operator returned")
 
 
 def ensure_operator(A) -> SymmetricOperator:
@@ -120,18 +126,22 @@ class Objective:
     per function value, one per gradient and two per Hessian-vector product,
     the usual reverse-mode arithmetic estimates.
 
-    ``f`` must return a real scalar, ``grad`` and ``hvp`` a real vector of
-    length ``dim``; a wrong shape or a complex, ``None`` or other non-numeric
-    value raises ValueError naming the oracle.
+    ``dim`` must be an integer of at least 1. ``f`` must return a real
+    scalar, ``grad`` and ``hvp`` a real vector of length ``dim``; a wrong
+    shape or a complex, ``None`` or other non-numeric value raises ValueError
+    naming the oracle.
 
-    MINRES overwrites the Lanczos vectors it passes to ``hvp`` once the call
-    returns, so an oracle must not keep a reference to its arguments. The
-    Hessian-vector result is only read, so ``hvp`` may return its argument, a
-    read-only array, or a buffer it keeps and refills on the next call.
+    An oracle reads ``x`` and ``v`` and writes neither: ``solve`` passes its
+    iterate uncopied to every oracle. MINRES overwrites the Lanczos vectors
+    it passes to ``hvp`` once the call returns, so an oracle must not keep a
+    reference to its arguments. The Hessian-vector result is only read, so
+    ``hvp`` may return its argument, a read-only array, or a buffer it keeps
+    and refills on the next call.
     """
 
     def __init__(self, dim, f, grad, hvp=None):
-        self.dim = int(dim)
+        check_positive_int(dim, "dim")
+        self.dim = dim
         self._f = f
         self._grad = grad
         self._hvp = hvp
@@ -170,7 +180,7 @@ class Objective:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_calls += 1
-        return self._checked(self._grad(x), "gradient oracle returned")
+        return _real_vector(self._grad(x), self.dim, "gradient oracle returned")
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The product H(x) v. An objective built without ``hvp`` raises
@@ -178,10 +188,4 @@ class Objective:
         if self._hvp is None:
             raise ValueError("no Hessian oracle attached to this objective")
         self.hvp_calls += 1
-        return self._checked(self._hvp(x, v), "Hessian-vector oracle returned")
-
-    def _checked(self, out, source: str) -> np.ndarray:
-        out = _real_array(out, source)
-        if out.shape != (self.dim,):
-            raise ValueError(f"{source} shape {out.shape}, expected ({self.dim},)")
-        return out
+        return _real_vector(self._hvp(x, v), self.dim, "Hessian-vector oracle returned")

@@ -56,7 +56,16 @@ STAGNATED = "STAGNATED"
 BUDGET = "BUDGET"
 DIVERGED = "DIVERGED"
 
-_SCHEDULE_MODES = ("newton_mr", "lbfgs_mr", "coupled")
+# the schedule modes, each with the SolverConfig fields, as dotted keys, that
+# it never reads
+UNREAD_FIELDS = {
+    "newton_mr": ("schedule.beta", "schedule.zeta_mult", "schedule.npc_curvature_cap",
+                  "lbfgs_memory"),
+    "lbfgs_mr": ("schedule.beta", "schedule.zeta_mult"),
+    "coupled": ("schedule.shift_cap", "schedule.zeta_exp", "schedule.npc_curvature_cap",
+                "lbfgs_memory"),
+}
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -70,8 +79,9 @@ class ScheduleParams:
 
     The first two modes draw the shift from min(shift_cap, z_k ||g||^zeta_exp)
     with z_k = (k ln(k+1)^2)^zeta_exp. The curvature floor sequence is always
-    a_k = (k ln(k+1)^2)^alpha / 2. Each mode leaves some fields unread,
-    those :data:`UNREAD_FIELDS` names; a manifest refuses overrides of them.
+    a_k = (k ln(k+1)^2)^alpha / 2. The modes are the keys of
+    :data:`UNREAD_FIELDS`, which names the fields each leaves unread; a
+    manifest refuses overrides of them.
     """
 
     curvature_floor: float = 0.5e-12      # cap on the small-curvature threshold
@@ -85,7 +95,7 @@ class ScheduleParams:
     zeta_mult: float = 1.0                # shift-to-tolerance ratio, coupled mode
 
     def __post_init__(self):
-        if self.mode not in _SCHEDULE_MODES:
+        if self.mode not in UNREAD_FIELDS:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 < self.curvature_floor):
             raise ValueError("curvature_floor must be positive")
@@ -103,16 +113,6 @@ class ScheduleParams:
             raise ValueError("npc_curvature_cap must be positive")
 
 
-# the SolverConfig fields, as dotted keys, that each schedule mode never reads
-UNREAD_FIELDS = {
-    "newton_mr": ("schedule.beta", "schedule.zeta_mult", "schedule.npc_curvature_cap",
-                  "lbfgs_memory"),
-    "lbfgs_mr": ("schedule.beta", "schedule.zeta_mult"),
-    "coupled": ("schedule.shift_cap", "schedule.zeta_exp", "schedule.npc_curvature_cap",
-                "lbfgs_memory"),
-}
-
-
 def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
     """Evaluate (theta_k, zeta_k, a_k) at outer iteration k.
 
@@ -121,17 +121,15 @@ def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
     """
     base = k * math.log(k + 1.0) ** 2
     a_k = base ** sp.alpha / 2.0
-    if sp.mode == "newton_mr":
-        theta = min(sp.tol_cap, math.sqrt(gnorm))
-        zeta = min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp)
-    elif sp.mode == "lbfgs_mr":
-        theta = min(sp.tol_cap, math.log(k + 1.0) * math.sqrt(k * gnorm))
-        zeta = min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp)
-    else:   # coupled
+    if sp.mode == "coupled":
         # tol_cap < 1 <= gnorm**beta for gnorm >= 1, where a large beta overflows
         theta = sp.tol_cap if gnorm >= 1.0 else min(sp.tol_cap, gnorm ** sp.beta)
-        zeta = sp.zeta_mult * theta
-    return theta, zeta, a_k
+        return theta, sp.zeta_mult * theta, a_k
+    if sp.mode == "newton_mr":
+        theta = min(sp.tol_cap, math.sqrt(gnorm))
+    else:   # lbfgs_mr
+        theta = min(sp.tol_cap, math.log(k + 1.0) * math.sqrt(k * gnorm))
+    return theta, min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp), a_k
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,11 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     Each curvature search after the first starts at the grid exponent
     max(j, 0) of the previous accepted curvature step, j, so from the step
     ``initial_step`` or a smaller one of the same grid, and backtracks less;
-    the first starts at exponent 0.
+    the first starts at exponent 0. The start is the third precondition
+    ``solve`` establishes for the searches: an integer whose step
+    ``initial_step * shrink**start`` lies in [``min_step``, ``max_step``],
+    as an accepted step is at least ``min_step`` and a failed search ends
+    the run.
 
     The budget is checked once per iteration, after the gradient. A BUDGET
     run's ``oracles`` therefore stays below
@@ -297,11 +299,10 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
         theta, zeta, a_k = schedule_eval(k, gnorm, sp)
         # the model B, without zeta*I: L-BFGS products cost no oracle calls,
-        # exact ones one Hessian-vector call each. x is rebound, never written,
-        # so the copy is not for correctness: dropping it raised minor page
-        # faults by 29-55%, the allocator trimming and refaulting the heap.
-        # A degenerate store has no model: B = None takes the GD fallback
-        apply = store.apply if store is not None else partial(obj.hvp, x.copy())
+        # exact ones one Hessian-vector call each, at x, which is rebound and
+        # never written. A degenerate store has no model: B = None takes the
+        # GD fallback
+        apply = store.apply if store is not None else partial(obj.hvp, x)
         B = (None if store is not None and store.degenerate
              else SymmetricOperator(obj.dim, apply))
         if cfg.check_invariants and k == 1:
@@ -347,8 +348,6 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             capped=res.capped,
         ))
         f_x = res.f_new
-        # the pair's s is formed before the gradient: formed after it, the
-        # allocator's layout raised lbfgs_mid's peak RSS by 0.7 MB
         s = res.step * d if store is not None else None
         g_new = obj.grad(x)
         gnorm = norm2(g_new)

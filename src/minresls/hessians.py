@@ -66,14 +66,15 @@ class LbfgsStore:
     make M well conditioned before that. The empty store takes the same
     product over no rows with gamma = 1, which returns v bitwise.
 
-    The store trusts its one caller: ``memory`` is a positive integer, as
-    :class:`~minresls.driver.SolverConfig` checks, and ``solve`` offers pairs
+    The store trusts its one caller: ``dim`` and ``memory`` are positive
+    integers, as :class:`~minresls.core.Objective` and
+    :class:`~minresls.driver.SolverConfig` check, and ``solve`` offers pairs
     and vectors as float64 arrays of length ``dim``.
     """
 
     def __init__(self, dim: int, memory: int = 10):
-        self.dim = int(dim)
-        self.memory = int(memory)
+        self.dim = dim
+        self.memory = memory
         self.gamma = 1.0
         self._pairs = np.empty((2 * self.memory, self.dim))   # rows s_0, y_0, s_1, ...
         self._sts = np.zeros((self.memory, self.memory))      # s_i's_j, slot order

@@ -22,12 +22,12 @@ directions use plain backtracking on the sufficient-decrease condition, padded
 the same way.
 
 Both searches assume a descent direction, g'd < 0, and the curvature search
-also d'Bd <= 0; :func:`~minresls.driver.solve`, their caller, establishes
-both, and the searches do not test them again.
+also d'Bd <= 0 and a start exponent whose step lies in [min_step, max_step];
+:func:`~minresls.driver.solve`, their caller, establishes all three, and the
+searches do not test them again.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,8 +129,8 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     ``d`` must be a descent direction, ``g_dot_d`` < 0, and ``d_curv``, d'Bd
     of the unshifted model matrix, must be nonpositive; both are assumed, not
     tested. The first trial has exponent ``start``, an integer whose step
-    ``initial_step * shrink**start`` must lie in ``[min_step, max_step]``;
-    any other start raises ValueError.
+    ``initial_step * shrink**start`` lies in ``[min_step, max_step]``; this
+    too is assumed, as :func:`~minresls.driver.solve` establishes it.
     Backtracks when it fails, and returns step 0 with ``f_new = f_x`` when
     no step of at least ``min_step`` passes; otherwise lowers the exponent by
     one while the test keeps passing and returns the last accepted grid
@@ -143,11 +143,6 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     From start j the forward walk takes at most
     j + ceil(log(max_step/initial_step) / log(1/shrink)) steps.
     """
-    if not (isinstance(start, numbers.Integral)
-            and cfg.min_step <= cfg.initial_step * cfg.shrink ** start <= cfg.max_step):
-        raise ValueError(f"start {start!r} is not an integer exponent whose step lies "
-                         f"in [min_step, max_step] = [{cfg.min_step!r}, {cfg.max_step!r}]")
-
     sigma = cfg.sufficient_decrease
     pad = _f_pad(f_x)
 
@@ -156,7 +151,7 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
         gap = f_trial - f_x - sigma * lam * g_dot_d - 0.5 * sigma * lam * lam * d_curv
         return gap <= pad and np.isfinite(f_trial), f_trial
 
-    j = int(start)
+    j = start
     lam = _grid_step(cfg, j)
     ok, f_lam = trial(lam)
     if not ok:

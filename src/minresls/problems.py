@@ -61,9 +61,10 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     v = as_vector(v, "v")
     w = v / np.max(np.abs(v))
     hw = obj.hvp(x, w)
-    fd = (obj.grad(x + FD_STEP * w) - obj.grad(x - FD_STEP * w)) / (2.0 * FD_STEP)
-    if not np.all(np.isfinite(fd)):
+    g_plus, g_minus = obj.grad(x + FD_STEP * w), obj.grad(x - FD_STEP * w)
+    if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
         raise AssertionError("gradient not evaluable near the probe point")
+    fd = (g_plus - g_minus) / (2.0 * FD_STEP)
     return float(np.max(np.abs(fd - hw)) / (1.0 + np.max(np.abs(hw))))
 
 

@@ -757,7 +757,7 @@ class TestCli:
     def test_check_reports_and_exit_codes(self, monkeypatch, capsys):
         fake = [types.SimpleNamespace(name="alpha", passed=True, detail="ok"),
                 types.SimpleNamespace(name="beta", passed=True, detail="ok")]
-        monkeypatch.setattr(cli, "run_all_checks", lambda: fake)
+        monkeypatch.setattr(checks, "run_all_checks", lambda: fake)
         assert cli.main(["check"]) == 0
         out = capsys.readouterr().out
         assert "alpha" in out and "pass" in out

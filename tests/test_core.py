@@ -16,6 +16,12 @@ from minresls.minres import minres_npc
 from minresls.problems import build_problem, fd_grad_check, fd_hvp_check
 
 
+# a dim that is not an integer of at least 1, with its message
+BAD_DIMS = [(0, "dim must be at least 1"), (-3, "dim must be at least 1"),
+            (2.5, "dim must be an integer, got 2.5"),
+            ("5", "dim must be an integer, got '5'")]
+
+
 def quadratic_objective():
     return Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
                      lambda x, v: v.copy())
@@ -150,6 +156,11 @@ class TestObjective:
             obj.hvp(np.zeros(1), np.zeros(1))
         assert obj.hvp_calls == 0
 
+    @pytest.mark.parametrize("dim, fragment", BAD_DIMS)
+    def test_dim_must_be_a_positive_integer(self, dim, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            Objective(dim, lambda x: 0.0, lambda x: x)
+
     def test_function_shape_checked(self):
         obj = Objective(3, lambda x: x, lambda x: np.zeros(3))
         with pytest.raises(ValueError, match=r"function oracle returned shape \(3,\), "
@@ -276,6 +287,14 @@ class TestFiniteDifferences:
         with pytest.raises(AssertionError, match="gradient not evaluable"):
             fd_hvp_check(obj, np.zeros(1), np.ones(1))
 
+    def test_gradient_not_evaluable_on_both_sides_of_the_hvp_probe(self):
+        # infinite at x +- h w alike: refused before the two are subtracted,
+        # whose inf - inf would warn
+        obj = Objective(1, lambda x: 0.0, lambda x: np.where(x == 0.0, 0.0, np.inf),
+                        lambda x, v: v.copy())
+        with pytest.raises(AssertionError, match="gradient not evaluable"):
+            fd_hvp_check(obj, np.zeros(1), np.ones(1))
+
     def test_missing_hvp_surfaces(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         with pytest.raises(ValueError, match="no Hessian oracle"):
@@ -287,8 +306,13 @@ class TestOperators:
         op = SymmetricOperator(2, lambda v: np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             op(np.ones(2))
-        with pytest.raises(ValueError, match="operator dimension must be positive"):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
             SymmetricOperator(0, lambda v: v)
+
+    @pytest.mark.parametrize("dim, fragment", BAD_DIMS)
+    def test_dim_must_be_a_positive_integer(self, dim, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            SymmetricOperator(dim, lambda v: v)
 
     def test_to_dense_roundtrip(self):
         rng = np.random.default_rng(5)

@@ -550,6 +550,11 @@ class TestDirectionDispatch:
         starts = [start for start, _ in searches]
         assert len(starts) > 1
         assert starts == [0] + [max(j, 0) for _, j in searches[:-1]]
+        # solve owns the start's precondition, which the search assumes
+        ls = cfg.linesearch
+        assert all(type(start) is int
+                   and ls.min_step <= ls.initial_step * ls.shrink ** start <= ls.max_step
+                   for start in starts)
         assert record_fields(warm) == record_fields(cold)
         assert np.array_equal(warm.x_final, cold.x_final)
         assert (warm.oracles < cold.oracles) == (max(starts) > 0)

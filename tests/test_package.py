@@ -1,12 +1,16 @@
 """The package's public names: the package exports each library module's
 ``__all__`` in order and nothing else, and README lists them all. Also the
-code-line counter in ``tools/``, no unused import in the package, tests,
-demos or tools, and one exception type per kind of failure in the library."""
+test machinery loaded only on request, the code-line counter in ``tools/``,
+no unused import in the package, tests, demos or tools, and one exception
+type per kind of failure in the library."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import minresls
@@ -39,6 +43,19 @@ def test_readme_public_api_lists_the_package_all():
     bullets = re.findall(r"^\* (.*(?:\n  .*)*)", section, re.M)
     listed = [name for b in bullets for name in re.findall(r"`(\w+)`", b)]
     assert listed == minresls.__all__
+
+
+def test_package_and_cli_leave_the_test_machinery_unloaded():
+    # checks and reference load only under `minresls check` or
+    # check_invariants=True, never for `run` or `profile`
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, minresls, minresls.cli; "
+            "print(' '.join(m for m in ('minresls.checks', 'minresls.reference') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
 
 
 def test_code_lines_count_code_tokens_outside_docstrings():
