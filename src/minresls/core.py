@@ -31,14 +31,8 @@ class OptimizationError(RuntimeError):
 
 
 class NumericalBreakdown(OptimizationError):
-    """A non-finite value appeared inside an iterative kernel."""
-
-    def __init__(self, iteration: int, detail: str = ""):
-        self.iteration = iteration
-        msg = f"numerical breakdown at inner iteration {iteration}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    """A non-finite value appeared inside an iterative kernel; the message
+    names the inner iteration."""
 
 
 # numpy dtype kinds of real numbers: bool, signed, unsigned, float
@@ -67,9 +61,9 @@ def _real_vector(a, dim: int, source: str) -> np.ndarray:
 
 
 def check_positive_int(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is an integer, of any integral type,
-    of at least 1; the message names ``name``."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ValueError unless ``value`` is an integer, of any integral type
+    but ``bool``, of at least 1; the message names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1")

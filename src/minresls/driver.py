@@ -186,8 +186,12 @@ class RunTrace:
     repeat: int | None = None
 
 
-def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
+def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg, *, oracles_left=math.inf):
     """``(flag, d, inner_iters, d_curv)`` from (B + zeta I) d = -g solved to ``theta``.
+
+    On the exact Hessian, whose products weigh 2 oracle calls each, MINRES
+    stops after max(1, min(max_inner, floor(oracles_left / 2))) iterations;
+    under L-BFGS, whose products are free, after ``max_inner``.
 
     MINRES reports the curvature d'(B + zeta I)d of the shifted system. A
     certificate is NPC with d_curv = d'Bd, the shift's zeta ||d||^2 taken off;
@@ -203,7 +207,9 @@ def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg):
         return GD, -g, 0, 0.0
     sp = cfg.schedule
     lbfgs = sp.mode == "lbfgs_mr"
-    out = minres_npc(B, -g, theta, cfg.max_inner, shift=zeta)
+    max_inner = (cfg.max_inner if lbfgs else
+                 int(max(1, min(cfg.max_inner, oracles_left / 2))))
+    out = minres_npc(B, -g, theta, max_inner, shift=zeta)
     d = out.direction
     d_sq = float(d @ d)
     if out.flag == NPC:
@@ -247,10 +253,14 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     as an accepted step is at least ``min_step`` and a failed search ends
     the run.
 
-    The budget is checked once per iteration, after the gradient. A BUDGET
-    run's ``oracles`` therefore stays below
-    ``max_oracles + 2*max_inner + L + 1``: a Hessian-vector product weighs 2
-    and a function value or gradient 1, and
+    The budget is checked once per iteration, after the gradient. An
+    exact-Hessian inner solve is capped at
+    ``max(1, min(max_inner, floor((max_oracles - oracles) / 2)))``
+    iterations, one Hessian-vector product of weight 2 each, so it ends less
+    than 2 past the budget; ``lbfgs_mr``'s products cost no oracle calls and
+    keep ``max_inner``. Then come at most L linesearch evaluations and one
+    gradient, of weight 1 each, so a BUDGET run's ``oracles`` stays below
+    ``max_oracles + L + 3``, where
 
         L = 1 + floor(log(min_step/initial_step) / log(shrink))
               + ceil(log(max_step/initial_step) / log(1/shrink))
@@ -308,7 +318,9 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         if cfg.check_invariants and k == 1:
             checks.assert_symmetric(B, obj)
         try:
-            flag, d, inner, d_curv = _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg)
+            flag, d, inner, d_curv = _choose_direction(
+                B, g, gnorm, theta, zeta, a_k, cfg,
+                oracles_left=cfg.max_oracles - obj.oracle_count)
         except NumericalBreakdown:
             status = DIVERGED
             break

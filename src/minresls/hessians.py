@@ -20,13 +20,14 @@ how far apart their steps are.
 
 The pairs live in one preallocated ring of 2m rows, s and y of a slot side by
 side, so the live pairs are always a leading block of rows and a product with
-U is a matrix-vector product on that block, with no copy. S'S and S'Y are kept
-as m x m arrays; an accepted pair overwrites the oldest slot and recomputes
-only that slot's row and column of them, O(n m) work. M is assembled in the
-ring's interleaved slot order, which permutes its rows and columns alike and
-so leaves its inverse (permuted the same way) and its condition number as
-they are. The count of accepted pairs alone gives the ring's chronological
-order, which the strictly lower triangle L needs.
+U is a matrix-vector product on that block, with no copy. One 2m x 2m Gram
+array of the ring's rows holds S'S and S'Y as strided views; an accepted pair
+overwrites the oldest slot and recomputes only that slot's two rows and
+columns of it, O(n m) work. M is assembled in the ring's interleaved slot
+order, which permutes its rows and columns alike and so leaves its inverse
+(permuted the same way) and its condition number as they are. The count of
+accepted pairs alone gives the ring's chronological order, which the strictly
+lower triangle L needs.
 """
 from __future__ import annotations
 
@@ -50,11 +51,12 @@ class LbfgsStore:
     Pairs are kept normalized to unit step in a preallocated ``2*memory x dim``
     buffer: slot j holds s_j in row 2j and y_j in row 2j+1. Slots fill in
     order and then wrap, the newest pair overwriting the oldest, so the first
-    ``2*n_pairs`` rows are always the live pairs. The ``memory x memory``
-    arrays S'S and S'Y are kept in slot order, and an accepted pair refreshes
-    only its own row and column of them. Once the ring is full the oldest
-    slot is the accepted count modulo ``memory``, which orders the strictly
-    lower triangle L of M chronologically.
+    ``2*n_pairs`` rows are always the live pairs. One ``2*memory x 2*memory``
+    Gram array of the ring's rows holds S'S and S'Y in slot order as its
+    views ``[0::2, 0::2]`` and ``[0::2, 1::2]``, and an accepted pair
+    refreshes only its own two rows and columns. Once the ring is full the
+    oldest slot is the accepted count modulo ``memory``, which orders the
+    strictly lower triangle L of M chronologically.
 
     The middle block is inverted once per accepted update and the inverse
     reused across applies. The attribute ``degenerate`` is True when the
@@ -77,8 +79,7 @@ class LbfgsStore:
         self.memory = memory
         self.gamma = 1.0
         self._pairs = np.empty((2 * self.memory, self.dim))   # rows s_0, y_0, s_1, ...
-        self._sts = np.zeros((self.memory, self.memory))      # s_i's_j, slot order
-        self._sty = np.zeros((self.memory, self.memory))      # s_i'y_j, slot order
+        self._gram = np.zeros((2 * self.memory, 2 * self.memory))   # of the ring rows
         self._accepted = 0
         self._K = np.zeros((0, 0))      # G M^{-1} G, G = diag(gamma on s rows, 1 on y rows)
         self.degenerate = False
@@ -102,25 +103,25 @@ class LbfgsStore:
         np.divide(y, s_norm, out=self._pairs[2 * j + 1])
         self._accepted += 1
         k = self.n_pairs
-        # the new pair against every live row: one row and column of each Gram array
-        sj, yj = self._pairs[2 * j:2 * j + 2] @ self._pairs[:2 * k].T
-        self._sts[j, :k] = self._sts[:k, j] = sj[0::2]
-        self._sty[j, :k] = sj[1::2]
-        self._sty[:k, j] = yj[0::2]
+        # the new pair against every live row: its rows and columns of the Gram block
+        rows = self._pairs[2 * j:2 * j + 2] @ self._pairs[:2 * k].T
+        self._gram[2 * j:2 * j + 2, :2 * k] = rows
+        self._gram[:2 * k, 2 * j:2 * j + 2] = rows.T
         self.gamma = float(y @ y) / ys
         self._refresh()
         return True
 
     def _refresh(self) -> None:
         k = self.n_pairs
-        sty = self._sty[:k, :k]
+        gram = self._gram[:2 * k, :2 * k]
+        sty = gram[0::2, 1::2]
         # chronological rank of each slot, 0 for the oldest live pair
         rank = (np.arange(k) - self._accepted) % k
         L = np.where(rank[:, None] > rank[None, :], sty, 0.0)
         # M = [[gamma*S'S, L], [L', -D]] with its rows and columns in the
         # buffer's interleaved order s_0, y_0, s_1, y_1, ...
         M = np.zeros((2 * k, 2 * k))
-        M[0::2, 0::2] = self.gamma * self._sts[:k, :k]
+        M[0::2, 0::2] = self.gamma * gram[0::2, 0::2]
         M[0::2, 1::2] = L
         M[1::2, 0::2] = L.T
         np.fill_diagonal(M[1::2, 1::2], -sty.diagonal())

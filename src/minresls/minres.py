@@ -133,8 +133,9 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         multiple of machine epsilon) are clamped to it, so ``tol = 0`` means
         "solve to working precision", not an infinite loop.
     max_inner : int
-        Iteration cap; hitting it returns flag ``MAXITER`` with the current
-        iterate and residual.
+        Iteration cap, an integer of at least 1 (not a ``bool``); hitting it
+        returns flag ``MAXITER`` with the current iterate and residual, as
+        the solution exit returns them with flag ``SOL``.
     shift : float
         Finite multiple of the identity added to ``A``; negative values are
         allowed. Every product is formed as ``A v + shift*v``, and the flags,
@@ -149,9 +150,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     values raise ValueError naming the argument, as does such an operator
     output, and a zero ``b`` raises ValueError naming ``b`` before any
     product. A non-finite or overflowing product raises
-    :class:`NumericalBreakdown` in the iteration that forms it, with no
-    RuntimeWarning from the kernel's own arithmetic; a warning the operator
-    raises itself still reaches the caller.
+    :class:`NumericalBreakdown` in the iteration that forms it, whose
+    message names that iteration, with no RuntimeWarning from the kernel's
+    own arithmetic; a warning the operator raises itself still reaches the
+    caller.
 
     Iteration t calls the operator exactly once, on v_t, and ``max_inner = t``
     stops the same solve after iteration t with x_t, r_t and phi_t as its
@@ -214,7 +216,8 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
             np.subtract(p, np.multiply(v, alpha, out=w), out=p)
             beta_next = norm2(p)
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
-            raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
+            raise NumericalBreakdown(f"numerical breakdown at inner iteration {t}: "
+                                     "non-finite Lanczos coefficients")
         anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)
         if beta_next <= _BREAKDOWN_FACTOR * _EPS * anorm_est:
             # numerically invariant subspace: the grade is reached
@@ -264,8 +267,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
             r.fill(0.0)         # s = 0 makes phi exactly zero here
 
         if solved:
-            curvature = float(x @ np.subtract(b, r, out=w))
-            return MinresOutcome(SOL, x, r, t, curvature, beta1, phi)
+            break
 
         # beta_{t+1} = 0 would have zeroed phi and taken the solution exit
         assert beta_next > 0.0
@@ -277,8 +279,9 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         delta1 = delta1_next
         eps_t = eps_next
 
+    # a solution, or the iterate at the cap, where phi_prev = phi
     curvature = float(x @ np.subtract(b, r, out=w))
-    return MinresOutcome(MAXITER, x, r, max_inner, curvature, beta1, phi_prev)
+    return MinresOutcome(SOL if solved else MAXITER, x, r, t, curvature, beta1, phi)
 
 
 def _fold(kept, count, x, d, w):

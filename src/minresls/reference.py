@@ -129,7 +129,8 @@ def minres_eager(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Min
         np.subtract(p, np.multiply(v, alpha, out=w), out=p)
         beta_next = float(np.linalg.norm(p))
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
-            raise NumericalBreakdown(t, "non-finite Lanczos coefficients")
+            raise NumericalBreakdown(f"numerical breakdown at inner iteration {t}: "
+                                     "non-finite Lanczos coefficients")
         anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)
         if beta_next <= _BREAKDOWN_FACTOR * eps * anorm_est:
             beta_next = 0.0

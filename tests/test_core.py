@@ -19,7 +19,8 @@ from minresls.problems import build_problem, fd_grad_check, fd_hvp_check
 # a dim that is not an integer of at least 1, with its message
 BAD_DIMS = [(0, "dim must be at least 1"), (-3, "dim must be at least 1"),
             (2.5, "dim must be an integer, got 2.5"),
-            ("5", "dim must be an integer, got '5'")]
+            ("5", "dim must be an integer, got '5'"),
+            (True, "dim must be an integer, got True")]
 
 
 def quadratic_objective():

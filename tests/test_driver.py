@@ -397,8 +397,20 @@ class TestTerminationStatuses:
             cfg = SolverConfig(linesearch=ls, max_inner=6, max_oracles=max_oracles)
             trace = solve(obj, x0, cfg)
             assert trace.status == BUDGET, max_oracles
-            bound = max_oracles + 2 * cfg.max_inner + max_evals + 1
+            bound = max_oracles + max_evals + 3
             assert max_oracles <= trace.oracles < bound, (max_oracles, trace.oracles)
+
+    def test_inner_solve_stops_at_the_budget(self):
+        # an ill-conditioned quadratic whose inner solves grow to hundreds of
+        # Hessian-vector products, so an inner solve that ignored the budget
+        # would end far past the bound
+        problem = spec("quadratic", spectrum=np.geomspace(1.0, 1e6, 500))
+        x0 = problem.start(np.random.default_rng(0))
+        cfg = dataclasses.replace(builtin_config("newton_mr"), max_oracles=1e3)
+        trace = solve(problem.make_objective(), x0, cfg)
+        assert trace.status == BUDGET
+        bound = cfg.max_oracles + linesearch_eval_cap(cfg.linesearch) + 3
+        assert cfg.max_oracles <= trace.oracles < bound, trace.oracles
 
     def test_warm_started_search_reaches_the_bound(self):
         # a curvature search warm-started at the lowest grid exponent (59:

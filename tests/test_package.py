@@ -1,8 +1,9 @@
 """The package's public names: the package exports each library module's
 ``__all__`` in order and nothing else, and README lists them all. Also the
 test machinery loaded only on request, the code-line counter in ``tools/``,
-no unused import in the package, tests, demos or tools, and one exception
-type per kind of failure in the library."""
+no unused import in the package, tests, demos or tools, one exception type
+per kind of failure in the library, and perfbench's instrumentation, which
+must see every solver layer through the names it wraps."""
 import ast
 import importlib
 import importlib.util
@@ -13,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import minresls
+from minresls import bench, driver
 
 # the library modules, in the order the package __all__ concatenates their
 # own; hessians keeps its store internal (an empty __all__), and checks and
@@ -158,3 +162,36 @@ def test_library_raises_one_type_per_kind_of_failure():
              for line, name in _raised_types(path.read_text())
              if name not in ALLOWED_RAISES]
     assert not stray, f"raises outside {sorted(ALLOWED_RAISES)}: {stray}"
+
+
+# the solver-side spans of perfbench/workload.py's instrument(); the bench.*
+# spans open only in the suite workload
+SOLVER_SPANS = ("driver.solve", "minres.minres_npc", "linesearch.armijo",
+                "linesearch.npc", "core.operator", "problems.f", "problems.grad",
+                "problems.hvp", "hessians.lbfgs_update", "hessians.lbfgs_apply")
+
+
+def test_perfbench_instrumentation_sees_every_solver_layer(monkeypatch):
+    # perfbench times each layer by replacing the names it wraps; a refactor
+    # that renames one, or calls past it, leaves that layer's span unopened
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        tracer = importlib.import_module("tracer")
+        workload = importlib.import_module("workload")
+        tr = tracer.Tracer()
+        pairs = workload.instrument(tr)
+        originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in pairs]
+        spec = minresls.build_problem("quartic_saddle", n=10)
+        with tracer.patched(pairs):
+            for config in ("newton_mr", "lbfgs_mr"):
+                x0 = spec.start(np.random.default_rng(0))
+                driver.solve(spec.make_objective(), x0, bench.builtin_config(config))
+    finally:
+        for name in ("tracer", "workload"):
+            sys.modules.pop(name, None)
+    calls = {name: row["calls"] for name, row in tr.aggregate().items()}
+    unopened = [name for name in SOLVER_SPANS if not calls.get(name)]
+    assert not unopened, f"spans that never opened: {unopened}"
+    unrestored = [f"{owner.__name__}.{attr}" for owner, attr, fn in originals
+                  if getattr(owner, attr) is not fn]
+    assert not unrestored, f"left patched: {unrestored}"

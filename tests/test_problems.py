@@ -206,7 +206,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ["toy_sine", "rosenbrock", "quartic_saddle",
                                       "quadratic"])
-    @pytest.mark.parametrize("n", [12.0, "abc"])
+    @pytest.mark.parametrize("n", [12.0, "abc", True])
     def test_size_must_be_an_integer(self, name, n):
         with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
             build_problem(name, n=n, self_test=False)
