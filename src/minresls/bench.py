@@ -65,9 +65,13 @@ __all__ = [
 ]
 
 TRACE_SUFFIX = ".trace"
-METRICS = ("oracles", "time")
+# each profile metric with the summary field it ranks by
+_METRIC_FIELDS = {"oracles": "oracles", "time": "time_ms"}
+METRICS = tuple(_METRIC_FIELDS)
 
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+# the characters a label may hold, and a trace file name keeps
+_NAME_CHARS = "A-Za-z0-9_.+-"
+_LABEL_RE = re.compile(f"^[{_NAME_CHARS}]+$")
 
 
 def _float_text(x) -> str:
@@ -256,7 +260,7 @@ def _parse_cell(line: str) -> RunCell:
         cfg = apply_setting(cfg, key, value)
     label = fields.get("label", fields["config"])
     if not _LABEL_RE.match(label):
-        raise ValueError(f"label {label!r} has characters outside [A-Za-z0-9_.+-]")
+        raise ValueError(f"label {label!r} has characters outside [{_NAME_CHARS}]")
     return RunCell(problem=fields["problem"], params=params, label=label,
                    cfg=cfg, seed=seed, repeats=repeats, spec=spec)
 
@@ -390,7 +394,7 @@ def parse_trace(path) -> ParsedTrace:
 
 
 def _safe_name(s: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.+-]", "-", s)
+    return re.sub(f"[^{_NAME_CHARS}]", "-", s)
 
 
 def trace_filename(index: int, trace: RunTrace) -> str:
@@ -449,7 +453,6 @@ def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    field_key = {"oracles": "oracles", "time": "time_ms"}[metric]
     table = {}
     for pt in parsed:
         s = pt.summary
@@ -461,7 +464,7 @@ def table_from_traces(parsed: list[ParsedTrace], metric: str) -> dict:
         key = (s["config"], instance)
         if key in table:
             raise ValueError(f"duplicate trace for solver {key[0]!r} on {instance!r}")
-        table[key] = (float(s[field_key]), s["status"] == CONVERGED)
+        table[key] = (float(s[_METRIC_FIELDS[metric]]), s["status"] == CONVERGED)
     return table
 
 

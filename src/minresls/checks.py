@@ -117,12 +117,14 @@ def assert_symmetric(B, obj):
                                  f"defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}")
 
 
-def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj):
+def assert_direction_properties(flag, d, g, gnorm, theta, zeta, floor_k, B, obj):
     """Direction-quality assertions, enabled by ``check_invariants``.
 
-    Descent and norm bounds for each flag; the constant-bearing lower bound
-    for solution-path directions uses the dense norm of B + zeta*I and is
-    only affordable (and only checked) at small dimension.
+    Descent and norm bounds for each flag, with ``floor_k`` the screen's
+    curvature floor from ``schedule_eval``: a solution-path direction is at
+    most ||g|| / floor_k long, and its constant-bearing descent margin uses
+    the dense norm of B + zeta*I, so it is only affordable (and only
+    checked) at small dimension.
     """
     d_sq = float(d @ d)
     minus_dg = -float(d @ g)
@@ -141,16 +143,14 @@ def assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
             raise InvariantViolation("certificate direction has positive model curvature")
         return
     # solution path (SOL, or accepted MAXITER iterate)
-    bound = max(gnorm / sp.curvature_floor, gnorm ** (1.0 - sp.alpha) / a_k)
-    if not (math.sqrt(d_sq) <= bound + 1e-10):
+    if not (math.sqrt(d_sq) <= gnorm / floor_k + 1e-10):
         raise InvariantViolation("solution-path direction norm exceeds its bound")
     if B.dim <= 50:
         with obj.paused():
             dense = to_dense(B) + zeta * np.eye(B.dim)
         nb = float(np.linalg.norm(dense, 2))
         c_k = 1.0 / (nb + nb * nb)
-        thresh = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
-        if not (minus_dg > c_k * thresh * gnorm * gnorm):
+        if not (minus_dg > c_k * floor_k * gnorm * gnorm):
             raise InvariantViolation("solution-path direction lost its descent margin")
 
 

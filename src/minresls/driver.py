@@ -78,7 +78,8 @@ class ScheduleParams:
       * ``coupled``:   theta_k = min(tol_cap, ||g||^beta), zeta_k = zeta_mult * theta_k
 
     The first two modes draw the shift from min(shift_cap, z_k ||g||^zeta_exp)
-    with z_k = (k ln(k+1)^2)^zeta_exp. The curvature floor sequence is always
+    with z_k = (k ln(k+1)^2)^zeta_exp. Every mode screens solutions against
+    the curvature floor floor_k = min(curvature_floor, a_k ||g||^alpha) with
     a_k = (k ln(k+1)^2)^alpha / 2. The modes are the keys of
     :data:`UNREAD_FIELDS`, which names the fields each leaves unread; a
     manifest refuses overrides of them.
@@ -114,22 +115,25 @@ class ScheduleParams:
 
 
 def schedule_eval(k: int, gnorm: float, sp: ScheduleParams):
-    """Evaluate (theta_k, zeta_k, a_k) at outer iteration k.
+    """Evaluate (theta_k, zeta_k, floor_k) at outer iteration k.
 
-    Assumes k >= 1 and a finite gnorm > 0, which :func:`solve` establishes
-    before it calls; other arguments are not checked.
+    floor_k = min(curvature_floor, a_k ||g||^alpha), with
+    a_k = (k ln(k+1)^2)^alpha / 2, is the curvature threshold of the
+    solution screen in :func:`_choose_direction`; it is the one place the
+    threshold is formed. Assumes k >= 1 and a finite gnorm > 0, which
+    :func:`solve` establishes before it calls; other arguments are not checked.
     """
     base = k * math.log(k + 1.0) ** 2
-    a_k = base ** sp.alpha / 2.0
+    floor_k = min(sp.curvature_floor, base ** sp.alpha / 2.0 * gnorm ** sp.alpha)
     if sp.mode == "coupled":
         # tol_cap < 1 <= gnorm**beta for gnorm >= 1, where a large beta overflows
         theta = sp.tol_cap if gnorm >= 1.0 else min(sp.tol_cap, gnorm ** sp.beta)
-        return theta, sp.zeta_mult * theta, a_k
+        return theta, sp.zeta_mult * theta, floor_k
     if sp.mode == "newton_mr":
         theta = min(sp.tol_cap, math.sqrt(gnorm))
     else:   # lbfgs_mr
         theta = min(sp.tol_cap, math.log(k + 1.0) * math.sqrt(k * gnorm))
-    return theta, min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp), a_k
+    return theta, min(sp.shift_cap, base ** sp.zeta_exp * gnorm ** sp.zeta_exp), floor_k
 
 
 @dataclass(frozen=True)
@@ -186,40 +190,37 @@ class RunTrace:
     repeat: int | None = None
 
 
-def _choose_direction(B, g, gnorm, theta, zeta, a_k, cfg, *, oracles_left=math.inf):
+def _choose_direction(B, g, gnorm, theta, zeta, floor_k, cfg, *, oracles_left=math.inf):
     """``(flag, d, inner_iters, d_curv)`` from (B + zeta I) d = -g solved to ``theta``.
 
-    On the exact Hessian, whose products weigh 2 oracle calls each, MINRES
-    stops after max(1, min(max_inner, floor(oracles_left / 2))) iterations;
-    under L-BFGS, whose products are free, after ``max_inner``.
+    MINRES stops after max(1, min(max_inner, floor(oracles_left / 2)))
+    iterations, as each product weighs 2 oracle calls; :func:`solve` passes
+    the budget left on the exact Hessian and ``math.inf``, the default,
+    under L-BFGS, whose products are free, so that ``max_inner`` caps it.
 
     MINRES reports the curvature d'(B + zeta I)d of the shifted system. A
     certificate is NPC with d_curv = d'Bd, the shift's zeta ||d||^2 taken off;
     under L-BFGS it also needs |d'Bd| < npc_curvature_cap ||d||^2. A solution,
     or the iterate at the inner cap, is SOL when the shifted d'(B + zeta I)d >=
-    min(curvature_floor, a_k ||g||^alpha) times ||d||^2, or times
-    max(||d||^2, ||g||^2) under L-BFGS. A failed screen gives GD (d = -g,
-    d_curv = 0) with the inner iterations kept. ``B`` is None for a
-    degenerate L-BFGS store, and that gives GD with no MINRES call and no
-    inner iterations.
+    ``floor_k`` times ||d||^2, or times max(||d||^2, ||g||^2) under L-BFGS, with
+    ``floor_k`` from :func:`schedule_eval`. A failed screen gives GD (d = -g,
+    d_curv = 0) with the inner iterations kept. ``B`` is None for a degenerate
+    L-BFGS store, and that gives GD with no MINRES call and no inner
+    iterations. The mode is read for the two L-BFGS screens only.
     """
     if B is None:
         return GD, -g, 0, 0.0
-    sp = cfg.schedule
-    lbfgs = sp.mode == "lbfgs_mr"
-    max_inner = (cfg.max_inner if lbfgs else
-                 int(max(1, min(cfg.max_inner, oracles_left / 2))))
-    out = minres_npc(B, -g, theta, max_inner, shift=zeta)
+    lbfgs = cfg.schedule.mode == "lbfgs_mr"
+    out = minres_npc(B, -g, theta, int(max(1, min(cfg.max_inner, oracles_left / 2))),
+                     shift=zeta)
     d = out.direction
     d_sq = float(d @ d)
     if out.flag == NPC:
         d_curv = out.curvature - zeta * d_sq
-        if not lbfgs or abs(d_curv) < sp.npc_curvature_cap * d_sq:
+        if not lbfgs or abs(d_curv) < cfg.schedule.npc_curvature_cap * d_sq:
             return NPC, d, out.inner_iters, d_curv
-    else:
-        floor = min(sp.curvature_floor, a_k * gnorm ** sp.alpha)
-        if out.curvature >= floor * (max(d_sq, gnorm * gnorm) if lbfgs else d_sq):
-            return SOL, d, out.inner_iters, 0.0
+    elif out.curvature >= floor_k * (max(d_sq, gnorm * gnorm) if lbfgs else d_sq):
+        return SOL, d, out.inner_iters, 0.0
     return GD, -g, out.inner_iters, 0.0
 
 
@@ -233,12 +234,15 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     DIVERGED when the objective or gradient stops being finite or the inner
     solve breaks down, as on a non-finite or overflowing Hessian-vector
     product. A direction with g'd >= 0, whatever its flag (SOL, NPC or GD),
-    raises :class:`OptimizationError` naming the flag: in exact arithmetic
-    only a model operator that is not symmetric, such as a wrong
-    Hessian-vector oracle, gives one, and on the exact Hessian the message
-    says so. A refused input, such as an ``x0`` of the wrong size or a
-    schedule mode that needs a Hessian-vector oracle on an objective without
-    one, raises ValueError before any oracle call.
+    raises :class:`OptimizationError` naming the flag, the inner iterations
+    and the model dimension. In exact arithmetic only a model operator that
+    is not symmetric, such as a wrong Hessian-vector oracle, gives one, and
+    on the exact Hessian the message says so; in floating point a long inner
+    solve whose residual recurrence has lost r'b = ||r||^2 gives one too,
+    and the message says that on every model. A refused input, such as an
+    ``x0`` of the wrong size or a schedule mode that needs a Hessian-vector
+    oracle on an objective without one, raises ValueError before any oracle
+    call.
 
     So each linesearch is called on a descent direction, g'd < 0, and the
     curvature search also on d'Bd <= 0, the certificate's d'(B + zeta I)d
@@ -253,14 +257,15 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     as an accepted step is at least ``min_step`` and a failed search ends
     the run.
 
-    The budget is checked once per iteration, after the gradient. An
-    exact-Hessian inner solve is capped at
-    ``max(1, min(max_inner, floor((max_oracles - oracles) / 2)))``
-    iterations, one Hessian-vector product of weight 2 each, so it ends less
-    than 2 past the budget; ``lbfgs_mr``'s products cost no oracle calls and
-    keep ``max_inner``. Then come at most L linesearch evaluations and one
-    gradient, of weight 1 each, so a BUDGET run's ``oracles`` stays below
-    ``max_oracles + L + 3``, where
+    The budget is checked once per iteration, after the gradient. Every
+    inner solve is capped at
+    ``max(1, min(max_inner, floor(oracles_left / 2)))`` iterations. On the
+    exact Hessian, oracles_left = ``max_oracles - oracles`` and each product
+    is one Hessian-vector call of weight 2, so the solve ends less than 2
+    past the budget; ``lbfgs_mr``'s products cost no oracle calls, so there
+    oracles_left = inf and ``max_inner`` alone caps it. Then come at most L
+    linesearch evaluations and one gradient, of weight 1 each, so a BUDGET
+    run's ``oracles`` stays below ``max_oracles + L + 3``, where
 
         L = 1 + floor(log(min_step/initial_step) / log(shrink))
               + ceil(log(max_step/initial_step) / log(1/shrink))
@@ -307,7 +312,7 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             status = BUDGET
             break
 
-        theta, zeta, a_k = schedule_eval(k, gnorm, sp)
+        theta, zeta, floor_k = schedule_eval(k, gnorm, sp)
         # the model B, without zeta*I: L-BFGS products cost no oracle calls,
         # exact ones one Hessian-vector call each, at x, which is rebound and
         # never written. A degenerate store has no model: B = None takes the
@@ -319,26 +324,29 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             checks.assert_symmetric(B, obj)
         try:
             flag, d, inner, d_curv = _choose_direction(
-                B, g, gnorm, theta, zeta, a_k, cfg,
-                oracles_left=cfg.max_oracles - obj.oracle_count)
+                B, g, gnorm, theta, zeta, floor_k, cfg,
+                oracles_left=math.inf if lbfgs else cfg.max_oracles - obj.oracle_count)
         except NumericalBreakdown:
             status = DIVERGED
             break
         if cfg.check_invariants:
-            checks.assert_direction_properties(flag, d, g, gnorm, theta, zeta, a_k, sp, B, obj)
+            checks.assert_direction_properties(flag, d, g, gnorm, theta, zeta, floor_k,
+                                               B, obj)
 
         g_dot_d = float(g @ d)
         if g_dot_d >= 0.0:
-            # a solution or certificate of a symmetric model is a descent
-            # direction, -g always is, and the L-BFGS model is symmetric by
-            # construction
-            cause = ("" if store is not None else
-                     "; in exact arithmetic only a model operator that is not "
-                     "symmetric gives one: check the Hessian-vector oracle, or "
-                     "run with check_invariants=True to measure the symmetry defect")
+            # in exact arithmetic a solution or certificate of a symmetric
+            # model is a descent direction, -g always is, and the L-BFGS model
+            # is symmetric by construction
+            oracle = ("" if lbfgs else
+                      "in exact arithmetic only a model operator that is not "
+                      "symmetric gives one: check the Hessian-vector oracle, or run "
+                      "with check_invariants=True to measure the symmetry defect; ")
             raise OptimizationError(
-                f"{flag} direction is not a descent direction "
-                f"(g'd = {g_dot_d:.3e}){cause}")
+                f"{flag} direction is not a descent direction (g'd = {g_dot_d:.3e}) "
+                f"after {inner} inner iterations on the {obj.dim}-dimensional model; "
+                f"{oracle}in floating point a long inner solve whose residual "
+                "recurrence lost r'b = ||r||^2 gives one")
         if flag == NPC:
             res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, ls, start=npc_start)
             npc_start = max(res.exponent, 0)

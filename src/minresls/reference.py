@@ -240,8 +240,9 @@ def profile_fraction_reference(table: dict, solver, tau: float) -> float:
 
     ``table`` maps (solver, problem) to (metric, solved). The fraction is the
     share of ALL problems on which ``solver`` solved within ``tau`` times the
-    best solved metric. Written as a plain scan so it shares nothing with the
-    vectorized construction it checks.
+    best solved metric. Written as one scan per call, over the table itself,
+    so it shares no intermediate with the construction it checks, which
+    tabulates ratios first and then counts them for every tau.
     """
     problems = sorted({p for _, p in table})
     if not problems:

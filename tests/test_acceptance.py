@@ -196,8 +196,8 @@ def test_criterion_08_lbfgs_mr_end_to_end():
 
 
 def test_criterion_09_performance_profile_correctness():
-    """Two-solver hand example is exact; the vectorized profile agrees with
-    a brute-force recount on 20 random metric tables."""
+    """Two-solver hand example is exact; the profile agrees with a
+    brute-force recount on 20 random metric tables."""
     detail = check_profile_example()
     from minresls.bench import performance_profile
     rng = np.random.default_rng(4242)

@@ -79,10 +79,15 @@ class TestSchedule:
         assert ze == 1e-12          # cap binds long before z_k does
 
     def test_floor_sequence(self):
-        _, _, a1 = schedule_eval(1, 1.0, ScheduleParams())
+        # a curvature_floor this large leaves floor_k = a_k ||g||^alpha, here a_k
+        sp = ScheduleParams(curvature_floor=1e8)
+        _, _, a1 = schedule_eval(1, 1.0, sp)
         assert a1 == pytest.approx(math.log(2.0) ** 2 / 2.0, rel=1e-15)
-        _, _, a3 = schedule_eval(3, 1.0, ScheduleParams(alpha=0.5))
+        _, _, a3 = schedule_eval(3, 1.0, dataclasses.replace(sp, alpha=0.5))
         assert a3 == pytest.approx(math.sqrt(3.0 * math.log(4.0) ** 2) / 2.0, rel=1e-14)
+        # at the default cap, curvature_floor binds
+        assert schedule_eval(1, 1.0, ScheduleParams())[2] == 0.5e-12
+        assert schedule_eval(3, 1.0, ScheduleParams(alpha=0.5))[2] == 0.5e-12
 
     def test_coupled_links_shift_to_tolerance(self):
         sp = ScheduleParams(mode="coupled", beta=2.0, zeta_mult=0.5)
@@ -134,9 +139,11 @@ class TestCurvatureScreens:
     """The screens of the direction choice on forged inner-solver outcomes."""
 
     @staticmethod
-    def choose(monkeypatch, flag, d, curvature, g, mode="newton_mr", zeta=0.0):
+    def choose(monkeypatch, flag, d, curvature, g, mode="newton_mr", zeta=0.0,
+               floor_k=ScheduleParams().curvature_floor):
         """The choice when MINRES returns ``d`` with d'(B + zeta I)d =
-        ``curvature``, at a_k = 0.5 under the default schedule of ``mode``."""
+        ``curvature``, at the curvature floor ``floor_k`` under the default
+        schedule of ``mode``."""
         d, g = np.asarray(d, dtype=float), np.asarray(g, dtype=float)
 
         def forged(A, b, tol, max_inner, **kwargs):
@@ -147,7 +154,7 @@ class TestCurvatureScreens:
         cfg = SolverConfig(schedule=ScheduleParams(mode=mode))
         gnorm = float(np.linalg.norm(g))
         B = SymmetricOperator(g.size, lambda v: v)
-        return driver._choose_direction(B, g, gnorm, 0.1, zeta, 0.5, cfg)[0]
+        return driver._choose_direction(B, g, gnorm, 0.1, zeta, floor_k, cfg)[0]
 
     def test_flat_curvature_fails(self, monkeypatch):
         assert self.choose(monkeypatch, SOL, [1.0, 0.0], 1.0, [1.0, 0.0]) == SOL
@@ -156,14 +163,16 @@ class TestCurvatureScreens:
     def test_tie_passes(self, monkeypatch):
         thresh = min(ScheduleParams().curvature_floor, 0.5 * 1.0)
         # ||d||^2 = 2 and ||g|| = 1: d'Bd exactly at the floor times ||d||^2
-        assert self.choose(monkeypatch, SOL, [1.0, 1.0], thresh * 2.0, [1.0, 0.0]) == SOL
+        assert self.choose(monkeypatch, SOL, [1.0, 1.0], thresh * 2.0, [1.0, 0.0],
+                           floor_k=thresh) == SOL
 
     def test_lbfgs_measures_against_larger_of_d_and_g(self, monkeypatch):
         thresh = min(ScheduleParams().curvature_floor, 0.5)
         # passes against ||d||^2 = 0.25 alone but not against ||g||^2 = 1
         d, curvature, g = [0.5, 0.0], thresh * 0.5, [1.0, 0.0]
-        assert self.choose(monkeypatch, SOL, d, curvature, g) == SOL
-        assert self.choose(monkeypatch, SOL, d, curvature, g, "lbfgs_mr") == GD
+        assert self.choose(monkeypatch, SOL, d, curvature, g, floor_k=thresh) == SOL
+        assert self.choose(monkeypatch, SOL, d, curvature, g, "lbfgs_mr",
+                           floor_k=thresh) == GD
 
     def test_lbfgs_certificate_cap(self, monkeypatch):
         d, g = [1.0, 0.0], [1.0, 0.0]
@@ -267,9 +276,8 @@ class TestChooseDirection:
     def choose(B, g, mode="newton_mr", **cfg_fields):
         cfg = SolverConfig(schedule=ScheduleParams(mode=mode), **cfg_fields)
         gnorm = float(np.linalg.norm(g))
-        theta, zeta, a_k = schedule_eval(1, gnorm, cfg.schedule)
-        return driver._choose_direction(ensure_operator(B), g, gnorm, theta, zeta,
-                                        a_k, cfg)
+        return driver._choose_direction(ensure_operator(B), g, gnorm,
+                                        *schedule_eval(1, gnorm, cfg.schedule), cfg)
 
     def test_violent_certificate_is_npc_exact_and_gd_lbfgs(self):
         # a certificate at t = 1 with |d'Bd| / ||d||^2 about 5e8, above the
@@ -307,9 +315,8 @@ class TestChooseDirection:
         cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"))
         g = np.array([1.0, -2.0])
         gnorm = float(np.linalg.norm(g))
-        theta, zeta, a_k = schedule_eval(1, gnorm, cfg.schedule)
-        flag, d, inner, d_curv = driver._choose_direction(None, g, gnorm, theta, zeta,
-                                                          a_k, cfg)
+        flag, d, inner, d_curv = driver._choose_direction(
+            None, g, gnorm, *schedule_eval(1, gnorm, cfg.schedule), cfg)
         assert (flag, inner, d_curv) == (GD, 0, 0.0)
         assert np.array_equal(d, -g)
         assert calls == []
@@ -642,10 +649,39 @@ class TestDirectionDispatch:
     def test_gd_invariant_is_the_negative_gradient(self):
         # the GD branch reads only d and g; the golden GD runs take it on -g
         g = np.array([1.0, -2.0])
-        args = (1.0, 0.1, 0.0, 1.0, ScheduleParams(), None, None)
+        args = (1.0, 0.1, 0.0, ScheduleParams().curvature_floor, None, None)
         checks.assert_direction_properties(GD, -g, g, *args)
         with pytest.raises(InvariantViolation, match="not the negative gradient"):
             checks.assert_direction_properties(GD, -0.5 * g, g, *args)
+
+    # the model diag(2, -1) at g = e1, theta = 0.1, zeta = 0 and floor_k = 1/4:
+    # a certificate needs -g'd > 0.1, ||d|| = 1 and d'Bd <= 0; a solution
+    # needs ||d|| <= ||g|| / floor_k = 4 and, with ||B|| = 2 so c_k = 1/6,
+    # -g'd > c_k floor_k ||g||^2 = 1/24
+    @pytest.mark.parametrize("flag, d, broken", [
+        (NPC, [-0.4, math.sqrt(0.84)], None),
+        (NPC, [0.0, 1.0], "certificate direction lost its descent margin"),
+        (NPC, [-0.5, -2.0], "certificate direction norm drifted"),
+        (NPC, [-1.0, 0.0], "certificate direction has positive model curvature"),
+        (SOL, [-3.9, 0.0], None),
+        (SOL, [-4.1, 0.0], "solution-path direction norm exceeds its bound"),
+        (SOL, [-0.05, 0.5], None),
+        (SOL, [-0.04, 0.5], "solution-path direction lost its descent margin"),
+    ], ids=["npc-holds", "npc-margin", "npc-norm", "npc-curvature",
+            "sol-holds-long", "sol-norm", "sol-holds-short", "sol-margin"])
+    def test_each_direction_contract_fires(self, flag, d, broken):
+        A = np.diag([2.0, -1.0])
+        obj = Objective(2, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
+                        lambda x, v: A @ v)
+        B = SymmetricOperator(2, lambda v: obj.hvp(np.zeros(2), v))
+        g = np.array([1.0, 0.0])
+        args = (flag, np.array(d), g, 1.0, 0.1, 0.0, 0.25, B, obj)
+        if broken is None:
+            checks.assert_direction_properties(*args)
+        else:
+            with pytest.raises(InvariantViolation, match=broken):
+                checks.assert_direction_properties(*args)
+        assert obj.oracle_count == 0.0
 
     def test_invariant_checks_do_not_bill_oracles(self):
         problem = spec("toy_sine", n=6)

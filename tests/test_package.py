@@ -2,8 +2,9 @@
 ``__all__`` in order and nothing else, and README lists them all. Also the
 test machinery loaded only on request, the code-line counter in ``tools/``,
 no unused import in the package, tests, demos or tools, one exception type
-per kind of failure in the library, and perfbench's instrumentation, which
-must see every solver layer through the names it wraps."""
+per kind of failure in the library, perfbench's instrumentation, which
+must see every solver layer through the names it wraps, and every suite of
+``minresls check`` at the arguments the command runs it with."""
 import ast
 import importlib
 import importlib.util
@@ -15,9 +16,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import minresls
-from minresls import bench, driver
+from minresls import bench, checks, driver
 
 # the library modules, in the order the package __all__ concatenates their
 # own; hessians keeps its store internal (an empty __all__), and checks and
@@ -195,3 +197,12 @@ def test_perfbench_instrumentation_sees_every_solver_layer(monkeypatch):
     unrestored = [f"{owner.__name__}.{attr}" for owner, attr, fn in originals
                   if getattr(owner, attr) is not fn]
     assert not unrestored, f"left patched: {unrestored}"
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in checks._FAST_SUITE])
+def test_every_check_suite_passes(name):
+    # `minresls check` runs these through run_all_checks, which turns a failed
+    # assertion into a result line; here each one fails the test suite itself
+    [(suite, kwargs)] = [(fn, kw) for n, fn, kw in checks._FAST_SUITE if n == name]
+    tally = suite(**kwargs)
+    assert isinstance(tally, str) and tally
