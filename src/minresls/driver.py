@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -290,6 +289,10 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
     ls = cfg.linesearch
     store = LbfgsStore(obj.dim, cfg.lbfgs_memory) if lbfgs else None
+    # the model B, without zeta*I: L-BFGS products cost no oracle calls, exact
+    # ones one Hessian-vector call each, at the loop's current x, which is
+    # rebound and never written
+    model = SymmetricOperator(obj.dim, store.apply if lbfgs else lambda v: obj.hvp(x, v))
 
     t0 = time.perf_counter()
     records: list[IterateRecord] = []
@@ -313,13 +316,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             break
 
         theta, zeta, floor_k = schedule_eval(k, gnorm, sp)
-        # the model B, without zeta*I: L-BFGS products cost no oracle calls,
-        # exact ones one Hessian-vector call each, at x, which is rebound and
-        # never written. A degenerate store has no model: B = None takes the
-        # GD fallback
-        apply = store.apply if store is not None else partial(obj.hvp, x)
-        B = (None if store is not None and store.degenerate
-             else SymmetricOperator(obj.dim, apply))
+        # a degenerate store has no model: B = None takes the GD fallback
+        B = None if lbfgs and store.degenerate else model
         if cfg.check_invariants and k == 1:
             checks.assert_symmetric(B, obj)
         try:
@@ -368,10 +366,10 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
             capped=res.capped,
         ))
         f_x = res.f_new
-        s = res.step * d if store is not None else None
+        s = res.step * d if lbfgs else None
         g_new = obj.grad(x)
         gnorm = norm2(g_new)
-        if store is not None and math.isfinite(gnorm):
+        if lbfgs and math.isfinite(gnorm):
             # a non-finite gradient ends the run DIVERGED at the loop's head
             store.update(s, g_new - g)
         g = g_new

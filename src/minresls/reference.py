@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import NumericalBreakdown, as_vector, ensure_operator
-from .minres import _BREAKDOWN_FACTOR, _TOL_FLOOR, MAXITER, NPC, SOL, MinresOutcome
+from .minres import _BREAKDOWN_FACTOR, _EPS, _TOL_FLOOR, MAXITER, NPC, SOL, MinresOutcome
 
 __all__ = [
     "krylov_lsq_oracle",
@@ -101,8 +101,7 @@ def minres_eager(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Min
     if beta1 == 0.0:
         raise ValueError("b is zero: nothing to solve")
 
-    eps = np.finfo(float).eps
-    stop_tol = max(tol, _TOL_FLOOR * eps)
+    stop_tol = max(tol, _TOL_FLOOR * _EPS)
     n = b.size
     v = b / beta1
     v_prev = np.zeros(n)
@@ -123,16 +122,19 @@ def minres_eager(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Min
     anorm_est = 0.0
 
     for t in range(1, max_inner + 1):
-        np.add(op(v), np.multiply(v, shift, out=w), out=p)
-        alpha = float(v @ p)
-        np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
-        np.subtract(p, np.multiply(v, alpha, out=w), out=p)
-        beta_next = float(np.linalg.norm(p))
+        Av = op(v)
+        # as in the kernel: a non-finite product is a breakdown, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(Av, np.multiply(v, shift, out=w), out=p)
+            alpha = float(v @ p)
+            np.subtract(p, np.multiply(v_prev, beta_t, out=w), out=p)
+            np.subtract(p, np.multiply(v, alpha, out=w), out=p)
+            beta_next = float(np.linalg.norm(p))
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
             raise NumericalBreakdown(f"numerical breakdown at inner iteration {t}: "
                                      "non-finite Lanczos coefficients")
         anorm_est = max(anorm_est, abs(alpha) + beta_t + beta_next)
-        if beta_next <= _BREAKDOWN_FACTOR * eps * anorm_est:
+        if beta_next <= _BREAKDOWN_FACTOR * _EPS * anorm_est:
             beta_next = 0.0
 
         delta2 = c_prev * delta1 + s_prev * alpha
@@ -227,12 +229,11 @@ def forward_grid_reference(accept, s: float, shrink: float, max_step: float):
         cand = min(lam / shrink, max_step)
         if cand == lam:
             return lam, True
-        if accept(cand):
-            lam = cand
-            if cand == max_step:
-                return lam, True
-        else:
+        if not accept(cand):
             return lam, False
+        lam = cand
+        if cand == max_step:
+            return lam, True
 
 
 def profile_fraction_reference(table: dict, solver, tau: float) -> float:

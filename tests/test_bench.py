@@ -4,6 +4,7 @@ import math
 import operator
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from minresls.minres import minres_npc
 from minresls.problems import REGISTRY, ProblemSpec, quadratic
 from minresls.reference import profile_fraction_reference
 
+ROOT = Path(__file__).resolve().parents[1]
 
 MANIFEST = """\
 # two cells, one with repeats
@@ -593,14 +595,21 @@ class TestProfiles:
 
     def test_matches_plain_recount(self):
         rng = np.random.default_rng(99)
+        solvers = ["s1", "s2", "s3"]
+        tables = []
         for _ in range(5):
             table = {}
-            solvers = ["s1", "s2", "s3"]
             problems = [f"p{i}" for i in range(6)]
             for s in solvers:
                 for p in problems:
                     table[(s, p)] = (float(rng.uniform(0.5, 3.0)),
                                      bool(rng.uniform() < 0.8))
+            tables.append(table)
+        # a best cost of 0.0 leaves every other solved cost at ratio inf
+        tables.append({("s1", "p"): (0.0, True), ("s2", "p"): (0.5, True),
+                       ("s3", "p"): (0.0, True), ("s1", "q"): (2.0, True),
+                       ("s2", "q"): (1.0, True), ("s3", "q"): (3.0, False)})
+        for table in tables:
             prof = performance_profile(table)
             for s in solvers:
                 for tau, frac in zip(prof.taus, prof.fractions[s]):
@@ -661,6 +670,11 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) > 1
+
+        time_path = tmp_path / "prof-time.csv"
+        assert cli.main(["profile", "--traces", str(out), "--metric", "time",
+                         "--out", str(time_path)]) == 0
+        assert time_path.read_text().splitlines()[0] == "solver,tau,fraction"
 
     def test_run_prints_the_oracle_count_exactly(self, tmp_path, monkeypatch, capsys):
         manifest = tmp_path / "suite.manifest"
@@ -732,12 +746,68 @@ class TestCli:
         assert "suite.manifest:1: unknown config 'tight.cfg'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_manifest_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, fragment", [
+        pytest.param("problem=unobtainium config=newton_mr seed=1",
+                     "unknown problem 'unobtainium'", id="unknown-problem"),
+        # config= names the schedule mode, so no override may change it
+        pytest.param("problem=quartic_saddle p.n=10 config=newton_mr seed=1 "
+                     "schedule.mode=lbfgs_mr",
+                     "config key 'schedule.mode' is not settable from text",
+                     id="mode-override"),
+        pytest.param("problem=quartic_saddle p.n=10 config=newton_mr seed=1 "
+                     "lbfgs_memory=3",
+                     "config key 'lbfgs_memory' is not read by schedule mode 'newton_mr'",
+                     id="unread-field"),
+    ])
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, line, fragment):
         manifest = tmp_path / "bad.manifest"
-        manifest.write_text("problem=unobtainium config=newton_mr seed=1\n")
+        manifest.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"bad.manifest:1: {fragment}" in err
+        assert not out.exists()
+
+    def test_a_stagnated_run_exits_0_with_its_counts(self, tmp_path, capsys):
+        # a linesearch that finds no step of at least min_step ends the run
+        # STAGNATED, which is a result and not an error
+        manifest = tmp_path / "stagnated.manifest"
+        manifest.write_text("problem=quartic_saddle p.n=10 config=lbfgs_mr seed=1 "
+                            "linesearch.min_step=1e-2\n")
         assert cli.main(["run", "--manifest", str(manifest),
-                         "--out", str(tmp_path / "o")]) == 2
-        assert "error:" in capsys.readouterr().err
+                         "--out", str(tmp_path / "traces")]) == 0
+        assert f"{STAGNATED} iters=4 oracles=27 " in capsys.readouterr().out
+
+    def test_example_traces_do_not_depend_on_the_working_directory(
+            self, tmp_path, monkeypatch):
+        # the second run names the manifest absolutely and --out relatively
+        first, elsewhere = tmp_path / "traces", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(ROOT)
+        assert cli.main(["run", "--manifest", "demos/example.manifest",
+                         "--out", str(first)]) == 0
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["run", "--manifest", str(ROOT / "demos" / "example.manifest"),
+                         "--out", "rerun"]) == 0
+        rerun = elsewhere / "rerun"
+
+        def masked(path):
+            # time_ms is the last field of every line below the header
+            return [line if line.startswith("#") else re.sub(r" [^ ]*$", " -", line)
+                    for line in path.read_text().splitlines()]
+
+        names = sorted(p.name for p in first.glob("*.trace"))
+        assert len(names) == 18
+        assert sorted(p.name for p in rerun.glob("*.trace")) == names
+        for name in names:
+            assert masked(rerun / name) == masked(first / name), name
+
+        assert cli.main(["profile", "--traces", str(first), "--metric", "oracles",
+                         "--out", str(tmp_path / "profile.csv")]) == 0
+        assert cli.main(["profile", "--traces", "rerun", "--metric", "oracles",
+                         "--out", "profile.csv"]) == 0
+        assert ((elsewhere / "profile.csv").read_bytes()
+                == (tmp_path / "profile.csv").read_bytes())
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", "--manifest", str(tmp_path / "nope"),
@@ -772,18 +842,25 @@ class TestCli:
         assert "FAIL" in out and "1 of 2 suites failed" in out
 
     def test_check_survives_a_raising_suite(self, monkeypatch, capsys):
-        # an exception other than AssertionError fails its suite alone
+        # a failed assertion reports its message; any other exception also
+        # names its type. Either fails its suite alone
         def raises():
             return 1 / 0
 
+        def fails():
+            # raised, not asserted: pytest would rewrite an assert in this module
+            raise AssertionError("residual 0.5 above 1e-8")
+
         suite = [("before", lambda: "ok", {}), ("raises", raises, {}),
-                 ("after", lambda: "ok", {})]
+                 ("fails", fails, {}), ("after", lambda: "ok", {})]
         monkeypatch.setattr(checks, "_FAST_SUITE", suite)
         results = checks.run_all_checks()
         assert [(r.name, r.passed) for r in results] == [
-            ("before", True), ("raises", False), ("after", True)]
+            ("before", True), ("raises", False), ("fails", False), ("after", True)]
         assert results[1].detail == "ZeroDivisionError: division by zero"
+        assert results[2].detail == "residual 0.5 above 1e-8"
         assert cli.main(["check"]) == 1
         out = capsys.readouterr().out
         assert "raises  FAIL  ZeroDivisionError: division by zero" in out
-        assert "after   pass  ok" in out and "1 of 3 suites failed" in out
+        assert "fails   FAIL  residual 0.5 above 1e-8" in out
+        assert "after   pass  ok" in out and "2 of 4 suites failed" in out

@@ -159,14 +159,26 @@ class TestCurvatureSearch:
             return np.array([-z + z ** 3])
         return Objective(1, f, g)
 
-    def test_forward_growth_matches_reference(self):
-        obj = self.scalar_obj()
+    @staticmethod
+    def concave_obj():
+        # f(z) = -z^2: every step along +d from x > 0 passes, up to max_step
+        return Objective(1, lambda x: -x[0] * x[0], lambda x: np.array([-2.0 * x[0]]))
+
+    @pytest.mark.parametrize("concave, d_curv, cfg", [
+        # d_curv is f'' at x = 0.1, negative on both
+        pytest.param(False, -1.0 + 3.0 * 0.01, LinesearchConfig(initial_step=0.125),
+                     id="quartic"),
+        pytest.param(True, -2.0, LinesearchConfig(initial_step=0.125, max_step=4.0),
+                     id="concave-reaches-max-step"),
+        pytest.param(True, -2.0, LinesearchConfig(initial_step=1.0, max_step=1.0),
+                     id="concave-starts-at-max-step"),
+    ])
+    def test_forward_growth_matches_reference(self, concave, d_curv, cfg):
+        obj = self.concave_obj() if concave else self.scalar_obj()
         x = np.array([0.1])
         d = np.array([1.0])
         g_dot_d = float(obj.grad(x) @ d)
-        d_curv = -1.0 + 3.0 * 0.01        # f'' at x, negative
         f_x = obj.f(x)
-        cfg = LinesearchConfig(initial_step=0.125)
         sigma = cfg.sufficient_decrease
 
         def accept(lam):
@@ -177,7 +189,10 @@ class TestCurvatureSearch:
                                                    cfg.shrink, cfg.max_step)
         res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, cfg)
         assert res.step == want and res.capped == want_capped
-        assert res.step > cfg.initial_step    # negative curvature rewards growth
+        if concave:
+            assert (res.step, res.capped) == (cfg.max_step, True)
+        else:
+            assert res.step > cfg.initial_step    # negative curvature rewards growth
 
     def test_accepted_step_bracketing(self):
         # accepted lam passes the shifted test; lam/shrink fails it

@@ -150,10 +150,15 @@ class TestTermination:
         pytest.param(lambda v: np.full(v.size, 1e308), id="1e308"),
     ])
     def test_nonfinite_product_breaks_down_without_a_warning(self, product):
-        # the tier-1 filter turns any RuntimeWarning of the kernel into an error
+        # the tier-1 filter turns any RuntimeWarning of the kernel into an error;
+        # the eager loop breaks down at the same step with the same message
         op = SymmetricOperator(4, product)
-        with pytest.raises(NumericalBreakdown, match="inner iteration 1"):
-            minres_npc(op, np.array([0.0, -2.0, 0.5, 3.0]), 0.1, 10)
+        messages = []
+        for route in (minres_npc, minres_eager):
+            with pytest.raises(NumericalBreakdown, match="inner iteration 1") as exc:
+                route(op, np.array([0.0, -2.0, 0.5, 3.0]), 0.1, 10)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     def test_operator_warnings_are_not_silenced(self):
         op = SymmetricOperator(2, lambda v: v * (np.array([1e308]) * 10.0))
@@ -434,6 +439,13 @@ class TestIterationHistory:
 class TestKrylovOracle:
     def test_identity_exact_in_one(self):
         assert krylov_lsq_oracle(np.eye(3), np.array([1.0, 0.0, 0.0]), 1) == 0.0
+
+    def test_identity_past_the_grade(self):
+        # the Krylov space of the identity stops growing after b itself
+        b = np.array([1.0, 2.0, 3.0])
+        past = krylov_lsq_oracle(np.eye(3), b, 3)
+        assert past == krylov_lsq_oracle(np.eye(3), b, 1)
+        assert past <= 1e-15 * np.linalg.norm(b)
 
     def test_diag_first_order(self):
         val = krylov_lsq_oracle(np.diag([2.0, 1.0]), np.array([1.0, 1.0]), 1)
