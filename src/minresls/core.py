@@ -121,9 +121,12 @@ class Objective:
     the usual reverse-mode arithmetic estimates.
 
     ``dim`` must be an integer of at least 1. ``f`` must return a real
-    scalar, ``grad`` and ``hvp`` a real vector of length ``dim``; a wrong
-    shape or a complex, ``None`` or other non-numeric value raises ValueError
-    naming the oracle.
+    scalar, ``grad`` and ``hvp`` a real vector of length ``dim``. All three
+    results pass the one dtype rule of :func:`_real_array`: a complex,
+    object (``None`` included) or string value raises ValueError naming the
+    oracle and the dtype, as ``function oracle returned object values,
+    expected real numbers``, and a wrong shape raises ValueError naming the
+    oracle and the shape.
 
     An oracle reads ``x`` and ``v`` and writes neither: ``solve`` passes its
     iterate uncopied to every oracle. MINRES overwrites the Lanczos vectors
@@ -161,15 +164,10 @@ class Objective:
 
     def f(self, x: np.ndarray) -> float:
         self.f_calls += 1
-        out = self._f(x)
-        if isinstance(out, float):
-            return float(out)
-        value = np.asarray(out)
+        value = _real_array(self._f(x), "function oracle returned")
         if value.shape != ():
             raise ValueError(f"function oracle returned shape {value.shape}, "
                              "expected a scalar")
-        if value.dtype.kind not in _REAL_KINDS:
-            raise ValueError(f"function oracle returned {out!r}, expected a real number")
         return float(value)
 
     def grad(self, x: np.ndarray) -> np.ndarray:

@@ -230,11 +230,12 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     STAGNATED when a linesearch returns step 0 (no grid step of at least
     ``min_step`` passes) or accepts a step that leaves f and x bitwise
     unchanged, BUDGET when the oracle tally reaches ``max_oracles``, and
-    DIVERGED when the objective or gradient stops being finite or the inner
-    solve breaks down, as on a non-finite or overflowing Hessian-vector
-    product. A direction with g'd >= 0, whatever its flag (SOL, NPC or GD),
-    raises :class:`OptimizationError` naming the flag, the inner iterations
-    and the model dimension. In exact arithmetic only a model operator that
+    DIVERGED when the objective or gradient stops being finite, the gradient
+    norm overflows, or the inner solve breaks down, as on a non-finite or
+    overflowing Hessian-vector product; none of these emits a
+    RuntimeWarning. A direction with g'd >= 0, whatever its flag (SOL, NPC
+    or GD), raises :class:`OptimizationError` naming the flag, the inner
+    iterations and the model dimension. In exact arithmetic only a model operator that
     is not symmetric, such as a wrong Hessian-vector oracle, gives one, and
     on the exact Hessian the message says so; in floating point a long inner
     solve whose residual recurrence has lost r'b = ||r||^2 gives one too,
@@ -301,7 +302,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
 
     f_x = obj.f(x)
     g = obj.grad(x)
-    gnorm = norm2(g)
+    with np.errstate(over="ignore"):    # an overflowing norm reads inf: DIVERGED
+        gnorm = norm2(g)
     k = 0
     while True:
         k += 1
@@ -368,7 +370,8 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         f_x = res.f_new
         s = res.step * d if lbfgs else None
         g_new = obj.grad(x)
-        gnorm = norm2(g_new)
+        with np.errstate(over="ignore"):
+            gnorm = norm2(g_new)
         if lbfgs and math.isfinite(gnorm):
             # a non-finite gradient ends the run DIVERGED at the loop's head
             store.update(s, g_new - g)

@@ -95,7 +95,7 @@ class LbfgsStore:
         """
         s_sq = float(s @ s)
         ys = float(y @ s)
-        if s_sq == 0.0 or not np.isfinite(ys) or abs(ys) < CAUTIOUS_FLOOR * s_sq:
+        if s_sq == 0.0 or not math.isfinite(ys) or abs(ys) < CAUTIOUS_FLOOR * s_sq:
             return False
         s_norm = math.sqrt(s_sq)
         j = self._accepted % self.memory        # the oldest slot once full

@@ -29,6 +29,7 @@ searches do not test them again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,7 +99,7 @@ def _acceptance(obj: Objective, x: np.ndarray, d: np.ndarray, g_dot_d: float,
     def trial(lam):
         f_trial = obj.f(x + lam * d)
         bound = sigma * lam * g_dot_d + 0.5 * sigma * lam * lam * d_curv + pad
-        return np.isfinite(f_trial) and f_trial - f_x <= bound, f_trial
+        return math.isfinite(f_trial) and f_trial - f_x <= bound, f_trial
 
     return trial
 

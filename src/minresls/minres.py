@@ -148,12 +148,12 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
 
     ``b`` and a dense ``A`` must hold real numbers; complex, object or string
     values raise ValueError naming the argument, as does such an operator
-    output, and a zero ``b`` raises ValueError naming ``b`` before any
-    product. A non-finite or overflowing product raises
-    :class:`NumericalBreakdown` in the iteration that forms it, whose
-    message names that iteration, with no RuntimeWarning from the kernel's
-    own arithmetic; a warning the operator raises itself still reaches the
-    caller.
+    output. A zero ``b``, or a finite ``b`` whose norm overflows, raises
+    ValueError naming ``b`` before any product. A non-finite or overflowing
+    product raises :class:`NumericalBreakdown` in the iteration that forms
+    it, whose message names that iteration, with no RuntimeWarning from the
+    kernel's own arithmetic; a warning the operator raises itself still
+    reaches the caller.
 
     Iteration t calls the operator exactly once, on v_t, and ``max_inner = t``
     stops the same solve after iteration t with x_t, r_t and phi_t as its
@@ -176,9 +176,12 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift!r}")
 
-    beta1 = norm2(b)
+    with np.errstate(over="ignore"):
+        beta1 = norm2(b)
     if beta1 == 0.0:
         raise ValueError("b is zero: nothing to solve")
+    if beta1 == math.inf:
+        raise ValueError("b has a norm that overflows: scale b down")
 
     stop_tol = max(tol, _TOL_FLOOR * _EPS)
     n = b.size

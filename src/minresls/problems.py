@@ -17,12 +17,13 @@ a longer one itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import Objective, as_vector, check_positive_int
+from .core import Objective, as_vector, check_positive_int, norm2
 
 __all__ = ["build_problem", "list_problems", "ProblemSpec"]
 
@@ -41,11 +42,11 @@ def fd_grad_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
     v = as_vector(v, "v")
     g = obj.grad(x)
     with np.errstate(over="ignore"):
-        scale = 1.0 + np.linalg.norm(g) * np.linalg.norm(v)
-    if not np.isfinite(scale):
+        scale = 1.0 + norm2(g) * norm2(v)
+    if not math.isfinite(scale):
         raise AssertionError("gradient norm overflows at the probe point")
     fd = (obj.f(x + FD_STEP * v) - obj.f(x - FD_STEP * v)) / (2.0 * FD_STEP)
-    if not np.isfinite(fd):
+    if not math.isfinite(fd):
         raise AssertionError("objective not evaluable near the probe point")
     return abs(fd - float(g @ v)) / scale
 
@@ -72,7 +73,8 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
 class ProblemSpec:
     """Problem description: dimension, oracles, start sampler and optimum.
 
-    Every evaluation returns a fresh array (or a float) that the caller owns.
+    ``start(rng)`` draws a starting point from a numpy generator. Every
+    evaluation returns a fresh array (or a float) that the caller owns.
     Rosenbrock's ``f``, ``grad`` and ``hvp`` reuse two work vectors of their
     spec, so objectives of one spec must not run in concurrent threads.
     """
@@ -82,15 +84,12 @@ class ProblemSpec:
     _f: Callable = field(repr=False)
     _grad: Callable = field(repr=False)
     _hvp: Callable = field(repr=False)
-    _start: Callable = field(repr=False)
+    start: Callable = field(repr=False)
     f_opt: float | None = None
 
     def make_objective(self) -> Objective:
         """A fresh objective, its oracle tally at zero."""
         return Objective(self.dim, self._f, self._grad, self._hvp)
-
-    def start(self, rng: np.random.Generator) -> np.ndarray:
-        return self._start(rng)
 
     def self_test(self, seed: int = 0, points: int = 10) -> None:
         """Check the derivatives at ``points`` random locations, O(n) work each.
@@ -201,7 +200,7 @@ def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
 
     def start(rng, _n=n):
         u = rng.standard_normal(_n)
-        u /= np.linalg.norm(u)
+        u /= norm2(u)
         radius = 1e-3 * rng.uniform() ** (1.0 / _n)
         return radius * u
 

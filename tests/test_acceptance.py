@@ -19,8 +19,9 @@ from minresls.checks import (
     check_monotone_iterate_growth,
     check_npc_certificates,
     check_profile_example,
+    to_dense,
 )
-from minresls.core import ensure_operator
+from minresls.core import SymmetricOperator, ensure_operator
 from minresls.driver import (
     CONVERGED,
     GD,
@@ -67,11 +68,6 @@ def saddle_runs():
         assert np.linalg.norm(x0) <= 1e-3
         runs.append(solve(problem.make_objective(), x0, cfg))
     return problem, runs
-
-
-def dense_hessian(obj, x):
-    n = x.size
-    return np.column_stack([obj.hvp(x, e) for e in np.eye(n)])
 
 
 # --- criteria ----------------------------------------------------------------
@@ -140,7 +136,8 @@ def test_criterion_05_saddle_avoidance(saddle_runs):
         if trace.status != CONVERGED:
             continue
         obj = problem.make_objective()
-        lam_min = float(np.linalg.eigvalsh(dense_hessian(obj, trace.x_final))[0])
+        H = to_dense(SymmetricOperator(obj.dim, lambda v: obj.hvp(trace.x_final, v)))
+        lam_min = float(np.linalg.eigvalsh(H)[0])
         if lam_min >= -1e-6 and abs(trace.f_final - (-0.25)) <= 1e-8:
             escaped += 1
     assert escaped >= 99, f"only {escaped}/100 runs reached the minimum"

@@ -263,7 +263,7 @@ class TestManifests:
         def broken(n=3):
             spec = quadratic(n=n)
             return ProblemSpec("broken", n, spec._f, lambda x: 2.0 * x, spec._hvp,
-                               spec._start)
+                               spec.start)
         monkeypatch.setitem(REGISTRY, "broken", broken)
         with pytest.raises(ValueError, match="m:2: broken: gradient gap"):
             parse_manifest("problem=quadratic config=newton_mr seed=1\n"

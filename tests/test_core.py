@@ -181,11 +181,16 @@ class TestObjective:
                                              r"\(3, 1\), expected \(3,\)"):
             obj.hvp(np.zeros(3), np.ones(3))
 
-    @pytest.mark.parametrize("value", [None, 1j, np.complex128(2.0), "1.5"])
-    def test_function_value_must_be_real(self, value):
+    @pytest.mark.parametrize("value, dtype", [
+        (None, "object"),
+        (1j, "complex128"),
+        (np.complex128(2.0), "complex128"),
+        ("1.5", "<U3"),
+    ])
+    def test_function_value_must_be_real(self, value, dtype):
         obj = Objective(2, lambda x: value, lambda x: np.zeros(2))
-        with pytest.raises(ValueError, match=r"function oracle returned .*, "
-                                             r"expected a real number"):
+        with pytest.raises(ValueError, match=f"function oracle returned {dtype} values, "
+                                             "expected real numbers"):
             obj.f(np.zeros(2))
 
     def test_real_scalars_are_accepted(self):
@@ -334,6 +339,10 @@ class TestOperators:
         M = np.diag([3.0, -1.0, 0.5])
         est = estimate_operator_norm(ensure_operator(M))
         assert abs(est - 3.0) <= 1e-6
+        # the first product is zero: no direction to normalize, norm 0
+        zero = SymmetricOperator(3, lambda v: np.zeros(3))
+        assert estimate_operator_norm(zero) == 0.0
+        assert symmetry_defect(zero) == 0.0
 
     def test_symmetry_defect_scales(self):
         rng = np.random.default_rng(7)

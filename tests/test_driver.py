@@ -504,6 +504,20 @@ class TestTerminationStatuses:
         trace = solve(obj, np.array([0.0, 1.0, -2.0]))
         assert (trace.status, trace.iters) == (DIVERGED, 0)
 
+    @pytest.mark.parametrize("mode", ["newton_mr", "lbfgs_mr"])
+    @pytest.mark.parametrize("finite_grads", [0, 1], ids=["at-x0", "after-a-step"])
+    def test_overflowing_gradient_norm_is_divergence_without_a_warning(self, mode,
+                                                                       finite_grads):
+        # every entry is finite, but g'g overflows past ||g|| of about 1.34e154
+        calls = [0]
+        def grad(x):
+            calls[0] += 1
+            return 2.0 * x if calls[0] <= finite_grads else np.full(2, 1e200)
+        obj = Objective(2, lambda x: float(x @ x), grad, lambda x, v: 2.0 * v)
+        trace = solve(obj, np.ones(2), SolverConfig(schedule=ScheduleParams(mode=mode)))
+        assert (trace.status, trace.iters) == (DIVERGED, finite_grads)
+        assert trace.gnorm_final == math.inf
+
 
 class TestDirectionDispatch:
     def test_gd_fallback_on_degenerate_model(self, monkeypatch):

@@ -1,5 +1,5 @@
-"""Hessian models: the model operators solve builds, their shifted solves, the
-compact L-BFGS store."""
+"""Hessian models: operators over a frozen-point Hessian and over the L-BFGS
+store, their shifted solves, the compact L-BFGS store."""
 import os
 import subprocess
 import sys
@@ -21,12 +21,13 @@ def pair_rng(seed):
 
 
 def exact_operator(obj, x):
-    """The exact-Hessian model B at x, built as ``solve`` builds it."""
+    """The Hessian at a copy of x as an operator, one Hessian-vector call
+    per product."""
     return SymmetricOperator(obj.dim, partial(obj.hvp, x.copy()))
 
 
 def lbfgs_operator(store):
-    """The L-BFGS model B, built as ``solve`` builds it."""
+    """The store's matrix as an operator, whose products are ``store.apply``."""
     return SymmetricOperator(store.dim, store.apply)
 
 

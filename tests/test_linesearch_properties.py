@@ -3,14 +3,10 @@ steps form an interval [0, lam*], a search started at any grid exponent
 above 0 accepts the same step as one started at exponent 0, whatever the
 shrink factor."""
 import numpy as np
-import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
-
-from minresls.core import Objective  # noqa: E402
-from minresls.linesearch import LinesearchConfig, npc_linesearch  # noqa: E402
+from minresls.core import Objective
+from minresls.linesearch import LinesearchConfig, npc_linesearch
 
 
 @st.composite

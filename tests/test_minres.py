@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minresls import checks
 from minresls.checks import minres_iterations, random_symmetric_system
 from minresls.core import NumericalBreakdown, SymmetricOperator
 from minresls.minres import (
@@ -68,14 +69,22 @@ class TestCertificateContract:
         A = 0.5 * (A + A.T)
         b = rng.standard_normal(12)
         out = run(A, b, 1e-10, max_inner=100)
-        if out.flag != NPC:
-            pytest.skip("definite draw")
+        assert out.flag == NPC      # each of the eight draws certifies
         d = out.direction
         quad = d @ (A @ d)
         assert quad <= 1e-10 * (d @ d)
         assert d @ b > 0.0
         # reported curvature is the certificate value for the same direction
         assert abs(out.curvature - quad) <= 1e-8 * max(1.0, abs(quad))
+
+    def test_certificate_check_holds_an_exact_solve_to_the_solution_contract(
+            self, monkeypatch):
+        # b = e_1 is an eigenvector of diag(2, -1) for eigenvalue 2, so MINRES
+        # solves at t = 1 and never meets the negative eigenvalue
+        system = (np.diag([2.0, -1.0]), np.array([1.0, 0.0]), np.array([2.0, -1.0]))
+        monkeypatch.setattr(checks, "random_symmetric_system", lambda rng, kind: system)
+        assert (checks.check_npc_certificates(n_systems=1)
+                == "1 indefinite systems: 0 certificates, 1 exact solves")
 
     def test_residual_norm_is_true_residual(self):
         rng = np.random.default_rng(3)
@@ -115,6 +124,9 @@ class TestTermination:
     def test_zero_rhs(self):
         with pytest.raises(ValueError, match="b is zero"):
             run(np.eye(2), [0.0, 0.0], 1e-8)
+        # finite entries whose norm overflows: v = b / inf would be zero
+        with pytest.raises(ValueError, match="b has a norm that overflows"):
+            run(np.eye(2), [1e200, 1e200], 1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):

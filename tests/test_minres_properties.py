@@ -4,13 +4,9 @@ negative curvature detection to monotonicity properties", SIAM J. Optim.
 ``shift`` argument, and of the truncation property the self-checks rely on:
 a solve stopped at its own exit iteration returns the same outcome."""
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from minresls.minres import NPC, SOL, minres_npc  # noqa: E402
+from minresls.minres import NPC, SOL, minres_npc
 
 
 @st.composite

@@ -2,9 +2,11 @@
 ``__all__`` in order and nothing else, and README lists them all. Also the
 test machinery loaded only on request, the code-line counter in ``tools/``,
 no unused import in the package, tests, demos or tools, one exception type
-per kind of failure in the library, perfbench's instrumentation, which
-must see every solver layer through the names it wraps, and every suite of
-``minresls check`` at the arguments the command runs it with."""
+per kind of failure in the library, one form of each value check in the
+library (a scalar's finiteness, an array's, a vector's norm), perfbench's
+instrumentation, which must see every solver layer through the names it
+wraps, and every suite of ``minresls check`` at the arguments the command
+runs it with."""
 import ast
 import importlib
 import importlib.util
@@ -155,15 +157,59 @@ def test_raised_types_names_each_raised_class():
                                      (6, "core.NotEvaluable")]
 
 
-def test_library_raises_one_type_per_kind_of_failure():
-    # checks.py and reference.py are test machinery, free to raise their own
+def _library_files() -> list:
+    """The package's modules but checks.py and reference.py, the test
+    machinery, which is free to raise its own types and check values its own
+    way."""
     package = Path(minresls.__file__).resolve().parent
+    return [path for path in sorted(package.glob("*.py"))
+            if path.name not in ("checks.py", "reference.py")]
+
+
+def test_library_raises_one_type_per_kind_of_failure():
     stray = [f"{path.name}:{line} {name}"
-             for path in sorted(package.glob("*.py"))
-             if path.name not in ("checks.py", "reference.py")
+             for path in _library_files()
              for line, name in _raised_types(path.read_text())
              if name not in ALLOWED_RAISES]
     assert not stray, f"raises outside {sorted(ALLOWED_RAISES)}: {stray}"
+
+
+def _second_value_forms(source: str) -> list:
+    """(line, name) of each value check in ``source`` that takes a second
+    form: ``np.isfinite`` anywhere but as the argument of ``np.all(...)``,
+    where ``math.isfinite`` tests a scalar, and ``np.linalg.norm`` of one
+    argument, where ``core.norm2`` takes a vector's norm."""
+    tree = ast.parse(source)
+    # the np.isfinite of np.all(np.isfinite(v)), the one array form
+    in_all = {id(arg.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.all"
+              for arg in node.args if isinstance(arg, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite"
+                and id(node) not in in_all):
+            found.append((node.lineno, "np.isfinite"))
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
+              and len(node.args) + len(node.keywords) == 1):
+            found.append((node.lineno, "np.linalg.norm"))
+    return sorted(found)
+
+
+def test_second_value_forms_finds_each_one():
+    source = ("import math\n"
+              "import numpy as np\n"
+              "ok = np.all(np.isfinite(v)) and math.isfinite(s)\n"
+              "bad = np.isfinite(s) or np.isfinite(v).all() or any(map(np.isfinite, v))\n"
+              "n = np.linalg.norm(v) + np.linalg.norm(M, 1) + np.linalg.norm(M, ord=2)\n")
+    assert _second_value_forms(source) == [(4, "np.isfinite")] * 3 + [(5, "np.linalg.norm")]
+
+
+def test_library_checks_each_value_one_way():
+    stray = [f"{path.name}:{line} {name}"
+             for path in _library_files()
+             for line, name in _second_value_forms(path.read_text())]
+    assert not stray, ("scalars take math.isfinite, arrays np.all(np.isfinite(.)) and "
+                       f"vector norms core.norm2: {stray}")
 
 
 # the solver-side spans of perfbench/workload.py's instrument(); the bench.*

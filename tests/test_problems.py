@@ -224,7 +224,7 @@ class TestRegistry:
     def test_self_test_catches_broken_gradient(self):
         spec = build_problem("quadratic", n=3)
         broken = type(spec)(spec.name, spec.dim, spec._f,
-                            lambda x: 2.0 * x, spec._hvp, spec._start)
+                            lambda x: 2.0 * x, spec._hvp, spec.start)
         with pytest.raises(AssertionError, match="gradient gap"):
             broken.self_test()
 
@@ -248,7 +248,7 @@ class TestRegistry:
             g = spec._grad(x)
             g[5_000] *= 1.01
             return g
-        broken = ProblemSpec(spec.name, spec.dim, spec._f, grad, spec._hvp, spec._start)
+        broken = ProblemSpec(spec.name, spec.dim, spec._f, grad, spec._hvp, spec.start)
         with pytest.raises(AssertionError, match="gap"):
             broken.self_test(points=3)
 
@@ -328,7 +328,7 @@ TERM_COPIES = {
 def _with_terms(name, n, s):
     spec = REGISTRY[name](n=n)
     grad, hvp = TERM_COPIES[name][0](n, s)
-    return spec, ProblemSpec(spec.name, spec.dim, spec._f, grad, hvp, spec._start)
+    return spec, ProblemSpec(spec.name, spec.dim, spec._f, grad, hvp, spec.start)
 
 
 class TestSelfTestMutations:
