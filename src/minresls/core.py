@@ -2,8 +2,8 @@
 
 Everything downstream works on plain 1-D float64 numpy arrays. An operator is
 matrix-free (only its action ``v -> A v`` is available), an objective bundles
-callbacks for the function value, the gradient and, optionally, a
-Hessian-vector product, together with a count of the calls of each.
+callbacks for the function value, the gradient and, optionally, a per-point
+Hessian oracle, together with a count of the calls of each.
 
 A call fails in one of three ways, each with one type: an input refused
 before any work raises ValueError naming the input, a failed derivative
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import weakref
 
 import numpy as np
 
@@ -121,32 +122,47 @@ class Objective:
     the usual reverse-mode arithmetic estimates.
 
     ``dim`` must be an integer of at least 1. ``f`` must return a real
-    scalar, ``grad`` and ``hvp`` a real vector of length ``dim``. All three
-    results pass the one dtype rule of :func:`_real_array`: a complex,
-    object (``None`` included) or string value raises ValueError naming the
-    oracle and the dtype, as ``function oracle returned object values,
-    expected real numbers``, and a wrong shape raises ValueError naming the
-    oracle and the shape.
+    scalar and ``grad`` a real vector of length ``dim``. The optional
+    ``hess(x)`` is a per-point oracle: it does the work that depends on x
+    alone, once, and returns a map v -> H(x) v whose results must be real
+    vectors of length ``dim``; a plain product ``hvp(x, v)`` adapts as
+    ``lambda x: functools.partial(hvp, x)``. Every result passes the one
+    dtype rule of :func:`_real_array`: a complex, object (``None``
+    included) or string value raises ValueError naming the oracle and the
+    dtype, as ``function oracle returned object values, expected real
+    numbers``, and a wrong shape raises ValueError naming the oracle and the
+    shape.
 
-    An oracle reads ``x`` and ``v`` and writes neither: ``solve`` passes its
-    iterate uncopied to every oracle. MINRES overwrites the Lanczos vectors
-    it passes to ``hvp`` once the call returns, so an oracle must not keep a
-    reference to its arguments. The Hessian-vector result is only read, so
-    ``hvp`` may return its argument, a read-only array, or a buffer it keeps
-    and refills on the next call.
+    :meth:`hvp` is the one counted product. It builds the map of ``x`` on
+    each call, and reuses the last one only when ``x`` is the very array of
+    the last call, still alive, read-only and owning its data, as ``solve``
+    makes every iterate; the last map is released before the next one is
+    built, and the objective keeps no point alive. So a caller that writes
+    ``x`` in place between two products gets the product at the new
+    values.
+
+    An oracle reads ``x`` and ``v`` and writes neither. A map may keep a
+    reference to its point, which stays unchanged while the map is used,
+    but not to ``v``: MINRES overwrites the Lanczos vectors it passes once
+    the call returns. The Hessian-vector result is only read, so a map may
+    return its argument, a read-only array, or a buffer it keeps and
+    refills on the next call.
     """
 
-    def __init__(self, dim, f, grad, hvp=None):
+    def __init__(self, dim, f, grad, hess=None):
         check_positive_int(dim, "dim")
         self.dim = dim
         self._f = f
         self._grad = grad
-        self._hvp = hvp
+        self._hess = hess
+        # a weak reference to the last reusable point, which the objective
+        # does not keep alive, and that point's map
+        self._point = self._map = None
         self.f_calls = self.grad_calls = self.hvp_calls = 0
 
     @property
     def has_hvp(self) -> bool:
-        return self._hvp is not None
+        return self._hess is not None
 
     @property
     def oracle_count(self) -> float:
@@ -175,9 +191,18 @@ class Objective:
         return _real_vector(self._grad(x), self.dim, "gradient oracle returned")
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The product H(x) v. An objective built without ``hvp`` raises
-        ValueError instead, and counts no call."""
-        if self._hvp is None:
+        """The product H(x) v, through the map of ``x`` (see the class
+        docstring for when it is reused). An objective built without
+        ``hess`` raises ValueError instead, and counts no call."""
+        if self._hess is None:
             raise ValueError("no Hessian oracle attached to this objective")
         self.hvp_calls += 1
-        return _real_vector(self._hvp(x, v), self.dim, "Hessian-vector oracle returned")
+        reusable = isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable
+        if reusable and self._point is not None and self._point() is x:
+            product = self._map
+        else:
+            self._point = self._map = None      # released before the next is built
+            product = self._hess(x)
+            if reusable:
+                self._point, self._map = weakref.ref(x), product
+        return _real_vector(product(v), self.dim, "Hessian-vector oracle returned")

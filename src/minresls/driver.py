@@ -9,7 +9,7 @@ at the new point is evaluated and, under L-BFGS, offered to the store with
 the step as a curvature pair. Tolerance and
 shift shrink with the gradient norm, which is what produces the superlinear tail.
 The schedule mode also picks the model B_k: ``lbfgs_mr`` runs on the L-BFGS
-store, ``newton_mr`` and ``coupled`` on the objective's Hessian-vector oracle.
+store, ``newton_mr`` and ``coupled`` on the objective's per-point Hessian oracle.
 
 Schedules use natural log of (k + 1) wherever a log of the iteration counter
 appears, so the k = 1 values stay positive.
@@ -248,6 +248,12 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     curvature search also on d'Bd <= 0, the certificate's d'(B + zeta I)d
     less zeta ||d||^2; the searches assume both and do not test them.
 
+    ``solve`` copies ``x0`` once and never writes the caller's array. Each
+    iterate is a read-only array that owns its data, the copy of ``x0`` and
+    then the trial point that each linesearch accepted, so that
+    :meth:`Objective.hvp` builds one Hessian map per point; ``x_final`` is
+    the last of them, read-only too.
+
     Each curvature search after the first starts at the grid exponent
     max(j, 0) of the previous accepted curvature step, j, so from the step
     ``initial_step`` or a smaller one of the same grid, and backtracks less;
@@ -279,6 +285,10 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
     x = as_vector(x0, "x0")
     if x.size != obj.dim:
         raise ValueError(f"x0 has size {x.size}, objective dimension is {obj.dim}")
+    # one copy of x0, read-only as every later iterate, so that the objective
+    # reuses a point's Hessian map across its products
+    x = x.copy()
+    x.flags.writeable = False
     sp = cfg.schedule
     lbfgs = sp.mode == "lbfgs_mr"
     if not lbfgs and not obj.has_hvp:
@@ -353,13 +363,13 @@ def solve(obj: Objective, x0, cfg: SolverConfig = SolverConfig()) -> RunTrace:
         else:
             res = armijo_backtrack(obj, x, d, g_dot_d, f_x, ls)
 
-        x_new = x + res.step * d
-        # no step passed, or the step rounded away: a rerun would repeat it.
-        # x + 0*d is not x when d holds a NaN, hence the test of the step
-        if res.step == 0.0 or (res.f_new == f_x and np.array_equal(x_new, x)):
+        # no step passed, which returns x and f_x, or the step rounded away:
+        # a rerun would repeat it
+        if res.f_new == f_x and np.array_equal(res.x_new, x):
             status = STAGNATED
             break
-        x = x_new
+        x = res.x_new
+        x.flags.writeable = False
         records.append(IterateRecord(
             k=k, f=f_x, gnorm=gnorm, flag=flag, step=res.step,
             inner_iters=inner, theta=theta, zeta=zeta,

@@ -2,10 +2,12 @@
 
 Both searches try the steps of one grid: exponent j gives the trial step
 ``min(initial_step * shrink**j, max_step)``, and a search reports the exponent
-it accepts. Backtracking raises j by one per failed trial. A search that
-finds no acceptable step of at least ``min_step`` returns step 0 with
-``f_new = f(x)``, its evaluations counted, and the first exponent below the
-grid's range; the caller decides what that means.
+it accepts, with the trial point ``x + lam*d`` it evaluated there, so the
+caller need not form it again. Backtracking raises j by one per failed
+trial. A search that finds no acceptable step of at least ``min_step``
+returns step 0 with ``f_new = f(x)`` and ``x_new = x``, its evaluations
+counted, and the first exponent below the grid's range; the caller decides
+what that means.
 
 Both searches accept a step by one test,
 
@@ -75,6 +77,7 @@ class LinesearchConfig:
 class LinesearchResult(NamedTuple):
     step: float
     f_new: float        # objective at the accepted point, reusable by the caller
+    x_new: np.ndarray   # the accepted point x + step*d, or x itself at step 0
     n_evals: int
     capped: bool = False
     exponent: int = 0   # grid exponent j of the accepted step
@@ -87,7 +90,8 @@ def _grid_step(cfg: LinesearchConfig, j: int) -> float:
 def _acceptance(obj: Objective, x: np.ndarray, d: np.ndarray, g_dot_d: float,
                 d_curv: float, f_x: float, cfg: LinesearchConfig):
     """The one acceptance test of both searches: ``trial(lam)`` returns
-    ``(accepted, f(x + lam*d))``, accepted when that value is finite and
+    ``(accepted, f(x + lam*d), x + lam*d)``, accepted when that value is
+    finite and
 
         f(x + lam*d) - f(x) <= sigma*lam*g'd + (sigma/2)*lam^2*d'Bd + pad,
 
@@ -97,24 +101,29 @@ def _acceptance(obj: Objective, x: np.ndarray, d: np.ndarray, g_dot_d: float,
     pad = _f_pad(f_x)
 
     def trial(lam):
-        f_trial = obj.f(x + lam * d)
+        # x + lam*d in one fresh array, with the same two roundings
+        x_trial = np.multiply(d, lam)
+        np.add(x, x_trial, out=x_trial)
+        f_trial = obj.f(x_trial)
         bound = sigma * lam * g_dot_d + 0.5 * sigma * lam * lam * d_curv + pad
-        return math.isfinite(f_trial) and f_trial - f_x <= bound, f_trial
+        return math.isfinite(f_trial) and f_trial - f_x <= bound, f_trial, x_trial
 
     return trial
 
 
-def _backtrack(trial, cfg: LinesearchConfig, start: int, f_x: float) -> LinesearchResult:
+def _backtrack(trial, cfg: LinesearchConfig, start: int, x: np.ndarray,
+               f_x: float) -> LinesearchResult:
     """First exponent j = start, start + 1, ... whose step ``trial`` accepts,
-    after j - start + 1 evaluations, or step 0 with ``f_x`` and exponent j
-    after j - start evaluations once the step of j falls below ``min_step``."""
+    after j - start + 1 evaluations, or step 0 with ``f_x``, ``x`` and
+    exponent j after j - start evaluations once the step of j falls below
+    ``min_step``."""
     j = start
     while (lam := _grid_step(cfg, j)) >= cfg.min_step:
-        ok, f_lam = trial(lam)
+        ok, f_lam, x_lam = trial(lam)
         if ok:
-            return LinesearchResult(lam, f_lam, j - start + 1, exponent=j)
+            return LinesearchResult(lam, f_lam, x_lam, j - start + 1, exponent=j)
         j += 1
-    return LinesearchResult(0.0, f_x, j - start, exponent=j)
+    return LinesearchResult(0.0, f_x, x, j - start, exponent=j)
 
 
 def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
@@ -130,7 +139,7 @@ def armijo_backtrack(obj: Objective, x: np.ndarray, d: np.ndarray,
     at least ``min_step`` (non-finite trial values count as failures and
     keep shrinking).
     """
-    return _backtrack(_acceptance(obj, x, d, g_dot_d, 0.0, f_x, cfg), cfg, 0, f_x)
+    return _backtrack(_acceptance(obj, x, d, g_dot_d, 0.0, f_x, cfg), cfg, 0, x, f_x)
 
 
 def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
@@ -158,14 +167,14 @@ def npc_linesearch(obj: Objective, x: np.ndarray, d: np.ndarray,
     j + ceil(log(max_step/initial_step) / log(1/shrink)) steps.
     """
     trial = _acceptance(obj, x, d, g_dot_d, d_curv, f_x, cfg)
-    res = _backtrack(trial, cfg, start, f_x)
+    res = _backtrack(trial, cfg, start, x, f_x)
     if res.exponent > start:    # backtracked, or failed: start's step is >= min_step
         return res
-    j, lam, f_lam = start, res.step, res.f_new
+    j, lam, f_lam, x_lam = start, res.step, res.f_new, res.x_new
     while lam < cfg.max_step:
         cand = _grid_step(cfg, j - 1)
-        ok, f_cand = trial(cand)
+        ok, f_cand, x_cand = trial(cand)
         if not ok:
-            return LinesearchResult(lam, f_lam, start - j + 2, exponent=j)
-        j, lam, f_lam = j - 1, cand, f_cand
-    return LinesearchResult(lam, f_lam, start - j + 1, capped=True, exponent=j)
+            return LinesearchResult(lam, f_lam, x_lam, start - j + 2, exponent=j)
+        j, lam, f_lam, x_lam = j - 1, cand, f_cand, x_cand
+    return LinesearchResult(lam, f_lam, x_lam, start - j + 1, capped=True, exponent=j)

@@ -44,11 +44,13 @@ bookkeeping allocates nothing of size n, and a call that certifies within the
 window allocates only the vectors it used: the Lanczos vectors so far, the
 Lanczos product, the scratch and the residual.
 
-Each Lanczos step writes ``A v + shift*v`` straight into the kernel's own
-buffer: the operator's result is read, never written, and the arrays an
-outcome returns are not touched again by the kernel: they belong to the
-caller. The kernel records nothing else; ``minres_npc`` says how its
-per-iteration history is observed.
+Each Lanczos step forms ``shift*v`` in the scratch buffer, adds the
+operator's result to it in place, and then swaps the roles of the scratch
+and the Lanczos product's buffer, so ``A v + shift*v`` lands in the buffer
+that was just written, with no extra pass. The operator's result is read,
+never written, and the arrays an outcome returns are not touched again by
+the kernel: they belong to the caller. The kernel records nothing else;
+``minres_npc`` says how its per-iteration history is observed.
 """
 from __future__ import annotations
 
@@ -91,10 +93,13 @@ _TOL_FLOOR = 64.0
 _EPS = np.finfo(float).eps
 
 # Iterations whose updates are kept until the first fold (see the module
-# docstring); a certificate up to iteration _WINDOW + 1 forms no iterate. At
-# the first fold, in iteration _WINDOW + 1, the kernel holds the window's
-# Lanczos vectors, v_t, the Lanczos product, the scratch, the residual and the
-# new iterate: _WINDOW + 5 n-vectors, which must stay at most ten.
+# docstring); a certificate up to iteration _WINDOW + 1 forms no iterate. It
+# must satisfy 3 <= _WINDOW <= 5. At the first fold, in iteration
+# _WINDOW + 1, the kernel holds the window's Lanczos vectors, v_t, the
+# Lanczos product, the scratch, the residual and the new iterate: _WINDOW + 5
+# n-vectors, which must stay at most ten. That fold folds _WINDOW updates and
+# hands back the buffer v_{t+1} goes into; with fewer than three it would
+# hand back the iterate itself (see _fold).
 _WINDOW = 5
 
 
@@ -188,7 +193,7 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
     v = b / beta1
     v_prev = None       # v_0 = 0 is never formed: beta_1 = 0 multiplies it
     p = np.empty(n)     # Lanczos product, then beta_{t+1} v_{t+1}
-    w = np.empty(n)     # scalar-times-vector scratch
+    w = np.empty(n)     # scalar-times-vector scratch; trades buffers with p
     r = b.copy()        # r_{t-1}, overwritten by r_t
     x = None            # the iterate, formed at the first fold
     d = None            # [d_{j-2}, d_{j-1}] of the last folded update
@@ -208,7 +213,10 @@ def minres_npc(A, b, tol: float, max_inner: int, *, shift: float = 0.0) -> Minre
         # test of alpha and beta, not with a warning from this arithmetic;
         # the operator's own warnings are raised outside the block
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(Av, np.multiply(v, shift, out=w), out=p)
+            # A v + shift*v into the scratch that has just received shift*v,
+            # which then serves as p, and p's buffer as the scratch
+            np.add(Av, np.multiply(v, shift, out=w), out=w)
+            p, w = w, p
             # released at once, as a temporary would be: held until the next
             # product, it raised newton_large's peak RSS by 0.7 MB and its
             # minor page faults by 56%
@@ -292,9 +300,12 @@ def _fold(kept, count, x, d, w):
 
     Each d_j goes into v_j's buffer, which the Lanczos recurrence has spent;
     ``d`` holds [d_{j-2}, d_{j-1}] and moves along in place. At the first fold
-    x is still zero and stands for d_0 = d_{-1} = 0, so x accumulates
-    tau_j d_j only once the directions are formed. Returns the buffer of the
-    direction that left ``d`` last, which no later update reads.
+    ``d`` starts as [x, x]: x is still zero and stands for d_0 = d_{-1} = 0,
+    so x accumulates tau_j d_j only once the directions are formed. Returns
+    the buffer of the direction that left ``d`` last, which no later update
+    reads. At the first fold that is x itself unless ``count`` is at least
+    three, which is why the first fold that does not end the solve needs
+    ``_WINDOW >= 3``; a fold that ends it hands back a buffer no one uses.
     """
     folded = kept[:count]
     del kept[:count]

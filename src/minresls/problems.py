@@ -1,9 +1,15 @@
-"""Benchmark problems with analytic gradients and Hessian-vector products.
+"""Benchmark problems with analytic gradients and per-point Hessian oracles.
 
 Each builder returns a :class:`ProblemSpec` that can mint fresh objectives
 (one oracle tally per run) and sample a deterministic starting point from a
 caller-supplied generator. Objectives of one spec run one at a time:
 Rosenbrock's oracles share two work vectors that the spec owns.
+
+Each builtin's ``hess(x)`` does the work that depends on x alone once and
+returns the map v -> H(x) v, the form :class:`~minresls.core.Objective`
+takes: Rosenbrock caches its diagonal and off-diagonal, toy_sine its
+coefficients from sin, cos and the residual, quartic_saddle ||x||^2. Every
+product is bitwise that of the plain expression at (x, v).
 
 ``ProblemSpec.self_test`` checks the analytic derivatives with O(n) work per
 random point: a central difference of f along a random direction against g'v
@@ -73,23 +79,25 @@ def fd_hvp_check(obj: Objective, x: np.ndarray, v: np.ndarray) -> float:
 class ProblemSpec:
     """Problem description: dimension, oracles, start sampler and optimum.
 
-    ``start(rng)`` draws a starting point from a numpy generator. Every
-    evaluation returns a fresh array (or a float) that the caller owns.
-    Rosenbrock's ``f``, ``grad`` and ``hvp`` reuse two work vectors of their
-    spec, so objectives of one spec must not run in concurrent threads.
+    ``start(rng)`` draws a starting point from a numpy generator. ``_hess``
+    is the per-point Hessian oracle: ``_hess(x)`` returns the map
+    v -> H(x) v. Every evaluation and every product returns a fresh array
+    (or a float) that the caller owns. Rosenbrock's ``f``, ``grad`` and
+    products reuse two work vectors of their spec, so objectives of one spec
+    must not run in concurrent threads.
     """
 
     name: str
     dim: int
     _f: Callable = field(repr=False)
     _grad: Callable = field(repr=False)
-    _hvp: Callable = field(repr=False)
+    _hess: Callable = field(repr=False)
     start: Callable = field(repr=False)
     f_opt: float | None = None
 
     def make_objective(self) -> Objective:
         """A fresh objective, its oracle tally at zero."""
-        return Objective(self.dim, self._f, self._grad, self._hvp)
+        return Objective(self.dim, self._f, self._grad, self._hess)
 
     def self_test(self, seed: int = 0, points: int = 10) -> None:
         """Check the derivatives at ``points`` random locations, O(n) work each.
@@ -139,16 +147,22 @@ def toy_sine(n: int = 200) -> ProblemSpec:
         e = y - np.sin(x)
         return np.concatenate([-np.cos(x) * e, e])
 
-    def hvp(z, v):
+    def hess(z):
+        # per point: the x-block's diagonal sin(x) e + cos(x)^2 and the
+        # coupling -cos(x); per product: hx = diag vx - cx vy, hy = -cx vx + vy
         x, y = split(z)
         e = y - np.sin(x)
         cx = np.cos(x)
-        vx, vy = v[:n], v[n:]
-        hx = (np.sin(x) * e + cx * cx) * vx - cx * vy
-        hy = -cx * vx + vy
-        return np.concatenate([hx, hy])
+        diag = np.sin(x) * e + cx * cx
+        neg_cx = -cx
 
-    return ProblemSpec("toy_sine", dim, f, grad, hvp, _uniform_start(dim), f_opt=0.0)
+        def product(v):
+            vx, vy = v[:n], v[n:]
+            return np.concatenate([diag * vx - cx * vy, neg_cx * vx + vy])
+
+        return product
+
+    return ProblemSpec("toy_sine", dim, f, grad, hess, _uniform_start(dim), f_opt=0.0)
 
 
 def _default_n(n, spectrum) -> int:
@@ -195,8 +209,9 @@ def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
     def grad(x):
         return a * x + float(x @ x) * x
 
-    def hvp(x, v):
-        return a * v + float(x @ x) * v + 2.0 * float(x @ v) * x
+    def hess(x):
+        sq = float(x @ x)
+        return lambda v: a * v + sq * v + 2.0 * float(x @ v) * x
 
     def start(rng, _n=n):
         u = rng.standard_normal(_n)
@@ -204,7 +219,7 @@ def quartic_saddle(n: int | None = None, spectrum=None) -> ProblemSpec:
         radius = 1e-3 * rng.uniform() ** (1.0 / _n)
         return radius * u
 
-    return ProblemSpec("quartic_saddle", n, f, grad, hvp, start,
+    return ProblemSpec("quartic_saddle", n, f, grad, hess, start,
                        f_opt=-0.25 * a_min * a_min)
 
 
@@ -242,24 +257,34 @@ def rosenbrock(n: int = 100) -> ProblemSpec:
         g[1:] += np.multiply(gap, 200.0, out=a)
         return g
 
-    def hvp(x, v):
-        h = np.zeros_like(x)
+    def hess(x):
+        # per point, in the two rows of one fresh block (one allocation kept
+        # peak RSS lower than two): the leading block's diagonal
+        # 1200 head^2 - 400 tail + 2 and the off-diagonal -400 head
         head, tail = x[:-1], x[1:]
-        vh, vt = v[:-1], v[1:]
-        # diagonal of the leading block, (1200 head^2 - 400 tail + 2) vh,
-        # plus the trailing 200 vt
-        np.multiply(np.square(head, out=a), 1200.0, out=a)
-        np.subtract(a, np.multiply(tail, 400.0, out=b), out=a)
-        np.add(a, 2.0, out=a)
-        h[:-1] += np.multiply(a, vh, out=a)
-        h[1:] += np.multiply(vt, 200.0, out=a)
-        # off-diagonal -400 head, against vt above and vh below
-        off = np.multiply(head, -400.0, out=b)
-        h[:-1] += np.multiply(off, vt, out=a)
-        h[1:] += np.multiply(off, vh, out=a)
-        return h
+        diag, off = np.empty((2, n - 1))
+        np.multiply(np.square(head, out=diag), 1200.0, out=diag)
+        np.subtract(diag, np.multiply(tail, 400.0, out=a), out=diag)
+        np.add(diag, 2.0, out=diag)
+        np.multiply(head, -400.0, out=off)
 
-    return ProblemSpec("rosenbrock", n, f, grad, hvp, _uniform_start(n), f_opt=0.0)
+        def product(v):
+            # h = 0; h[:-1] += diag vh; h[1:] += 200 vt; h[:-1] += off vt;
+            # h[1:] += off vh. The first term is written directly, plus 0.0,
+            # which turns its -0.0 into the +0.0 that the zeros give
+            h = np.empty(n)
+            lead, trail = h[:-1], h[1:]
+            vh, vt = v[:-1], v[1:]
+            np.add(np.multiply(diag, vh, out=lead), 0.0, out=lead)
+            h[-1] = 0.0
+            trail += np.multiply(vt, 200.0, out=a)
+            lead += np.multiply(off, vt, out=a)
+            trail += np.multiply(off, vh, out=a)
+            return h
+
+        return product
+
+    return ProblemSpec("rosenbrock", n, f, grad, hess, _uniform_start(n), f_opt=0.0)
 
 
 def quadratic(spectrum=None, n: int | None = None) -> ProblemSpec:
@@ -278,11 +303,12 @@ def quadratic(spectrum=None, n: int | None = None) -> ProblemSpec:
     def grad(x):
         return lam * x
 
-    def hvp(x, v):
+    def product(v):
         return lam * v
 
     f_opt = 0.0 if lam.min() >= 0.0 else None
-    return ProblemSpec("quadratic", dim, f, grad, hvp, _uniform_start(dim), f_opt=f_opt)
+    return ProblemSpec("quadratic", dim, f, grad, lambda x: product, _uniform_start(dim),
+                       f_opt=f_opt)
 
 
 REGISTRY = {

@@ -262,7 +262,7 @@ class TestManifests:
     def test_failed_self_test_is_tagged(self, monkeypatch):
         def broken(n=3):
             spec = quadratic(n=n)
-            return ProblemSpec("broken", n, spec._f, lambda x: 2.0 * x, spec._hvp,
+            return ProblemSpec("broken", n, spec._f, lambda x: 2.0 * x, spec._hess,
                                spec.start)
         monkeypatch.setitem(REGISTRY, "broken", broken)
         with pytest.raises(ValueError, match="m:2: broken: gradient gap"):

@@ -25,7 +25,7 @@ BAD_DIMS = [(0, "dim must be at least 1"), (-3, "dim must be at least 1"),
 
 def quadratic_objective():
     return Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                     lambda x, v: v.copy())
+                     lambda x: lambda v: v.copy())
 
 
 class TestAsVector:
@@ -103,7 +103,7 @@ class TestRealArrays:
 
 class TestOracleTally:
     def test_monotone_sum(self):
-        obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1), lambda x, v: v)
+        obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1), lambda x: lambda v: v)
         x = np.zeros(1)
         seen = []
         for call in (obj.f, obj.grad, lambda x: obj.hvp(x, x), obj.f):
@@ -150,6 +150,38 @@ class TestObjective:
         with pytest.raises(TypeError, match="hvp_cost"):
             Objective(1, lambda x: 0.0, lambda x: np.zeros(1), hvp_cost=1.0)
 
+    def test_hessian_map_is_reused_only_at_the_same_read_only_point(self):
+        # each map keeps ||x||^2 of its point, so a product shows which
+        # point's map made it
+        points = []
+
+        def hess(x):
+            points.append(x.copy())
+            sq = float(x @ x)
+            return lambda v: sq * v
+
+        obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2), hess)
+        v = np.ones(2)
+        x = np.array([1.0, 0.0])
+        assert obj.hvp(x, v).tolist() == [1.0, 1.0]
+        x[0] = 3.0                          # written in place between products
+        assert obj.hvp(x, v).tolist() == [9.0, 9.0]
+        x.flags.writeable = False
+        for _ in range(3):
+            assert obj.hvp(x, v).tolist() == [9.0, 9.0]
+        assert len(points) == 3             # one map for the read-only point
+        x.flags.writeable = True            # reused only while it is read-only
+        x[0] = 2.0
+        assert obj.hvp(x, v).tolist() == [4.0, 4.0]
+        view = np.array([5.0, 0.0])[:]      # read-only, but not owning its data
+        view.flags.writeable = False
+        copy = x.copy()                     # equal values, another array
+        copy.flags.writeable = False
+        for y in (view, view, copy):
+            obj.hvp(y, v)
+        assert [p[0] for p in points] == [1.0, 3.0, 3.0, 2.0, 5.0, 5.0, 2.0]
+        assert obj.hvp_calls == 9
+
     def test_missing_hvp(self):
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         assert not obj.has_hvp
@@ -176,7 +208,7 @@ class TestObjective:
 
     def test_hvp_shape_checked(self):
         obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3),
-                        lambda x, v: np.zeros((3, 1)))
+                        lambda x: lambda v: np.zeros((3, 1)))
         with pytest.raises(ValueError, match=r"Hessian-vector oracle returned shape "
                                              r"\(3, 1\), expected \(3,\)"):
             obj.hvp(np.zeros(3), np.ones(3))
@@ -205,7 +237,7 @@ class TestObjective:
         ([1.0, None], "object"),
     ])
     def test_gradient_and_hvp_values_must_be_real(self, value, dtype):
-        obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x, v: value)
+        obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x: lambda v: value)
         with pytest.raises(ValueError, match=f"gradient oracle returned {dtype} values, "
                                              "expected real numbers"):
             obj.grad(np.zeros(2))
@@ -215,7 +247,7 @@ class TestObjective:
 
     def test_real_vectors_are_converted_to_float(self):
         for value in ([1, 2], np.array([1, 2], dtype=np.int32), np.ones(2, np.float32)):
-            obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x, v: value)
+            obj = Objective(2, lambda x: 0.0, lambda x: value, lambda x: lambda v: value)
             for out in (obj.grad(np.zeros(2)), obj.hvp(np.zeros(2), np.ones(2))):
                 assert out.dtype == np.float64 and out.tolist() == list(map(float, value))
         kept = np.ones(2)
@@ -224,17 +256,17 @@ class TestObjective:
 
     def test_complex_oracle_surfaces_from_solve(self):
         bad = Objective(3, lambda x: float(x @ x), lambda x: 2.0 * x + 0j,
-                        lambda x, v: 2.0 * v)
+                        lambda x: lambda v: 2.0 * v)
         with pytest.raises(ValueError, match="gradient oracle returned complex128"):
             solve(bad, np.ones(3))
 
     def test_bad_oracle_shape_surfaces_from_solve(self):
         bad_grad = Objective(3, lambda x: float(x @ x), lambda x: np.ones(4),
-                             lambda x, v: v.copy())
+                             lambda x: lambda v: v.copy())
         with pytest.raises(ValueError, match="gradient oracle returned shape"):
             solve(bad_grad, np.ones(3))
         bad_hvp = Objective(3, lambda x: float(x @ x), lambda x: 2.0 * x,
-                            lambda x, v: np.ones(4))
+                            lambda x: lambda v: np.ones(4))
         with pytest.raises(ValueError, match="Hessian-vector oracle returned shape"):
             solve(bad_hvp, np.ones(3))
 
@@ -272,7 +304,7 @@ class TestFiniteDifferences:
     def test_hvp_constant_hessian(self):
         D = np.diag([1.0, -1.0])
         obj = Objective(2, lambda x: 0.5 * float(x @ (D @ x)), lambda x: D @ x,
-                        lambda x, v: D @ v)
+                        lambda x: lambda v: D @ v)
         x = np.array([0.3, -2.0])
         assert np.array_equal(obj.hvp(x, np.array([0.0, 1.0])), [0.0, -1.0])
         assert fd_hvp_check(obj, x, np.array([0.0, 1.0])) <= 1e-8
@@ -289,7 +321,7 @@ class TestFiniteDifferences:
     def test_gradient_not_evaluable_near_the_hvp_probe(self):
         # the gradient is finite at the probe point x = 0, infinite right of it
         obj = Objective(1, lambda x: 0.0, lambda x: np.where(x > 0.0, np.inf, 0.0),
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         with pytest.raises(AssertionError, match="gradient not evaluable"):
             fd_hvp_check(obj, np.zeros(1), np.ones(1))
 
@@ -297,7 +329,7 @@ class TestFiniteDifferences:
         # infinite at x +- h w alike: refused before the two are subtracted,
         # whose inf - inf would warn
         obj = Objective(1, lambda x: 0.0, lambda x: np.where(x == 0.0, 0.0, np.inf),
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         with pytest.raises(AssertionError, match="gradient not evaluable"):
             fd_hvp_check(obj, np.zeros(1), np.ones(1))
 

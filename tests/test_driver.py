@@ -381,6 +381,41 @@ class TestSolveBasics:
         lbfgs = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"))
         assert solve(obj, np.ones(2), lbfgs).status == CONVERGED
 
+    @pytest.mark.parametrize("check_invariants", [False, True])
+    def test_hessian_map_is_built_once_per_point(self, check_invariants):
+        # every newton_mr iteration runs MINRES at its own point: one hess
+        # call there, however many products, and hvp_calls counts each one
+        problem = spec("rosenbrock", n=30)
+        x0 = problem.start(np.random.default_rng(4))
+        points = []
+
+        def counting_hess(x):
+            points.append(x)
+            return problem._hess(x)
+
+        cfg = SolverConfig(check_invariants=check_invariants)
+        obj = Objective(problem.dim, problem._f, problem._grad, counting_hess)
+        trace = solve(obj, x0, cfg)
+        reference = solve(problem.make_objective(), x0, cfg)
+        assert trace.status == CONVERGED
+        assert record_fields(trace) == record_fields(reference)
+        assert len(points) == trace.iters
+        assert len({id(x) for x in points}) == trace.iters
+        assert obj.hvp_calls == sum(r.inner_iters for r in trace.records) > trace.iters
+
+    @pytest.mark.parametrize("x0", [np.full(5, 0.3), np.zeros(5)],
+                             ids=["steps", "stationary"])
+    def test_x0_is_copied_and_every_iterate_is_read_only(self, x0):
+        kept = x0.copy()
+        trace = solve(spec("quartic_saddle", n=5).make_objective(), x0)
+        assert trace.status == CONVERGED
+        assert x0.flags.writeable and np.array_equal(x0, kept)
+        x = trace.x_final
+        assert not x.flags.writeable and x.flags.owndata
+        assert not np.shares_memory(x, x0)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+
 
 class TestTerminationStatuses:
     def test_budget(self):
@@ -436,7 +471,7 @@ class TestTerminationStatuses:
         # gradient oracle promises descent that the (constant) function
         # never delivers; with f = 0 the rounding pad is zero as well
         obj = Objective(2, lambda x: 0.0, lambda x: np.ones(2),
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         trace = solve(obj, np.zeros(2))
         assert trace.status == STAGNATED
         assert trace.iters == 0
@@ -472,7 +507,7 @@ class TestTerminationStatuses:
             calls[0] += 1
             return x.copy() if calls[0] == 1 else np.full(2, np.nan)
         obj = Objective(2, lambda x: 0.5 * float(x @ x), grad,
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         trace = solve(obj, np.array([3.0, 4.0]))
         assert trace.status == DIVERGED
         assert trace.iters == 1                     # last valid record kept
@@ -480,7 +515,7 @@ class TestTerminationStatuses:
 
     def test_diverged_on_nonfinite_f0(self):
         obj = Objective(1, lambda x: float(np.nan), lambda x: np.ones(1),
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         trace = solve(obj, np.ones(1))
         assert trace.status == DIVERGED
         assert trace.records == []
@@ -488,7 +523,7 @@ class TestTerminationStatuses:
     def test_inner_breakdown_is_divergence(self):
         # Hessian oracle emits NaN: the Lanczos recurrence cannot continue
         obj = Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                        lambda x, v: np.full(2, np.nan))
+                        lambda x: lambda v: np.full(2, np.nan))
         trace = solve(obj, np.ones(2))
         assert trace.status == DIVERGED
 
@@ -500,7 +535,7 @@ class TestTerminationStatuses:
     ])
     def test_nonfinite_hvp_is_divergence_without_a_warning(self, product):
         obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                        lambda x, v: product(v))
+                        lambda x: lambda v: product(v))
         trace = solve(obj, np.array([0.0, 1.0, -2.0]))
         assert (trace.status, trace.iters) == (DIVERGED, 0)
 
@@ -513,7 +548,7 @@ class TestTerminationStatuses:
         def grad(x):
             calls[0] += 1
             return 2.0 * x if calls[0] <= finite_grads else np.full(2, 1e200)
-        obj = Objective(2, lambda x: float(x @ x), grad, lambda x, v: 2.0 * v)
+        obj = Objective(2, lambda x: float(x @ x), grad, lambda x: lambda v: 2.0 * v)
         trace = solve(obj, np.ones(2), SolverConfig(schedule=ScheduleParams(mode=mode)))
         assert (trace.status, trace.iters) == (DIVERGED, finite_grads)
         assert trace.gnorm_final == math.inf
@@ -686,7 +721,7 @@ class TestDirectionDispatch:
     def test_each_direction_contract_fires(self, flag, d, broken):
         A = np.diag([2.0, -1.0])
         obj = Objective(2, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
-                        lambda x, v: A @ v)
+                        lambda x: lambda v: A @ v)
         B = SymmetricOperator(2, lambda v: obj.hvp(np.zeros(2), v))
         g = np.array([1.0, 0.0])
         args = (flag, np.array(d), g, 1.0, 0.1, 0.0, 0.25, B, obj)
@@ -711,7 +746,7 @@ class TestDirectionDispatch:
         A = np.diag(np.arange(1.0, n + 1.0))
         skewed = A + np.triu(np.ones((n, n)), 1)      # a wrong Hessian oracle
         return Objective(n, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
-                         lambda x, v: skewed @ v)
+                         lambda x: lambda v: skewed @ v)
 
     def test_nonsymmetric_hvp_is_named(self):
         obj = self.skewed_quadratic()
@@ -769,11 +804,11 @@ class TestDirectionDispatch:
         problem = spec("quartic_saddle", n=10)
         x0 = problem.start(np.random.default_rng(2))
 
-        def run(hvp):
-            obj = Objective(problem.dim, problem._f, problem._grad, hvp)
+        def run(hess):
+            obj = Objective(problem.dim, problem._f, problem._grad, hess)
             return solve(obj, x0, SolverConfig(max_oracles=400))
 
-        def read_only(x, v):
+        def read_only(v):
             out = v.copy()
             out.flags.writeable = False
             return out
@@ -781,10 +816,10 @@ class TestDirectionDispatch:
         def untimed(records):
             return [dataclasses.replace(r, time_ms=0.0) for r in records]
 
-        reference = run(lambda x, v: v.copy())
+        reference = run(lambda x: lambda v: v.copy())
         assert reference.records and all(r.zeta > 0.0 for r in reference.records)
-        for hvp in (lambda x, v: v, lambda x, v: v[:], read_only):
-            trace = run(hvp)
+        for hess in (lambda x: lambda v: v, lambda x: lambda v: v[:], lambda x: read_only):
+            trace = run(hess)
             assert trace.status == reference.status
             assert untimed(trace.records) == untimed(reference.records)
             assert np.array_equal(trace.x_final, reference.x_final)
@@ -798,21 +833,25 @@ class TestDirectionDispatch:
         buf = np.empty(problem.dim)
         products, intact = [], []
 
-        def kept_buffer(x, v):
-            if products:
-                intact.append(np.array_equal(buf, products[-1]))
-            buf[:] = problem._hvp(x, v)
-            products.append(buf.copy())
-            return buf
+        def kept_buffer(x):
+            product = problem._hess(x)
 
-        def run(hvp):
-            obj = Objective(problem.dim, problem._f, problem._grad, hvp)
+            def refill(v):
+                if products:
+                    intact.append(np.array_equal(buf, products[-1]))
+                buf[:] = product(v)
+                products.append(buf.copy())
+                return buf
+            return refill
+
+        def run(hess):
+            obj = Objective(problem.dim, problem._f, problem._grad, hess)
             return solve(obj, x0, builtin_config("newton_mr"))
 
         def untimed(records):
             return [dataclasses.replace(r, time_ms=0.0) for r in records]
 
-        reference = run(problem._hvp)
+        reference = run(problem._hess)
         trace = run(kept_buffer)
         intact.append(np.array_equal(buf, products[-1]))
         assert reference.status == CONVERGED

@@ -34,7 +34,7 @@ def lbfgs_operator(store):
 class TestExactOperator:
     def test_identity_hessian(self):
         obj = Objective(3, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                        lambda x, v: v.copy())
+                        lambda x: lambda v: v.copy())
         op = exact_operator(obj, np.zeros(3))
         v = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(op(v), v)
@@ -42,7 +42,7 @@ class TestExactOperator:
 
     def test_charges_oracle(self):
         obj = Objective(2, lambda x: 0.0, lambda x: np.zeros(2),
-                        lambda x, v: 2.0 * v)
+                        lambda x: lambda v: 2.0 * v)
         op = exact_operator(obj, np.zeros(2))
         op(np.ones(2)); op(np.ones(2))
         assert obj.oracle_count == 4.0          # two products at cost 2 each
@@ -57,15 +57,15 @@ class TestExactOperator:
     def test_product_is_the_oracle_result(self):
         # the operator passes the oracle's result through: its argument v, a
         # view of it, the copy of x or a read-only array, with v left intact
-        def read_only(x, v):
+        def read_only(v):
             out = 2.0 * v
             out.flags.writeable = False
             return out
 
         v = np.array([1.0, -2.0, 0.5])
-        for hvp, scale in ((lambda x, v: v, 1.0), (lambda x, v: v[:], 1.0),
-                           (lambda x, v: x, None), (read_only, 2.0)):
-            obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3), hvp)
+        for hess, scale in ((lambda x: lambda v: v, 1.0), (lambda x: lambda v: v[:], 1.0),
+                            (lambda x: lambda v: x, None), (lambda x: read_only, 2.0)):
+            obj = Objective(3, lambda x: 0.0, lambda x: np.zeros(3), hess)
             x = np.array([3.0, 4.0, 5.0])
             op = exact_operator(obj, x)
             for _ in range(2):
@@ -92,7 +92,7 @@ class TestShiftedSolve:
         A = (Q * np.array([-5.0, -0.5, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])) @ Q.T
         A = 0.5 * (A + A.T)
         obj = Objective(n, lambda x: 0.0, lambda x: np.zeros(n),
-                        lambda x, v: A @ v + x * v)
+                        lambda x: lambda v: A @ v + x * v)
         filled = LbfgsStore(n, memory=3)
         # the first pair has curvature near -5, the later ones set gamma > 0
         for s in (Q[:, 0] + 0.1 * rng.standard_normal(n),

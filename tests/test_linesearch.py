@@ -14,7 +14,7 @@ from minresls.reference import backtrack_reference, forward_grid_reference
 def quad_obj():
     # f(x) = 0.5 ||x||^2
     return Objective(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                     lambda x, v: v.copy())
+                     lambda x: lambda v: v.copy())
 
 
 class TestOneGrid:
@@ -82,7 +82,7 @@ class TestArmijo:
         rng = np.random.default_rng(8)
         A = np.diag(rng.uniform(0.5, 40.0, 6))
         obj = Objective(6, lambda x: 0.5 * float(x @ (A @ x)),
-                        lambda x: A @ x, lambda x, v: A @ v)
+                        lambda x: A @ x, lambda x: lambda v: A @ v)
         cfg = LinesearchConfig()
         for trial in range(10):
             x = rng.standard_normal(6)
@@ -112,15 +112,18 @@ class TestArmijo:
         d = np.array([-3.0])
         res = armijo_backtrack(obj, x, d, -3.0, 0.5)
         assert len(calls) == res.n_evals
-        # f_new is bit-identical to the objective at the accepted point
+        # f_new is bit-identical to the objective at the accepted point, and
+        # x_new is that point, the last one evaluated
         assert res.f_new == 0.5 * float((x + res.step * d) @ (x + res.step * d))
+        assert res.x_new.tobytes() == (x + res.step * d).tobytes() == calls[-1].tobytes()
 
     def test_stagnation(self):
         # constant objective with a claimed negative slope can never satisfy
         # strict decrease: f_x = 0 so the rounding pad vanishes too
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
-        res = armijo_backtrack(obj, np.zeros(1), np.ones(1), -1.0, 0.0)
-        assert res.step == 0.0 and res.f_new == 0.0
+        x = np.zeros(1)
+        res = armijo_backtrack(obj, x, np.ones(1), -1.0, 0.0)
+        assert res.step == 0.0 and res.f_new == 0.0 and res.x_new is x
         # one trial per grid step 2^-j >= min_step = 1e-18, j = 0..59
         assert res.n_evals == obj.f_calls == 60
 
@@ -189,6 +192,8 @@ class TestCurvatureSearch:
                                                    cfg.shrink, cfg.max_step)
         res = npc_linesearch(obj, x, d, g_dot_d, d_curv, f_x, cfg)
         assert res.step == want and res.capped == want_capped
+        # the forward walk returns the point it accepted, not its last trial
+        assert res.x_new.tobytes() == (x + res.step * d).tobytes()
         if concave:
             assert (res.step, res.capped) == (cfg.max_step, True)
         else:
@@ -235,6 +240,7 @@ class TestCurvatureSearch:
                                    cfg.shrink, cfg.min_step)
         res = npc_linesearch(obj, x, d, gd, d_curv, f_x, cfg)
         assert res.step == want
+        assert res.x_new.tobytes() == (x + res.step * d).tobytes()
         assert res.step < 1.0 and not res.capped
 
     def test_cap_reported(self):
@@ -258,8 +264,9 @@ class TestCurvatureSearch:
         obj = Objective(1, lambda x: 0.0, lambda x: np.zeros(1))
         cfg = LinesearchConfig(min_step=1e-6)
         # claimed slope/curvature say decrease is possible; f refuses
-        res = npc_linesearch(obj, np.zeros(1), np.ones(1), -1.0, -1.0, 0.0, cfg)
-        assert res.step == 0.0 and res.f_new == 0.0
+        x = np.zeros(1)
+        res = npc_linesearch(obj, x, np.ones(1), -1.0, -1.0, 0.0, cfg)
+        assert res.step == 0.0 and res.f_new == 0.0 and res.x_new is x
         # one trial per grid step 2^-j >= min_step = 1e-6, j = 0..19
         assert res.n_evals == obj.f_calls == 20
 
@@ -282,7 +289,7 @@ class TestDecreaseBound:
         L = float(lams.max())
         A = np.diag(lams)
         obj = Objective(8, lambda x: 0.5 * float(x @ (A @ x)),
-                        lambda x: A @ x, lambda x, v: A @ v)
+                        lambda x: A @ x, lambda x: lambda v: A @ v)
         cfg = LinesearchConfig()
         for _ in range(20):
             x = rng.standard_normal(8)

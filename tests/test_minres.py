@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minresls import checks
+from minresls import checks, minres
 from minresls.checks import minres_iterations, random_symmetric_system
 from minresls.core import NumericalBreakdown, SymmetricOperator
+from minresls.driver import ScheduleParams, SolverConfig, solve
 from minresls.minres import (
     _WINDOW,
     MAXITER,
@@ -15,6 +16,7 @@ from minresls.minres import (
     SOL,
     minres_npc,
 )
+from minresls.problems import build_problem
 from minresls.reference import krylov_lsq_oracle, minres_eager, minres_rotations
 
 
@@ -384,6 +386,47 @@ class TestDeferredWindow:
             return {v.ctypes.data for v in seen}
 
         assert len(distinct_arguments(25)) == len(distinct_arguments(_WINDOW + 1)) == 6
+
+
+class TestWindowBound:
+    """The first fold folds _WINDOW updates; with fewer than three, _fold
+    would hand back the iterate as v_{t+1}'s buffer, and with more than five
+    the kernel would hold more than ten n-vectors."""
+
+    def test_window_lies_in_its_bound(self):
+        assert 3 <= _WINDOW <= 5
+
+    @staticmethod
+    def outcomes():
+        outs = []
+        for t in range(1, 10):
+            for flag in (NPC, SOL, MAXITER):
+                lam, b = exit_system(flag, t, 0.3, t + 8)
+                max_inner = t if flag == MAXITER else 50
+                outs.append(minres_npc(np.diag(lam), b, 0.0, max_inner, shift=0.3))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            A, b, _ = random_symmetric_system(rng, n=int(rng.integers(8, 16)))
+            outs.append(minres_npc(A, b, 0.0, 30))
+        return outs
+
+    def test_windows_in_the_bound_give_the_same_bits(self, monkeypatch):
+        problem = build_problem("quadratic", spectrum=np.geomspace(1.0, 1e3, 300),
+                                self_test=False)
+        x0 = problem.start(np.random.default_rng(11))
+        cfg = SolverConfig(schedule=ScheduleParams(mode="lbfgs_mr"))
+        runs = {}
+        for window in (3, 4, 5):
+            monkeypatch.setattr(minres, "_WINDOW", window)
+            trace = solve(problem.make_objective(), x0, cfg)
+            records = [dataclasses.replace(r, time_ms=0.0) for r in trace.records]
+            runs[window] = (self.outcomes(), records, trace.x_final.tobytes())
+        assert runs[5][1] and runs[5][1][-1].inner_iters > _WINDOW
+        for window in (3, 4):
+            outs, records, x_final = runs[window]
+            for out, ref in zip(outs, runs[5][0], strict=True):
+                assert_same_outcome(out, ref)
+            assert (records, x_final) == runs[5][1:]
 
 
 class TestIterationHistory:

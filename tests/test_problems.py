@@ -1,6 +1,7 @@
 """Benchmark problem definitions: frozen facts and derivative hygiene."""
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ class TestRosenbrock:
             assert np.array_equal(second.hvp(x, v), h_ref)
             assert first.f(x) == f_ref
 
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_product_keeps_the_signed_zeros_of_the_reference(self, n):
+        # the product writes its first term directly, where the reference
+        # adds it to zeros: -0.0 must still come out as the reference's +0.0
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.1, 2.0, n)
+        product = rosenbrock(n)._hess(x)
+        signs = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        for v in (np.full(n, -0.0), signs, -signs, np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+            assert product(v).tobytes() == self.reference(x, v)[2].tobytes()
+
     def test_hvp_results_are_fresh(self):
         obj = rosenbrock(n=50).make_objective()
         rng = np.random.default_rng(2)
@@ -149,16 +161,21 @@ class TestRosenbrock:
         assert h2 is not h1 and not np.shares_memory(h1, h2)
         assert np.array_equal(h1, kept)
 
-    @pytest.mark.parametrize("oracle, vectors", [("f", 0), ("grad", 1), ("hvp", 1)])
+    @pytest.mark.parametrize("oracle, vectors",
+                             [("f", 0), ("grad", 1), ("hvp", 1), ("hess", 2)])
     def test_oracle_allocates_only_its_result(self, oracle, vectors):
-        # after a first call; the spec owns the work vectors, and the plain
-        # expressions peak at about 4 vectors
+        # after a first call at a read-only point, as solve passes its
+        # iterates: the spec owns the work vectors, a product reuses the
+        # point's map, and building a map allocates its diagonal and
+        # off-diagonal; the plain expressions peak at about 4 vectors
         n = 10_000
-        obj = rosenbrock(n).make_objective()
+        spec = rosenbrock(n)
+        obj = spec.make_objective()
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 1.0, n)
+        x.flags.writeable = False
         args = (x, rng.standard_normal(n)) if oracle == "hvp" else (x,)
-        call = getattr(obj, oracle)
+        call = spec._hess if oracle == "hess" else getattr(obj, oracle)
         call(*args)
         tracemalloc.start()
         try:
@@ -224,7 +241,7 @@ class TestRegistry:
     def test_self_test_catches_broken_gradient(self):
         spec = build_problem("quadratic", n=3)
         broken = type(spec)(spec.name, spec.dim, spec._f,
-                            lambda x: 2.0 * x, spec._hvp, spec.start)
+                            lambda x: 2.0 * x, spec._hess, spec.start)
         with pytest.raises(AssertionError, match="gradient gap"):
             broken.self_test()
 
@@ -248,7 +265,7 @@ class TestRegistry:
             g = spec._grad(x)
             g[5_000] *= 1.01
             return g
-        broken = ProblemSpec(spec.name, spec.dim, spec._f, grad, spec._hvp, spec.start)
+        broken = ProblemSpec(spec.name, spec.dim, spec._f, grad, spec._hess, spec.start)
         with pytest.raises(AssertionError, match="gap"):
             broken.self_test(points=3)
 
@@ -259,7 +276,7 @@ class TestRegistry:
         assert a.oracle_count == 1.0 and b.oracle_count == 0.0
 
 
-# Test-only copies of each builtin's grad and hvp with one sign switch per
+# Test-only copies of each builtin's grad and hess with one sign switch per
 # additive term, grad terms first. ``s[k] = -1`` flips term k; all +1 is the
 # builtin. The counts are the terms of the builtin's expressions as written.
 def _toy_sine_terms(n, s):
@@ -276,7 +293,7 @@ def _toy_sine_terms(n, s):
         hx = s[2] * (np.sin(x) * e * vx) + s[3] * (cx * cx * vx) + s[4] * (-cx * vy)
         hy = s[5] * (-cx * vx) + s[6] * vy
         return np.concatenate([hx, hy])
-    return grad, hvp
+    return grad, lambda z: partial(hvp, z)
 
 
 def _quartic_saddle_terms(n, s):
@@ -289,7 +306,7 @@ def _quartic_saddle_terms(n, s):
     def hvp(x, v):
         return (s[2] * (a * v) + s[3] * (float(x @ x) * v)
                 + s[4] * (2.0 * float(x @ v) * x))
-    return grad, hvp
+    return grad, lambda x: partial(hvp, x)
 
 
 def _rosenbrock_terms(n, s):
@@ -309,12 +326,12 @@ def _rosenbrock_terms(n, s):
                    + s[5] * (2.0 * vh) + s[6] * (-400.0 * head * vt))
         h[1:] += s[7] * (200.0 * vt) + s[8] * (-400.0 * head * vh)
         return h
-    return grad, hvp
+    return grad, lambda x: partial(hvp, x)
 
 
 def _quadratic_terms(n, s):
     lam = np.ones(n)
-    return (lambda x: s[0] * (lam * x)), (lambda x, v: s[1] * (lam * v))
+    return (lambda x: s[0] * (lam * x)), (lambda x: lambda v: s[1] * (lam * v))
 
 
 TERM_COPIES = {
@@ -327,8 +344,8 @@ TERM_COPIES = {
 
 def _with_terms(name, n, s):
     spec = REGISTRY[name](n=n)
-    grad, hvp = TERM_COPIES[name][0](n, s)
-    return spec, ProblemSpec(spec.name, spec.dim, spec._f, grad, hvp, spec.start)
+    grad, hess = TERM_COPIES[name][0](n, s)
+    return spec, ProblemSpec(spec.name, spec.dim, spec._f, grad, hess, spec.start)
 
 
 class TestSelfTestMutations:
@@ -340,7 +357,7 @@ class TestSelfTestMutations:
             x = rng.uniform(0.0, 1.0, spec.dim)
             v = rng.standard_normal(spec.dim)
             for ref, got in ((spec._grad(x), copy._grad(x)),
-                             (spec._hvp(x, v), copy._hvp(x, v))):
+                             (spec._hess(x)(v), copy._hess(x)(v))):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [10, 10_000])
